@@ -32,7 +32,7 @@ from .data import (
 )
 from .explainers import ShapConfig
 from .models import ARCHITECTURES, ModelSpec
-from .protocol import DriftReport, aggregate, run_protocol
+from .protocol import POOL_ORDERS, DriftReport, aggregate, run_protocol
 from .strategies import STRATEGIES, OptConfig
 
 BENCHMARKS = ("synth-images", "synth-sequences", "mnist-idx", "user-sequences")
@@ -97,6 +97,19 @@ def _merge_section(raw: dict, defaults: dict, section: str) -> dict:
     return merged
 
 
+def _shap_config(section: dict) -> ShapConfig:
+    return ShapConfig(engine=section["engine"], n_samples=section["n_samples"],
+                      noise_std=section["noise_std"])
+
+
+def _check_section(name: str, build, section: dict) -> None:
+    """Build a section's settings object as ``run`` does; its errors name the section."""
+    try:
+        build(section)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def validate_config(raw: dict) -> dict:
     """Check a parsed config against the schema; returns it with defaults filled.
 
@@ -135,8 +148,11 @@ def validate_config(raw: dict) -> dict:
     cfg["shap"] = _merge_section(cfg["shap"], _TOP_DEFAULTS["shap"], "shap")
     cfg["gss"] = _merge_section(cfg["gss"], _TOP_DEFAULTS["gss"], "gss")
 
-    if cfg["shap"]["engine"] not in ("exact", "sampling", "gradient"):
-        raise ConfigError(f"shap.engine: unknown value {cfg['shap']['engine']!r}")
+    _check_section("optimizer", lambda section: OptConfig(**section), cfg["optimizer"])
+    _check_section("shap", _shap_config, cfg["shap"])
+    if cfg["pool_order"] not in POOL_ORDERS:
+        raise ConfigError(
+            f"pool_order: unknown value {cfg['pool_order']!r}, expected one of {POOL_ORDERS}")
     if not isinstance(cfg["strategies"], list) or not cfg["strategies"]:
         raise ConfigError("strategies: must be a nonempty list")
     for name in cfg["strategies"]:
@@ -145,7 +161,7 @@ def validate_config(raw: dict) -> dict:
                 f"strategies: unknown strategy name {name!r}, expected among {STRATEGIES}")
     if not isinstance(cfg["seeds"], list) or not cfg["seeds"]:
         raise ConfigError("seeds: must be a nonempty list of integers")
-    if not all(isinstance(s, int) for s in cfg["seeds"]):
+    if not all(isinstance(s, int) and not isinstance(s, bool) for s in cfg["seeds"]):
         raise ConfigError("seeds: every entry must be an integer")
     if not isinstance(cfg["experiences"], int) or cfg["experiences"] < 1:
         raise ConfigError("experiences: must be a positive integer")
@@ -327,9 +343,7 @@ def _run_single_seed(cfg: dict, seed: int, outdir: str) -> list:
     report = run_protocol(
         stream, slice_, spec, list(cfg["strategies"]),
         opt=OptConfig(**cfg["optimizer"]),
-        shap=ShapConfig(engine=cfg["shap"]["engine"],
-                        n_samples=cfg["shap"]["n_samples"],
-                        noise_std=cfg["shap"]["noise_std"]),
+        shap=_shap_config(cfg["shap"]),
         buffer_capacity=cfg["buffer_capacity"],
         gss_n_sim=cfg["gss"]["n_sim"], gss_tau=cfg["gss"]["tau"],
         gss_candidates=cfg["gss"]["candidates"],

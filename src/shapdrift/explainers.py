@@ -13,7 +13,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import arrayio
 from .data import LabeledDataset
 from .models import Model
 from .tensor import Tensor
@@ -33,9 +32,6 @@ class AttributionMap:
         if not np.all(np.isfinite(self.phi)):
             raise ValueError("attribution map contains non-finite values")
 
-    def total(self) -> float:
-        return float(self.phi.sum())
-
 
 @dataclass
 class ShapConfig:
@@ -53,22 +49,24 @@ class ShapConfig:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
 
 
+CHUNK_SIZE = 256  # rows per model pass; bounds tape memory on recurrent models
+
+
 class ClassLogit:
     """f(x) = pre-softmax logit of one output unit, callable on input batches.
 
     Exposes ``gradient`` for the expected-gradients engine. Batches are
-    evaluated in chunks to bound tape memory on recurrent models.
+    evaluated in chunks of ``CHUNK_SIZE`` rows.
     """
 
-    def __init__(self, model: Model, class_id: int, chunk_size: int = 256):
+    def __init__(self, model: Model, class_id: int):
         self.model = model
         self.class_id = class_id
-        self.chunk_size = chunk_size
 
     def __call__(self, batch: np.ndarray) -> np.ndarray:
         out = np.empty(len(batch))
-        for lo in range(0, len(batch), self.chunk_size):
-            chunk = batch[lo:lo + self.chunk_size]
+        for lo in range(0, len(batch), CHUNK_SIZE):
+            chunk = batch[lo:lo + CHUNK_SIZE]
             out[lo:lo + len(chunk)] = self.model.logits_np(chunk)[:, self.class_id]
         return out
 
@@ -78,8 +76,8 @@ class ClassLogit:
         grads = np.empty_like(batch, dtype=np.float64)
         selector = np.zeros((self.model.spec.num_classes, 1))
         selector[self.class_id, 0] = 1.0
-        for lo in range(0, len(batch), self.chunk_size):
-            chunk = batch[lo:lo + self.chunk_size]
+        for lo in range(0, len(batch), CHUNK_SIZE):
+            chunk = batch[lo:lo + CHUNK_SIZE]
             x = Tensor(chunk, requires_grad=True)
             logits = self.model.forward(x)
             values[lo:lo + len(chunk)] = logits.data[:, self.class_id]
@@ -212,36 +210,57 @@ def sampling_shapley(
 # -- expected-gradients engine ---------------------------------------------------------
 
 
-def gradient_shap(f, x: np.ndarray, background, config: ShapConfig) -> AttributionMap:
-    """Expected-gradients SHAP.
+def expected_gradients(model: Model, xs: np.ndarray, background, config: ShapConfig,
+                       seeds, class_ids) -> tuple[np.ndarray, np.ndarray]:
+    """Expected-gradients SHAP (Erion et al. 2021) for every (class, probe) pair.
 
     phi_k = mean over samples of (x_k - b_k) * df/dx_k evaluated at
     b + alpha * (x - b), with b drawn uniformly from the background and
     alpha uniform on (0, 1); phi0 is the mean of f over the background.
-    ``f`` must expose ``gradient(batch) -> (values, grads)``.
+    Probe p draws its samples from ``seeds[p]`` alone, so batching probes
+    does not change any probe's map, and every class sees the same points,
+    so one chunked gradient pass per class covers all probes.
+
+    Returns phi shaped (classes, probes, *input shape), with classes in
+    ``class_ids`` order, and phi0 shaped (classes,).
     """
-    x = np.asarray(x, dtype=np.float64)
+    xs = np.asarray(xs, dtype=np.float64)
     bg = _background_inputs(background)
-    if bg.shape[1:] != x.shape:
-        raise ValueError(f"background item shape {bg.shape[1:]} != input shape {x.shape}")
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
+    if bg.shape[1:] != xs.shape[1:]:
+        raise ValueError(f"background item shape {bg.shape[1:]} != input shape {xs.shape[1:]}")
     n = config.n_samples
+    points = np.empty((len(xs) * n,) + xs.shape[1:])
+    diffs = np.empty_like(points)
+    for p, (x, seed) in enumerate(zip(xs, seeds)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        base = bg[rng.integers(len(bg), size=n)]
+        alphas = rng.uniform(size=n).reshape((-1,) + (1,) * x.ndim)
+        block = base + alphas * (x[None] - base)
+        if config.noise_std > 0.0:
+            block = block + rng.normal(0.0, config.noise_std, size=block.shape)
+        points[p * n:(p + 1) * n] = block
+        diffs[p * n:(p + 1) * n] = x[None] - base
 
-    base = bg[rng.integers(len(bg), size=n)]
-    alphas = rng.uniform(size=n).reshape((-1,) + (1,) * x.ndim)
-    points = base + alphas * (x[None] - base)
-    if config.noise_std > 0.0:
-        points = points + rng.normal(0.0, config.noise_std, size=points.shape)
+    class_ids = list(class_ids)
+    phi = np.empty((len(class_ids), len(xs)) + xs.shape[1:])
+    for i, class_id in enumerate(class_ids):
+        _, grads = ClassLogit(model, class_id).gradient(points)
+        if not np.all(np.isfinite(grads)):
+            raise RuntimeError(
+                f"non-finite gradient while attributing class {class_id}: check model weights")
+        phi[i] = (diffs * grads).reshape((len(xs), n) + xs.shape[1:]).mean(axis=1)
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("attribution map contains non-finite values")
+    logits = np.concatenate([model.logits_np(bg[lo:lo + CHUNK_SIZE])
+                             for lo in range(0, len(bg), CHUNK_SIZE)])
+    return phi, logits.mean(axis=0)[class_ids]
 
-    _, grads = f.gradient(points)
-    if not np.all(np.isfinite(grads)):
-        raise RuntimeError(
-            f"non-finite gradient while attributing class "
-            f"{getattr(f, 'class_id', '?')}: check model weights"
-        )
-    phi = ((x[None] - base) * grads).mean(axis=0)
-    phi0 = float(np.mean(f(bg)))
-    return AttributionMap(phi, phi0, class_id=getattr(f, "class_id", -1))
+
+def gradient_shap(f: ClassLogit, x: np.ndarray, background, config: ShapConfig) -> AttributionMap:
+    """Expected-gradients SHAP of one class logit at one input, seeded by ``config.seed``."""
+    phi, phi0 = expected_gradients(f.model, np.asarray(x)[None], background, config,
+                                   [config.seed], [f.class_id])
+    return AttributionMap(phi[0, 0], float(phi0[0]), class_id=f.class_id)
 
 
 # -- clamping and per-class dispatch ----------------------------------------------------
@@ -253,31 +272,30 @@ def clamp_positive(attribution: AttributionMap) -> AttributionMap:
                           class_id=attribution.class_id, stderr=attribution.stderr)
 
 
-def explain_all_classes(
-    model: Model,
-    x: np.ndarray,
-    background,
-    config: ShapConfig,
-    clamp: bool = True,
-) -> list[AttributionMap]:
-    """One attribution map per output unit.
+def explain_all_classes(model: Model, x: np.ndarray, background,
+                        config: ShapConfig) -> list[AttributionMap]:
+    """One raw (unclamped) attribution map per output unit.
 
     Each class re-seeds the estimator from the same config seed, so all
     classes see identical baseline/interpolation draws and the resulting
     maps are directly comparable.
     """
     bg = _background_inputs(background)
+    num_classes = model.spec.num_classes
+    if config.engine == "gradient":
+        phi, phi0 = expected_gradients(model, np.asarray(x)[None], bg, config,
+                                       [config.seed], range(num_classes))
+        return [AttributionMap(phi[c, 0], float(phi0[c]), class_id=c)
+                for c in range(num_classes)]
     maps = []
-    for class_id in range(model.spec.num_classes):
+    for class_id in range(num_classes):
         f = ClassLogit(model, class_id)
         if config.engine == "exact":
             attribution = exact_shapley(f, x, bg.mean(axis=0))
-        elif config.engine == "sampling":
-            attribution = sampling_shapley(f, x, bg, config)
         else:
-            attribution = gradient_shap(f, x, bg, config)
+            attribution = sampling_shapley(f, x, bg, config)
         attribution.class_id = class_id
-        maps.append(clamp_positive(attribution) if clamp else attribution)
+        maps.append(attribution)
     return maps
 
 
@@ -286,29 +304,3 @@ def per_example_config(config: ShapConfig, example_index: int) -> ShapConfig:
     child = np.random.SeedSequence([config.seed, example_index]).generate_state(1)[0]
     return replace(config, seed=int(child))
 
-
-# -- attribution batch serialization ------------------------------------------------------
-
-
-def save_attribution_batch(path, entries: dict[tuple, AttributionMap]) -> None:
-    """Write maps keyed by (strategy, experience, example, class) to one container."""
-    arrays: dict[str, np.ndarray] = {}
-    for (strategy, experience, example, class_id), amap in entries.items():
-        key = f"{strategy}/e{experience}/x{example}/c{class_id}"
-        arrays[f"{key}/phi"] = amap.phi
-        arrays[f"{key}/phi0"] = np.array([amap.phi0])
-    arrayio.save_arrays(path, arrays)
-
-
-def load_attribution_batch(path) -> dict[tuple, AttributionMap]:
-    arrays = arrayio.load_arrays(path)
-    entries: dict[tuple, AttributionMap] = {}
-    for name, value in arrays.items():
-        key, kind = name.rsplit("/", 1)
-        if kind != "phi":
-            continue
-        strategy, e, x_, c = key.split("/")
-        entries[(strategy, int(e[1:]), int(x_[1:]), int(c[1:]))] = AttributionMap(
-            value, float(arrays[f"{key}/phi0"][0]), class_id=int(c[1:])
-        )
-    return entries

@@ -8,12 +8,10 @@ its recurrent weights frozen; only the readout trains.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import arrayio
 from .tensor import (
     Tensor,
     col_slice,
@@ -252,28 +250,6 @@ class Lstm(Model):
         return matmul(h, self.params["head_w"]) + self.params["head_b"]
 
 
-class EsnReservoir:
-    """Fixed random reservoir: input map, recurrent map, leak, radius target."""
-
-    def __init__(self, w_in: Tensor, w: Tensor, leak: float, spectral_radius: float):
-        self.w_in = w_in
-        self.w = w
-        self.leak = leak
-        self.spectral_radius = spectral_radius
-
-    def step(self, state: Tensor, input_t: Tensor) -> Tensor:
-        """state' = (1 - leak) * state + leak * tanh(input @ w_in + state @ w)."""
-        lam = self.leak
-        pre = tanh(matmul(input_t, self.w_in) + matmul(state, self.w))
-        if lam == 1.0:
-            return pre
-        return state * (1.0 - lam) + pre * lam
-
-
-def esn_step(reservoir: EsnReservoir, state: Tensor, input_t: Tensor) -> Tensor:
-    return reservoir.step(state, input_t)
-
-
 class Esn(Model):
     """Echo-state network: frozen random reservoir, trainable linear readout."""
 
@@ -290,16 +266,21 @@ class Esn(Model):
         self._param("w", w, trainable=False)
         self._param("head_w", _uniform_fanin(rng, (n, spec.num_classes), n))
         self._param("head_b", np.zeros(spec.num_classes))
-        self.reservoir = EsnReservoir(
-            self.params["w_in"], self.params["w"], spec.esn_leak, spec.esn_spectral_radius
-        )
+
+    def step(self, state: Tensor, input_t: Tensor) -> Tensor:
+        """state' = (1 - leak) * state + leak * tanh(input @ w_in + state @ w)."""
+        lam = self.spec.esn_leak
+        pre = tanh(matmul(input_t, self.params["w_in"]) + matmul(state, self.params["w"]))
+        if lam == 1.0:
+            return pre
+        return state * (1.0 - lam) + pre * lam
 
     def forward(self, x: Tensor) -> Tensor:
         self._check_batch(x)
         steps, _ = self.spec.input_shape
         h = Tensor(np.zeros((x.shape[0], self.spec.hidden_size)))
         for t in range(steps):
-            h = self.reservoir.step(h, time_slice(x, t))
+            h = self.step(h, time_slice(x, t))
         return matmul(h, self.params["head_w"]) + self.params["head_b"]
 
 
@@ -329,10 +310,3 @@ def parameter_checksum(model: Model) -> str:
         digest.update(np.ascontiguousarray(model.params[name].data).tobytes())
     return digest.hexdigest()
 
-
-def save_checkpoint(model: Model, path) -> None:
-    arrayio.save_arrays(path, {k: v.data for k, v in model.params.items()})
-
-
-def load_checkpoint(model: Model, path) -> None:
-    model.load_state_dict(arrayio.load_arrays(path))

@@ -19,8 +19,8 @@ import numpy as np
 from .data import EvaluationSlice, ExperienceStream
 from .explainers import (
     AttributionMap,
-    ClassLogit,
     ShapConfig,
+    expected_gradients,
     explain_all_classes,
     per_example_config,
 )
@@ -29,12 +29,11 @@ from .strategies import (
     STRATEGIES,
     OptConfig,
     ReplayBuffer,
-    TrainLog,
     train_joint,
     train_naive,
     train_replay,
 )
-from .tensor import Tensor, avgpool2d, no_grad, normalize_zscore
+from .tensor import Tensor, avgpool2d, no_grad, normalize_zscore, relu
 
 POOL_KERNEL = 4
 POOL_ORDERS = ("normalize_then_clamp", "clamp_then_normalize")
@@ -47,6 +46,36 @@ ACCURACY_CSV_HEADER = ["strategy", "experience_trained", "experience_evaluated",
 # -- metrics ---------------------------------------------------------------------
 
 
+# Each formula below scores a stack of map pairs at once: maps lie along the
+# trailing axes and pairs along the leading ones, one value per pair. The
+# single-pair metrics are the same formulas on a stack of one.
+
+
+def _mass_drift(s: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """(1/K)(sum S - sum J)^2 for maps flattened along the last axis."""
+    diff = s.sum(axis=-1) - j.sum(axis=-1)
+    return diff * diff / s.shape[-1]
+
+
+def _pooled(maps: np.ndarray, order: str, kernel: int = POOL_KERNEL) -> np.ndarray:
+    """z-score each map over its trailing two axes, clamp at zero (``order``
+    says which comes first), then average-pool."""
+    if order not in POOL_ORDERS:
+        raise ValueError(f"unknown pool order {order!r}, expected one of {POOL_ORDERS}")
+    with no_grad():
+        x = Tensor(maps)
+        if order == "normalize_then_clamp":
+            x = relu(normalize_zscore(x))
+        else:
+            x = normalize_zscore(relu(x))
+        return avgpool2d(x, kernel).data
+
+
+def _pooled_drift(ps: np.ndarray, pj: np.ndarray) -> np.ndarray:
+    """Mean squared difference over the pooled cells of each map pair."""
+    return ((ps - pj) ** 2).mean(axis=(-2, -1))
+
+
 def metric_m(s_map, j_map) -> float:
     """Mean squared difference of summed attribution mass: (1/K)(sum S - sum J)^2.
 
@@ -57,34 +86,15 @@ def metric_m(s_map, j_map) -> float:
     j = np.asarray(j_map, dtype=np.float64)
     if s.size != j.size:
         raise ValueError(f"map sizes differ: {s.size} != {j.size}")
-    diff = s.sum() - j.sum()
-    return float(diff * diff / s.size)
-
-
-def _zscore_np(a: np.ndarray) -> np.ndarray:
-    with no_grad():
-        return normalize_zscore(Tensor(a)).data
-
-
-def _pool_np(a: np.ndarray, kernel: int) -> np.ndarray:
-    with no_grad():
-        return avgpool2d(Tensor(a), kernel).data
-
-
-def _preprocess_map(a: np.ndarray, order: str) -> np.ndarray:
-    if order == "normalize_then_clamp":
-        return np.maximum(_zscore_np(a), 0.0)
-    if order == "clamp_then_normalize":
-        return _zscore_np(np.maximum(a, 0.0))
-    raise ValueError(f"unknown pool order {order!r}, expected one of {POOL_ORDERS}")
+    return float(_mass_drift(s.ravel(), j.ravel()))
 
 
 def pooled_squared_difference(s_processed, j_processed, kernel: int = POOL_KERNEL) -> float:
     """Tail of the pooled metric: average-pool two already-preprocessed maps
     and return the mean squared difference over pooled cells."""
-    ps = _pool_np(np.asarray(s_processed, dtype=np.float64), kernel)
-    pj = _pool_np(np.asarray(j_processed, dtype=np.float64), kernel)
-    return float(np.mean((ps - pj) ** 2))
+    with no_grad():
+        ps, pj = (avgpool2d(Tensor(a), kernel).data for a in (s_processed, j_processed))
+    return float(_pooled_drift(ps, pj))
 
 
 def metric_m_pool(s_map, j_map, kernel: int = POOL_KERNEL,
@@ -104,8 +114,7 @@ def metric_m_pool(s_map, j_map, kernel: int = POOL_KERNEL,
         raise ValueError(f"map shapes differ: {s.shape} != {j.shape}")
     if min(s.shape) < kernel:
         raise ValueError(f"map extents {s.shape} smaller than pooling kernel {kernel}")
-    return pooled_squared_difference(_preprocess_map(s, order),
-                                     _preprocess_map(j, order), kernel)
+    return float(_pooled_drift(_pooled(s, order, kernel), _pooled(j, order, kernel)))
 
 
 # -- report rows and CSV schema -----------------------------------------------------
@@ -225,70 +234,28 @@ def load_accuracy_csv(path) -> list:
 # -- protocol orchestration -----------------------------------------------------------
 
 
-def _map_as_2d(phi: np.ndarray) -> np.ndarray:
-    if phi.ndim == 3 and phi.shape[0] == 1:
-        return phi[0]
-    if phi.ndim == 2:
-        return phi
-    raise ValueError(f"cannot interpret map of shape {phi.shape} as a 2D image")
-
-
 def _is_spatial(inputs: np.ndarray) -> bool:
     return (inputs.ndim == 4 and inputs.shape[1] == 1
             and min(inputs.shape[2:]) >= POOL_KERNEL)
 
 
-def _gradient_maps_batched(model, xs: np.ndarray, background: np.ndarray,
-                           shap: ShapConfig) -> list:
-    """Expected-gradients maps for every (probe, class) pair.
+def _snapshot_maps(model, probes, background: np.ndarray,
+                   shap: ShapConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Raw (unclamped) per-class maps for every probe under one weight snapshot.
 
-    Interpolation points are built once per probe (seeding matches
-    gradient_shap called with per_example_config) and shared across classes,
-    so one chunked gradient pass per class covers all probes.
+    Returns phi shaped (classes, probes, *input shape), so each class's probes
+    are contiguous for scoring, and phi0 shaped (classes,). Probe p is seeded
+    by ``per_example_config(shap, p)`` whatever the engine.
     """
-    n_probes, n = len(xs), shap.n_samples
-    points = np.empty((n_probes * n,) + xs.shape[1:])
-    diffs = np.empty_like(points)
-    for p in range(n_probes):
-        cfg = per_example_config(shap, p)
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
-        base = background[rng.integers(len(background), size=n)]
-        alphas = rng.uniform(size=n).reshape((-1,) + (1,) * (xs.ndim - 1))
-        block = base + alphas * (xs[p][None] - base)
-        if shap.noise_std > 0.0:
-            block = block + rng.normal(0.0, shap.noise_std, size=block.shape)
-        points[p * n:(p + 1) * n] = block
-        diffs[p * n:(p + 1) * n] = xs[p][None] - base
-
     num_classes = model.spec.num_classes
-    phi0 = np.zeros(num_classes)
-    for lo in range(0, len(background), 256):
-        chunk = background[lo:lo + 256]
-        phi0 += model.logits_np(chunk).sum(axis=0)
-    phi0 /= len(background)
-
-    maps: list = [[None] * num_classes for _ in range(n_probes)]
-    for class_id in range(num_classes):
-        _, grads = ClassLogit(model, class_id).gradient(points)
-        if not np.all(np.isfinite(grads)):
-            raise RuntimeError(f"non-finite gradient while attributing class {class_id}")
-        contrib = diffs * grads
-        for p in range(n_probes):
-            phi = contrib[p * n:(p + 1) * n].mean(axis=0)
-            maps[p][class_id] = AttributionMap(phi, float(phi0[class_id]),
-                                               class_id=class_id)
-    return maps
-
-
-def _snapshot_maps(model, probes, background: np.ndarray, shap: ShapConfig) -> list:
-    """Raw (unclamped) per-class maps for every probe under one weight snapshot."""
+    configs = [per_example_config(shap, p) for p in range(len(probes.inputs))]
     if shap.engine == "gradient":
-        return _gradient_maps_batched(model, probes.inputs, background, shap)
-    return [
-        explain_all_classes(model, x, background, per_example_config(shap, p),
-                            clamp=False)
-        for p, x in enumerate(probes.inputs)
-    ]
+        return expected_gradients(model, probes.inputs, background, shap,
+                                  [c.seed for c in configs], range(num_classes))
+    per_probe = [explain_all_classes(model, x, background, cfg)
+                 for x, cfg in zip(probes.inputs, configs)]
+    phi = np.stack([np.stack([m.phi for m in maps]) for maps in per_probe], axis=1)
+    return phi, np.array([m.phi0 for m in per_probe[0]])
 
 
 def _train_strategy(strategy: str, spec: ModelSpec, stream: ExperienceStream,
@@ -364,7 +331,11 @@ def run_protocol(
     joint_model, joint_log = _train_strategy(
         "joint", spec, stream, opt, train_seed,
         buffer_capacity, gss_n_sim, gss_tau, gss_candidates)
-    joint_maps = _snapshot_maps(joint_model, probes, background, shap)
+    joint_maps, joint_phi0 = _snapshot_maps(joint_model, probes, background, shap)
+    n_probes = len(probes.inputs)
+    joint_mass = np.maximum(joint_maps, 0.0).reshape(num_classes, n_probes, -1)
+    if spatial:
+        joint_pooled = _pooled(joint_maps[:, :, 0], pool_order)
 
     rows: list = []
     accuracy_rows: list = []
@@ -382,36 +353,29 @@ def run_protocol(
 
         for e in range(num_experiences):
             if strategy == "joint":
-                maps = joint_maps
+                maps, phi0 = joint_maps, joint_phi0
             else:
                 model.load_state_dict(log.snapshots[e])
-                maps = _snapshot_maps(model, probes, background, shap)
+                maps, phi0 = _snapshot_maps(model, probes, background, shap)
+            # probes are the contiguous last axis, so each probe mean sums in the
+            # same order as a mean over a list of per-probe values
+
+            scores = {"m": _mass_drift(np.maximum(maps, 0.0).reshape(joint_mass.shape),
+                                       joint_mass).mean(axis=-1)}
+            if spatial:
+                scores["m_pool"] = _pooled_drift(_pooled(maps[:, :, 0], pool_order),
+                                                 joint_pooled).mean(axis=-1)
             for class_id in range(num_classes):
-                clamped_s = [np.maximum(maps[p][class_id].phi, 0.0)
-                             for p in range(len(maps))]
-                clamped_j = [np.maximum(joint_maps[p][class_id].phi, 0.0)
-                             for p in range(len(maps))]
                 is_target = class_id in target_classes
-                m_mean = float(np.mean([
-                    metric_m(s, j) for s, j in zip(clamped_s, clamped_j)
-                ]))
-                rows.append(MetricRow(strategy, e + 1, class_id, "m",
-                                      m_mean, is_target))
-                if spatial:
-                    pool_mean = float(np.mean([
-                        metric_m_pool(_map_as_2d(maps[p][class_id].phi),
-                                      _map_as_2d(joint_maps[p][class_id].phi),
-                                      order=pool_order)
-                        for p in range(len(maps))
-                    ]))
-                    rows.append(MetricRow(strategy, e + 1, class_id, "m_pool",
-                                          pool_mean, is_target))
+                for metric, values in scores.items():
+                    rows.append(MetricRow(strategy, e + 1, class_id, metric,
+                                          float(values[class_id]), is_target))
             if e == num_experiences - 1 and saliency_probes > 0 and spatial:
-                keep = min(saliency_probes, len(maps))
+                keep = min(saliency_probes, n_probes)
                 saliency[strategy] = (
                     probes.inputs[:keep].copy(),
-                    [[AttributionMap(np.maximum(m.phi, 0.0), m.phi0, m.class_id)
-                      for m in maps[p]] for p in range(keep)],
+                    [[AttributionMap(np.maximum(maps[c, p], 0.0), float(phi0[c]), c)
+                      for c in range(num_classes)] for p in range(keep)],
                 )
 
         for i in range(log.accuracy.shape[0]):

@@ -68,9 +68,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -494,23 +491,26 @@ ZSCORE_EPS = 1e-8
 
 
 def normalize_zscore(x: Tensor) -> Tensor:
-    """Shift and scale to zero mean and unit variance (population variance).
+    """Shift and scale each map to zero mean and unit variance (population variance).
 
-    Constant inputs map to all zeros via the epsilon guard instead of
-    erroring; all-zero attribution maps legitimately occur for dead classes.
+    A tensor of at most two axes is one map; a higher-rank tensor is a stack
+    of maps over its trailing two axes, each normalized on its own. Constant
+    maps become all zeros via the epsilon guard instead of erroring; all-zero
+    attribution maps legitimately occur for dead classes.
     """
     x = _wrap(x)
-    mu = x.data.mean()
-    var = x.data.var()
+    axes = None if x.ndim <= 2 else (-2, -1)
+    keep = axes is not None  # one map reduces to scalars, which are cheaper
+    mu = x.data.mean(axis=axes, keepdims=keep)
+    var = x.data.var(axis=axes, keepdims=keep)
     s = np.sqrt(var + ZSCORE_EPS)
     y = (x.data - mu) / s
     out = _make(y, (x,), "normalize_zscore")
     if out.requires_grad:
-        n = x.size
         ratio = var / (var + ZSCORE_EPS)
         def _bw(g):
-            gm = g.mean()
-            gy = (g * y).mean()
+            gm = g.mean(axis=axes, keepdims=keep)
+            gy = (g * y).mean(axis=axes, keepdims=keep)
             x._accumulate((g - gm - y * gy * ratio) / s)
         out._backward = _bw
     return out
@@ -542,10 +542,3 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
             logits._accumulate(g * d / batch)
         out._backward = _bw
     return out
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Plain ndarray softmax along the last axis (no tape participation)."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=-1, keepdims=True)

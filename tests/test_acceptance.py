@@ -444,7 +444,7 @@ def test_09_joint_self_comparison_is_exactly_zero(image_reports, lstm_reports,
             joint_rows = [row for row in report.rows if row.strategy == "joint"]
             assert joint_rows
             for row in joint_rows:
-                assert row.value == 0.0, (row.experience, row.class_id, row.metric_name)
+                assert row.value == 0.0, (row.experience, row.class_id, row.metric)
     print("PASS: joint-vs-joint drift is exactly zero in every report row")
 
 

@@ -69,6 +69,8 @@ def test_benchmark_and_seed_validation():
         validate_config(tiny_config(seeds=[]))
     with pytest.raises(ConfigError, match="seeds"):
         validate_config(tiny_config(seeds=[0, "one"]))
+    with pytest.raises(ConfigError, match="seeds"):
+        validate_config(tiny_config(seeds=[True]))
 
 
 def test_missing_idx_paths_are_rejected():
@@ -157,6 +159,15 @@ def test_validate_verb(tmp_path, capsys):
     assert "config OK" in capsys.readouterr().out
     bad = write_config(tmp_path, tiny_config(strategies=["naiv"]))
     assert main(["validate", str(bad)]) == 2
+    # values that run would reject: validate exits 2 and names the field
+    for overrides, field in (({"pool_order": "sideways"}, "pool_order"),
+                             ({"optimizer": {"lr": -1}}, "lr"),
+                             ({"shap": {"n_samples": 0}}, "n_samples"),
+                             ({"seeds": [True]}, "seeds")):
+        capsys.readouterr()
+        bad = write_config(tmp_path, tiny_config(**overrides))
+        assert main(["validate", str(bad)]) == 2
+        assert field in capsys.readouterr().err
 
 
 def test_run_verb_produces_all_artifacts(tmp_path):

@@ -103,16 +103,17 @@ def test_esn_step_leak_limits():
     model = build_model(make_spec("esn", hidden_size=6))
     state = Tensor(np.zeros((1, 6)))
     zero_in = Tensor(np.zeros((1, SEQ_SHAPE[1])))
-    out = md.esn_step(model.reservoir, state, zero_in)
+    out = model.step(state, zero_in)
     assert np.array_equal(out.data, np.zeros((1, 6)))  # leak=anything, tanh(0)=0
 
-    frozen = md.EsnReservoir(model.params["w_in"], model.params["w"], leak=0.0,
-                             spectral_radius=0.9)
+    full = build_model(make_spec("esn", hidden_size=6, esn_leak=1.0))
     rng = np.random.default_rng(0)
     state = Tensor(rng.normal(size=(1, 6)))
     inp = Tensor(rng.normal(size=(1, SEQ_SHAPE[1])))
-    out = md.esn_step(frozen, state, inp)
-    assert np.array_equal(out.data, state.data)  # leak 0 ignores the input
+    out = full.step(state, inp)
+    w_in, w = full.params["w_in"].data, full.params["w"].data
+    # leak 1 keeps nothing of the old state beyond the recurrent term
+    assert np.array_equal(out.data, np.tanh(inp.data @ w_in + state.data @ w))
 
 
 def test_esn_contraction_washes_out_initial_state():
@@ -126,8 +127,8 @@ def test_esn_contraction_washes_out_initial_state():
     s2 = Tensor(rng.normal(size=(1, 60)))
     initial_distance = float(np.linalg.norm(s1.data - s2.data))
     for u in inputs:
-        s1 = model.reservoir.step(s1, u)
-        s2 = model.reservoir.step(s2, u)
+        s1 = model.step(s1, u)
+        s2 = model.step(s2, u)
     final_distance = float(np.linalg.norm(s1.data - s2.data))
     assert final_distance < 1e-3 * initial_distance
 
@@ -185,17 +186,7 @@ def test_input_gradient_matches_finite_differences(arch):
         assert abs(fd - ad) / max(abs(fd), abs(ad), 1e-3) <= 1e-4
 
 
-# -- checkpoints -----------------------------------------------------------------------
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    model = build_model(make_spec("lstm", hidden_size=7))
-    path = tmp_path / "model.ckpt"
-    md.save_checkpoint(model, path)
-    other = build_model(make_spec("lstm", hidden_size=7, seed=99))
-    assert md.parameter_checksum(other) != md.parameter_checksum(model)
-    md.load_checkpoint(other, path)
-    assert md.parameter_checksum(other) == md.parameter_checksum(model)
+# -- state dicts -----------------------------------------------------------------------
 
 
 def test_state_dict_mismatch_rejected():

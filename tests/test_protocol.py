@@ -111,12 +111,16 @@ def test_m_pool_nonnegative_on_random_maps():
 STRATEGY_LIST = ["naive", "er", "gss", "joint"]
 
 
-@pytest.fixture(scope="module")
-def image_report():
+def image_setup():
     data = synth_images(4, 12, side=8, seed=0)
     stream = build_stream(data, 2)
     slice_ = make_slice(stream, background_n=16, probes_per_class=2, seed=0)
-    spec = ModelSpec("mlp", (1, 8, 8), 4, hidden=(12,))
+    return stream, slice_, ModelSpec("mlp", (1, 8, 8), 4, hidden=(12,))
+
+
+@pytest.fixture(scope="module")
+def image_report():
+    stream, slice_, spec = image_setup()
     return run_protocol(
         stream, slice_, spec, STRATEGY_LIST,
         opt=OptConfig(epochs=1, batch_size=16),
@@ -138,6 +142,28 @@ def test_joint_self_comparison_is_exactly_zero(image_report):
     joint_rows = [r for r in image_report.rows if r.strategy == "joint"]
     assert len(joint_rows) == 2 * 4 * 2
     assert all(r.value == 0.0 for r in joint_rows)
+
+
+def test_scores_equal_probe_means_of_single_pair_metrics(image_report):
+    # the one-pass scorer against the per-probe loop over the single-pair API
+    _, slice_, spec = image_setup()
+    shap_seed = int(np.random.SeedSequence(7).generate_state(3)[2])
+    shap = ShapConfig("gradient", n_samples=8, seed=shap_seed)
+    model = build_model(spec)
+
+    def maps(state):
+        model.load_state_dict(state)
+        return _snapshot_maps(model, slice_.probes, slice_.background.inputs, shap)[0]
+
+    joint = maps(image_report.train_logs["joint"].snapshots[-1])
+    for e, state in enumerate(image_report.train_logs["naive"].snapshots, start=1):
+        s = maps(state)
+        for c in range(4):
+            pairs = [(s[c, p], joint[c, p]) for p in range(s.shape[1])]
+            m = np.mean([metric_m(np.maximum(a, 0.0), np.maximum(b, 0.0)) for a, b in pairs])
+            m_pool = np.mean([metric_m_pool(a[0], b[0]) for a, b in pairs])
+            assert image_report.value("naive", e, c, "m") == m
+            assert image_report.value("naive", e, c, "m_pool") == m_pool
 
 
 def test_accuracy_rows_cover_every_snapshot(image_report):
@@ -209,18 +235,20 @@ def test_sequence_stream_reports_m_only():
 
 
 def test_batched_maps_match_per_probe_engine_calls():
+    # batching probes into one engine call must not change any probe's map
     data = synth_images(2, 12, side=8, seed=2)
     stream = build_stream(data, 1)
     slice_ = make_slice(stream, background_n=8, probes_per_class=2, seed=0)
     model = build_model(ModelSpec("mlp", (1, 8, 8), 2, seed=5, hidden=(8,)))
     shap = ShapConfig("gradient", n_samples=6, seed=11)
-    batched = _snapshot_maps(model, slice_.probes, slice_.background.inputs, shap)
+    batched, phi0 = _snapshot_maps(model, slice_.probes, slice_.background.inputs, shap)
+    assert batched.shape == (2, len(slice_.probes.inputs), 1, 8, 8)
     for p, x in enumerate(slice_.probes.inputs):
         direct = explain_all_classes(model, x, slice_.background.inputs,
-                                     per_example_config(shap, p), clamp=False)
+                                     per_example_config(shap, p))
         for c in range(2):
-            np.testing.assert_allclose(batched[p][c].phi, direct[c].phi, atol=1e-12)
-            assert batched[p][c].phi0 == pytest.approx(direct[c].phi0, abs=1e-12)
+            np.testing.assert_allclose(batched[c, p], direct[c].phi, atol=1e-12)
+            assert phi0[c] == pytest.approx(direct[c].phi0, abs=1e-12)
 
 
 def test_protocol_validation_errors():

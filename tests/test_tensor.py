@@ -108,6 +108,19 @@ def test_avgpool_batched_matches_2d():
     assert np.allclose(out[1, 2], ref)
 
 
+def test_zscore_batched_matches_2d():
+    # a stack is normalized map by map over its trailing two axes
+    rng = np.random.default_rng(4)
+    x = rng.normal(2.0, 3.0, size=(2, 3, 6, 6))
+    x[0, 1] = 7.0  # a constant map in the stack still maps to zeros
+    out = tn.normalize_zscore(Tensor(x)).data
+    for i in range(2):
+        for j in range(3):
+            ref = tn.normalize_zscore(Tensor(x[i, j])).data
+            assert np.array_equal(out[i, j], ref)
+    assert np.array_equal(out[0, 1], np.zeros((6, 6)))
+
+
 # -- normalize_zscore ------------------------------------------------------------
 
 
@@ -210,11 +223,13 @@ def test_primitive_gradients_match_finite_differences(seed):
     fd_check(conv1d_loss, [seq, k1], rng)
 
     z = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    stack = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)  # two 3x4 maps
 
     def zscore_loss():
-        return (tn.normalize_zscore(z) * Tensor(np.arange(15.0).reshape(3, 5))).sum()
+        return ((tn.normalize_zscore(z) * Tensor(np.arange(15.0).reshape(3, 5))).sum()
+                + (tn.normalize_zscore(stack) * Tensor(np.arange(24.0).reshape(2, 3, 4))).sum())
 
-    fd_check(zscore_loss, [z], rng)
+    fd_check(zscore_loss, [z, stack], rng)
 
     logits = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     labels = rng.integers(0, 3, size=4)
