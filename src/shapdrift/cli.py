@@ -77,7 +77,7 @@ _TOP_DEFAULTS = {
     "buffer_capacity": 2000,
     "optimizer": {"lr": 0.05, "batch_size": 64, "epochs": 4},
     "shap": {"engine": "gradient", "n_samples": 200, "noise_std": 0.0,
-             "background_n": 600, "probes_per_class": 50},
+             "background_n": 100, "probes_per_class": 10},
     "gss": {"n_sim": 10, "tau": 0.95, "candidates": 2},
     "pool_order": "normalize_then_clamp",
     "seeds": [0],
@@ -233,10 +233,10 @@ def _tile_u8(tile: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.clip((tile - lo) / (hi - lo) * 255.0, 0, 255).astype(np.uint8)
 
 
-def emit_saliency_grid(inputs: np.ndarray, maps, path, global_scale: bool = False) -> None:
+def emit_saliency_grid(inputs: np.ndarray, maps, path) -> None:
     """Composite PGM (P5): one row per probe — the input tile followed by one
-    tile per class map, min-max scaled per tile (or across all map tiles with
-    ``global_scale``), separated by 1-pixel white lines."""
+    tile per class map, min-max scaled per tile, separated by 1-pixel white
+    lines."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim == 3:
         inputs, maps = inputs[None], [maps]
@@ -250,21 +250,14 @@ def emit_saliency_grid(inputs: np.ndarray, maps, path, global_scale: bool = Fals
         phi = m.phi
         return phi[0] if phi.ndim == 3 else phi
 
-    if global_scale:
-        all_vals = np.concatenate([map_2d(m).ravel() for row in maps for m in row])
-        glo, ghi = float(all_vals.min()), float(all_vals.max())
-
     cols = n_classes + 1
     grid = np.full((n_probes * h + (n_probes - 1), cols * w + (cols - 1)),
                    255, dtype=np.uint8)
     for p in range(n_probes):
         tiles = [inputs[p, 0]] + [map_2d(m) for m in maps[p]]
         for t, tile in enumerate(tiles):
-            if global_scale and t > 0:
-                scaled = _tile_u8(tile, glo, ghi)
-            else:
-                scaled = _tile_u8(tile, float(tile.min()), float(tile.max()))
-            grid[p * (h + 1):p * (h + 1) + h, t * (w + 1):t * (w + 1) + w] = scaled
+            grid[p * (h + 1):p * (h + 1) + h, t * (w + 1):t * (w + 1) + w] = _tile_u8(
+                tile, float(tile.min()), float(tile.max()))
 
     with open(path, "wb") as fh:
         fh.write(f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode("ascii"))

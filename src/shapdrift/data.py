@@ -303,8 +303,8 @@ def build_stream(
 
 def make_slice(
     stream: ExperienceStream,
-    background_n: int = 600,
-    probes_per_class: int = 50,
+    background_n: int,
+    probes_per_class: int,
     seed: int = 0,
 ) -> EvaluationSlice:
     """Sample the SHAP background from e1's train split and probes from e1's test split.

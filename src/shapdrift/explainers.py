@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Callable, Optional
 
 import numpy as np
 
 from .data import LabeledDataset
-from .models import Model
+from .models import Model, require_numbers
 from .tensor import Tensor
 
 
@@ -45,8 +46,11 @@ class ShapConfig:
     def __post_init__(self):
         if self.engine not in ("exact", "sampling", "gradient"):
             raise ValueError(f"unknown engine {self.engine!r}")
+        require_numbers(self, n_samples=Integral, seed=Integral, noise_std=Real)
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        if not self.noise_std >= 0:  # also rejects NaN
+            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
 
 
 CHUNK_SIZE = 256  # rows per model pass; bounds tape memory on recurrent models

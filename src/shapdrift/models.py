@@ -8,6 +8,7 @@ its recurrent weights frozen; only the readout trains.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,16 @@ class ModelSpec:
             raise ValueError(f"esn_leak must be in (0, 1], got {self.esn_leak}")
 
 
+def require_numbers(owner, **kinds) -> None:
+    """Raise TypeError naming the first field of ``owner`` that is not an
+    instance of its ``numbers`` type (Integral or Real); bool is rejected."""
+    for name, kind in kinds.items():
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = "an integer" if kind is numbers.Integral else "a real number"
+            raise TypeError(f"{name} must be {noun}, got {value!r}")
+
+
 def _act(name: str):
     if name == "tanh":
         return tanh
@@ -103,9 +114,6 @@ class Model:
 
     def forward(self, x: Tensor) -> Tensor:
         raise NotImplementedError
-
-    def parameters(self) -> dict[str, Tensor]:
-        return dict(self.params)
 
     def trainable_parameters(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.params.items() if v.requires_grad}
@@ -299,14 +307,5 @@ def reservoir_checksum(model: Model) -> str:
     digest = hashlib.sha256()
     digest.update(np.ascontiguousarray(model.params["w_in"].data).tobytes())
     digest.update(np.ascontiguousarray(model.params["w"].data).tobytes())
-    return digest.hexdigest()
-
-
-def parameter_checksum(model: Model) -> str:
-    """SHA-256 over all parameters in name order."""
-    digest = hashlib.sha256()
-    for name in sorted(model.params):
-        digest.update(name.encode())
-        digest.update(np.ascontiguousarray(model.params[name].data).tobytes())
     return digest.hexdigest()
 

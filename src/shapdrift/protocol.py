@@ -168,13 +168,6 @@ class DriftReport:
                 out.append(row.metric)
         return out
 
-    def value(self, strategy: str, experience: int, class_id: int, metric: str) -> float:
-        for row in self.rows:
-            if (row.strategy, row.experience, row.class_id, row.metric) == \
-                    (strategy, experience, class_id, metric):
-                return row.value
-        raise KeyError(f"no row for ({strategy}, {experience}, {class_id}, {metric})")
-
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

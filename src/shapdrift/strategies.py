@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
 from .data import ExperienceStream, LabeledDataset
-from .models import Model
+from .models import Model, require_numbers
 from .tensor import Tensor, softmax_cross_entropy
 
 STRATEGIES = ("naive", "er", "gss", "joint")
@@ -31,7 +32,8 @@ class OptConfig:
     epochs: int = 4
 
     def __post_init__(self):
-        if self.lr <= 0:
+        require_numbers(self, lr=Real, batch_size=Integral, epochs=Integral)
+        if not self.lr > 0:  # also rejects NaN
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
@@ -245,9 +247,6 @@ class TrainLog:
     accuracy: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     snapshots: list[dict] = field(default_factory=list)
 
-    def average_final_accuracy(self) -> float:
-        return float(self.accuracy[-1].mean())
-
     def to_json(self) -> dict:
         return {
             "strategy": self.strategy,
@@ -255,15 +254,6 @@ class TrainLog:
             "final_losses": self.final_losses,
             "accuracy": self.accuracy.tolist(),
         }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "TrainLog":
-        return cls(
-            strategy=payload["strategy"],
-            experience_classes=[tuple(c) for c in payload["experience_classes"]],
-            final_losses=list(payload["final_losses"]),
-            accuracy=np.asarray(payload["accuracy"], dtype=np.float64),
-        )
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -68,9 +68,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
@@ -137,16 +134,8 @@ class Tensor:
     def __rsub__(self, other):
         return add(_wrap(other), -self)
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, _wrap(1.0 / other))
-        return mul(self, pow_const(_wrap(other), -1.0))
-
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
-
-    def __pow__(self, exponent):
-        return pow_const(self, exponent)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
@@ -217,16 +206,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def pow_const(a: Tensor, exponent: float) -> Tensor:
-    out = _make(a.data ** exponent, (a,), "pow")
-    if out.requires_grad:
-        a_data = a.data
-        def _bw(g):
-            a._accumulate(g * exponent * a_data ** (exponent - 1))
-        out._backward = _bw
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"matmul supports 2D operands, got {a.shape} @ {b.shape}")
@@ -274,26 +253,6 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-def exp(a: Tensor) -> Tensor:
-    e = np.exp(a.data)
-    out = _make(e, (a,), "exp")
-    if out.requires_grad:
-        def _bw(g):
-            a._accumulate(g * e)
-        out._backward = _bw
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    out = _make(np.log(a.data), (a,), "log")
-    if out.requires_grad:
-        a_data = a.data
-        def _bw(g):
-            a._accumulate(g / a_data)
-        out._backward = _bw
-    return out
-
-
 def tsum(a: Tensor, axis=None) -> Tensor:
     out = _make(a.data.sum(axis=axis), (a,), "sum")
     if out.requires_grad:
@@ -332,34 +291,34 @@ def swap_last2(a: Tensor) -> Tensor:
     return out
 
 
+def _slice(a: Tensor, key: tuple, op: str) -> Tensor:
+    """Select ``a.data[key]``; backward adds into that region of the parent's
+    gradient, allocating zeros only for the parent's first gradient."""
+    out = _make(a.data[key], (a,), op)
+    if out.requires_grad:
+        def _bw(g):
+            if a.grad is None:
+                a.grad = np.zeros(a.shape)
+                a.grad[key] = g
+            else:
+                region = a.grad[key]  # a view: ``+=`` on it skips a write-back copy
+                region += g
+        out._backward = _bw
+    return out
+
+
 def time_slice(a: Tensor, t: int) -> Tensor:
     """Select step t of a (batch, steps, features) tensor -> (batch, features)."""
     if a.ndim != 3:
         raise ValueError(f"time_slice expects a 3D tensor, got shape {a.shape}")
-    out = _make(a.data[:, t, :], (a,), "time_slice")
-    if out.requires_grad:
-        shape = a.shape
-        def _bw(g):
-            full = np.zeros(shape)
-            full[:, t, :] = g
-            a._accumulate(full)
-        out._backward = _bw
-    return out
+    return _slice(a, (slice(None), t, slice(None)), "time_slice")
 
 
 def col_slice(a: Tensor, start: int, stop: int) -> Tensor:
     """Select columns [start:stop) of a 2D tensor."""
     if a.ndim != 2:
         raise ValueError(f"col_slice expects a 2D tensor, got shape {a.shape}")
-    out = _make(a.data[:, start:stop], (a,), "col_slice")
-    if out.requires_grad:
-        shape = a.shape
-        def _bw(g):
-            full = np.zeros(shape)
-            full[:, start:stop] = g
-            a._accumulate(full)
-        out._backward = _bw
-    return out
+    return _slice(a, (slice(None), slice(start, stop)), "col_slice")
 
 
 # -- convolution and pooling --------------------------------------------------
@@ -408,7 +367,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
 
 def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Valid 1D convolution, stride 1.
+    """Valid 1D convolution, stride 1: conv2d over a unit-height view.
 
     x: (batch, in_ch, T); w: (out_ch, in_ch, k); b: (out_ch,).
     """
@@ -420,66 +379,36 @@ def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     out_ch, _, k = w.shape
     if k > steps:
         raise ValueError(f"conv1d: kernel {k} larger than input length {steps}")
-    ot = steps - k + 1
-
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=2)
-    cols = windows.transpose(0, 2, 1, 3).reshape(batch * ot, in_ch * k)
-    wmat = w.data.reshape(out_ch, in_ch * k)
-    res = (cols @ wmat.T).reshape(batch, ot, out_ch).transpose(0, 2, 1)
-    if b is not None:
-        res = res + b.data.reshape(1, out_ch, 1)
-
-    parents = (x, w) if b is None else (x, w, b)
-    out = _make(res, parents, "conv1d")
-    if out.requires_grad:
-        def _bw(g):
-            g2 = g.transpose(0, 2, 1).reshape(batch * ot, out_ch)
-            if w.requires_grad:
-                w._accumulate((g2.T @ cols).reshape(out_ch, in_ch, k))
-            if x.requires_grad:
-                dcols = (g2 @ wmat).reshape(batch, ot, in_ch, k)
-                dx = np.zeros((batch, in_ch, steps))
-                for j in range(k):
-                    dx[:, :, j:j + ot] += dcols[:, :, :, j].transpose(0, 2, 1)
-                x._accumulate(dx)
-            if b is not None and b.requires_grad:
-                b._accumulate(g.sum(axis=(0, 2)))
-        out._backward = _bw
-    return out
+    out = conv2d(reshape(x, (batch, in_ch, 1, steps)), reshape(w, (out_ch, in_ch, 1, k)), b)
+    return reshape(out, (batch, out_ch, steps - k + 1))
 
 
-def avgpool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
-    """Average pooling over the trailing two axes of a 2D or 4D tensor.
+def avgpool2d(x: Tensor, kernel: int) -> Tensor:
+    """Average pooling over non-overlapping kernel x kernel windows of the
+    trailing two axes of a 2D or 4D tensor.
 
-    Output extent per pooled axis is floor((extent - kernel) / stride) + 1;
-    trailing remainder cells are dropped. Default stride equals the kernel
-    (non-overlapping windows).
+    Output extent per pooled axis is floor(extent / kernel); trailing
+    remainder cells are dropped and get a zero gradient.
     """
-    if stride is None:
-        stride = kernel
-    if kernel < 1 or stride < 1:
-        raise ValueError(f"avgpool2d: kernel and stride must be >= 1, got {kernel}, {stride}")
+    if kernel < 1:
+        raise ValueError(f"avgpool2d: kernel must be >= 1, got {kernel}")
     if x.ndim not in (2, 4):
         raise ValueError(f"avgpool2d expects a 2D or 4D tensor, got shape {x.shape}")
     h, w = x.shape[-2], x.shape[-1]
     if kernel > h or kernel > w:
         raise ValueError(f"avgpool2d: kernel {kernel} larger than input extents {(h, w)}")
-    oh = (h - kernel) // stride + 1
-    ow = (w - kernel) // stride + 1
+    oh, ow = h // kernel, w // kernel
 
     windows = np.lib.stride_tricks.sliding_window_view(x.data, (kernel, kernel), axis=(-2, -1))
-    windows = windows[..., ::stride, ::stride, :, :]
+    windows = windows[..., ::kernel, ::kernel, :, :]
     out = _make(windows.mean(axis=(-2, -1)), (x,), "avgpool2d")
     if out.requires_grad:
         shape = x.shape
         scale = 1.0 / (kernel * kernel)
         def _bw(g):
             dx = np.zeros(shape)
-            for i in range(oh):
-                for j in range(ow):
-                    dx[..., i * stride:i * stride + kernel, j * stride:j * stride + kernel] += (
-                        g[..., i:i + 1, j:j + 1] * scale
-                    )
+            dx[..., :oh * kernel, :ow * kernel] += np.repeat(
+                np.repeat(g * scale, kernel, axis=-2), kernel, axis=-1)
             x._accumulate(dx)
         out._backward = _bw
     return out

@@ -396,8 +396,9 @@ def test_07_naive_preserves_last_classes_better_than_replay(early_image_reports)
         report = early_image_reports[seed]
         last = report.num_experiences
         last_classes = report.train_logs["naive"].experience_classes[-1]
-        naive = np.mean([report.value("naive", last, c, "m") for c in last_classes])
-        er = np.mean([report.value("er", last, c, "m") for c in last_classes])
+        curves = aggregate(report).curves
+        naive = np.mean([curves[("naive", "m")][last - 1, c] for c in last_classes])
+        er = np.mean([curves[("er", "m")][last - 1, c] for c in last_classes])
         wins += int(naive < er)
     assert wins >= MAJORITY, f"{wins}/3 seeds ordered"
     print("PASS: naive drifts less than ER on the final experience's classes")

@@ -133,16 +133,6 @@ def test_saliency_grid_rejects_sequences(tmp_path):
                            tmp_path / "x.pgm")
 
 
-def test_saliency_global_scale_differs(tmp_path):
-    x = np.random.default_rng(5).uniform(size=(1, 8, 8))
-    maps = make_maps(2, seed=6)
-    maps[1] = AttributionMap(maps[1].phi * 10.0, 0.0, class_id=1)
-    a_path, b_path = tmp_path / "a.pgm", tmp_path / "b.pgm"
-    emit_saliency_grid(x, maps, a_path, global_scale=False)
-    emit_saliency_grid(x, maps, b_path, global_scale=True)
-    assert not np.array_equal(load_pgm(a_path), load_pgm(b_path))
-
-
 # -- end-to-end verbs ---------------------------------------------------------------
 
 
@@ -163,7 +153,13 @@ def test_validate_verb(tmp_path, capsys):
     for overrides, field in (({"pool_order": "sideways"}, "pool_order"),
                              ({"optimizer": {"lr": -1}}, "lr"),
                              ({"shap": {"n_samples": 0}}, "n_samples"),
-                             ({"seeds": [True]}, "seeds")):
+                             ({"seeds": [True]}, "seeds"),
+                             ({"shap": {"noise_std": -1.0}}, "noise_std"),
+                             ({"optimizer": {"lr": "x"}}, "lr"),
+                             ({"shap": {"n_samples": "x"}}, "n_samples"),
+                             ({"optimizer": {"batch_size": 2.5}}, "batch_size"),
+                             ({"optimizer": {"lr": float("nan")}}, "lr"),
+                             ({"shap": {"noise_std": float("nan")}}, "noise_std")):
         capsys.readouterr()
         bad = write_config(tmp_path, tiny_config(**overrides))
         assert main(["validate", str(bad)]) == 2
@@ -187,6 +183,14 @@ def test_run_verb_produces_all_artifacts(tmp_path):
                  "saliency_naive.pgm", "saliency_er.pgm", "saliency_joint.pgm"):
         assert (seed_dir / name).exists(), name
     assert f"seed_0/drift.csv" in manifest["files"]
+
+
+def test_default_config_runs(tmp_path):
+    path = write_config(tmp_path, {})
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 0
+    with open(out / "manifest.json", encoding="utf-8") as fh:
+        assert json.load(fh)["status"] == "complete"
 
 
 def test_run_twice_byte_identical_csv(tmp_path):

@@ -39,9 +39,12 @@ def make_spec(arch, **kw):
 def test_init_deterministic(arch):
     a = build_model(make_spec(arch))
     b = build_model(make_spec(arch))
-    assert md.parameter_checksum(a) == md.parameter_checksum(b)
-    c = build_model(make_spec(arch, seed=2))
-    assert md.parameter_checksum(a) != md.parameter_checksum(c)
+    sa, sb = a.state_dict(), b.state_dict()
+    assert list(sa) == list(sb)
+    for name in sa:
+        np.testing.assert_array_equal(sa[name], sb[name])
+    c = build_model(make_spec(arch, seed=2)).state_dict()
+    assert any(not np.array_equal(sa[name], c[name]) for name in sa)
 
 
 @pytest.mark.parametrize("arch", md.ARCHITECTURES)
@@ -137,7 +140,7 @@ def test_trainable_parameters():
     esn = build_model(make_spec("esn", hidden_size=16))
     assert set(esn.trainable_parameters()) == {"head_w", "head_b"}
     mlp = build_model(make_spec("mlp"))
-    assert set(mlp.trainable_parameters()) == set(mlp.parameters())
+    assert set(mlp.trainable_parameters()) == set(mlp.params)
     lstm = build_model(make_spec("lstm", hidden_size=16))
     esn_count = sum(p.size for p in esn.trainable_parameters().values())
     lstm_count = sum(p.size for p in lstm.trainable_parameters().values())

@@ -156,14 +156,15 @@ def test_scores_equal_probe_means_of_single_pair_metrics(image_report):
         return _snapshot_maps(model, slice_.probes, slice_.background.inputs, shap)[0]
 
     joint = maps(image_report.train_logs["joint"].snapshots[-1])
+    curves = aggregate(image_report).curves
     for e, state in enumerate(image_report.train_logs["naive"].snapshots, start=1):
         s = maps(state)
         for c in range(4):
             pairs = [(s[c, p], joint[c, p]) for p in range(s.shape[1])]
             m = np.mean([metric_m(np.maximum(a, 0.0), np.maximum(b, 0.0)) for a, b in pairs])
             m_pool = np.mean([metric_m_pool(a[0], b[0]) for a, b in pairs])
-            assert image_report.value("naive", e, c, "m") == m
-            assert image_report.value("naive", e, c, "m_pool") == m_pool
+            assert curves[("naive", "m")][e - 1, c] == m
+            assert curves[("naive", "m_pool")][e - 1, c] == m_pool
 
 
 def test_accuracy_rows_cover_every_snapshot(image_report):
@@ -277,7 +278,7 @@ def test_aggregate_curves_and_target_table(image_report):
     assert agg.target_classes == (0, 1)
     np.testing.assert_allclose(
         agg.target_table[("naive", "m")][1],
-        np.mean([image_report.value("naive", 2, c, "m") for c in (0, 1)]),
+        np.mean([agg.curves[("naive", "m")][1, c] for c in (0, 1)]),
     )
     assert agg.final_target[("joint", "m")] == 0.0
     assert agg.final_target[("joint", "m_pool")] == 0.0

@@ -31,7 +31,7 @@ def fd_check(make_loss, leaves, rng, coords_per_leaf=4, step=1e-5, rel_tol=1e-4)
             assert abs(fd - ad) / denom <= rel_tol, (
                 f"gradient mismatch at coord {idx}: autodiff {ad}, fd {fd}"
             )
-        leaf.zero_grad()
+        leaf.grad = None
 
 
 def test_matmul_hand_example():
@@ -59,7 +59,7 @@ def test_add_broadcast_mismatch_error():
 
 def test_avgpool_all_ones():
     x = Tensor(np.ones((8, 8)))
-    out = tn.avgpool2d(x, 4, 4)
+    out = tn.avgpool2d(x, 4)
     assert np.array_equal(out.data, np.ones((2, 2)))
 
 
@@ -73,12 +73,12 @@ def test_avgpool_1_to_16():
 def test_avgpool_block_pattern():
     x = np.zeros((8, 8))
     x[:4, :4] = 1.0
-    out = tn.avgpool2d(Tensor(x), 4, 4)
+    out = tn.avgpool2d(Tensor(x), 4)
     assert np.array_equal(out.data, [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_avgpool_constant_stays_constant():
-    out = tn.avgpool2d(Tensor(np.full((9, 9), 3.25)), 4, 4)
+    out = tn.avgpool2d(Tensor(np.full((9, 9), 3.25)), 4)
     assert np.allclose(out.data, 3.25)
     assert out.shape == (2, 2)  # remainder cells dropped
 
@@ -86,12 +86,12 @@ def test_avgpool_constant_stays_constant():
 def test_avgpool_window_permutation_invariant():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(8, 8))
-    base = tn.avgpool2d(Tensor(x), 4, 4).data
+    base = tn.avgpool2d(Tensor(x), 4).data
     shuffled = x.copy()
     window = shuffled[4:8, 0:4].reshape(-1)
     rng.shuffle(window)
     shuffled[4:8, 0:4] = window.reshape(4, 4)
-    assert np.allclose(tn.avgpool2d(Tensor(shuffled), 4, 4).data, base)
+    assert np.allclose(tn.avgpool2d(Tensor(shuffled), 4).data, base)
 
 
 def test_avgpool_kernel_too_large_rejected():
@@ -106,6 +106,26 @@ def test_avgpool_batched_matches_2d():
     assert out.shape == (2, 3, 3, 3)
     ref = tn.avgpool2d(Tensor(x[1, 2]), 2).data
     assert np.allclose(out[1, 2], ref)
+
+
+def _avgpool_backward_loop(g, shape, kernel):
+    """The double-loop avgpool2d backward: one window at a time."""
+    dx = np.zeros(shape)
+    for i in range(g.shape[-2]):
+        for j in range(g.shape[-1]):
+            dx[..., i * kernel:(i + 1) * kernel, j * kernel:(j + 1) * kernel] += (
+                g[..., i:i + 1, j:j + 1] * (1.0 / (kernel * kernel)))
+    return dx
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 9, 11), (12, 12)])
+def test_avgpool_backward_matches_window_loop(shape):
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    out = tn.avgpool2d(x, 4)
+    g = rng.normal(size=out.shape)
+    (out * Tensor(g)).sum().backward()
+    assert np.array_equal(x.grad, _avgpool_backward_loop(g, shape, 4))
 
 
 def test_zscore_batched_matches_2d():
@@ -144,6 +164,35 @@ def test_zscore_moments_and_idempotence():
     assert np.allclose(twice.data, once.data, atol=1e-6)
 
 
+# -- conv1d and slices -------------------------------------------------------------
+
+
+def test_conv1d_matches_windowed_sum():
+    rng = np.random.default_rng(6)
+    x, w, b = rng.normal(size=(2, 3, 9)), rng.normal(size=(4, 3, 3)), rng.normal(size=4)
+    out = tn.conv1d(Tensor(x), Tensor(w), Tensor(b)).data
+    ref = np.stack([np.einsum("bcj,ocj->bo", x[:, :, t:t + 3], w) + b for t in range(7)],
+                   axis=2)
+    assert out.shape == (2, 4, 7)
+    np.testing.assert_allclose(out, ref, rtol=1e-12)
+
+
+@pytest.mark.parametrize("slices_first", [True, False])
+def test_slice_gradients_accumulate_into_parent(slices_first):
+    # steps 1 and 3 reach the leaf through time_slice, every cell through a
+    # full-size product; either may deliver the leaf's first gradient
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    a, b, c = rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), rng.normal(size=(2, 4, 3))
+    sliced = (tn.time_slice(x, 1) * Tensor(a)).sum() + (tn.time_slice(x, 3) * Tensor(b)).sum()
+    full = (x * Tensor(c)).sum()
+    (sliced + full if slices_first else full + sliced).backward()
+    expected = c.copy()
+    expected[:, 1] += a
+    expected[:, 3] += b
+    assert np.array_equal(x.grad, expected)
+
+
 # -- backward ---------------------------------------------------------------------
 
 
@@ -157,7 +206,7 @@ def test_backward_linear_form():
 
 def test_backward_square():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    loss = (x ** 2.0).sum()
+    loss = (x * x).sum()
     loss.backward()
     assert np.allclose(x.grad, [2.0, 4.0])
 
@@ -193,8 +242,8 @@ def test_two_layer_net_matches_finite_differences():
     x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
 
     def make_loss():
-        h = tn.tanh(x @ w1 + b1)
-        return ((h @ w2) ** 2.0).sum()
+        y = tn.tanh(x @ w1 + b1) @ w2
+        return (y * y).sum()
 
     fd_check(make_loss, [w1, b1, w2, x], rng, coords_per_leaf=5)
 
@@ -218,7 +267,7 @@ def test_primitive_gradients_match_finite_differences(seed):
 
     def conv1d_loss():
         h = tn.conv1d(seq, k1)
-        return (tn.exp(h * 0.1) + tn.log(h * h + 1.0)).mean()
+        return (tn.tanh(h * 0.5) + tn.sigmoid(h * h)).mean()
 
     fd_check(conv1d_loss, [seq, k1], rng)
 
