@@ -31,9 +31,9 @@ from .data import (
     synth_sequences,
 )
 from .explainers import ShapConfig
-from .models import ARCHITECTURES, ModelSpec
+from .models import ModelSpec
 from .protocol import POOL_ORDERS, DriftReport, aggregate, run_protocol
-from .strategies import STRATEGIES, OptConfig
+from .strategies import STRATEGIES, OptConfig, ReplayBuffer
 
 BENCHMARKS = ("synth-images", "synth-sequences", "mnist-idx", "user-sequences")
 
@@ -139,10 +139,6 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError(f"data.path: path does not exist: {cfg['data']['path']}")
 
     cfg["model"] = _merge_section(cfg["model"] or {}, _MODEL_DEFAULTS, "model")
-    if cfg["model"]["architecture"] not in ARCHITECTURES:
-        raise ConfigError(
-            f"model.architecture: unknown value {cfg['model']['architecture']!r}, "
-            f"expected one of {ARCHITECTURES}")
     cfg["optimizer"] = _merge_section(cfg["optimizer"], _TOP_DEFAULTS["optimizer"],
                                       "optimizer")
     cfg["shap"] = _merge_section(cfg["shap"], _TOP_DEFAULTS["shap"], "shap")
@@ -150,6 +146,12 @@ def validate_config(raw: dict) -> dict:
 
     _check_section("optimizer", lambda section: OptConfig(**section), cfg["optimizer"])
     _check_section("shap", _shap_config, cfg["shap"])
+    # the data shapes are not known here; placeholders pass ModelSpec's own checks
+    _check_section("model", lambda section: ModelSpec(input_shape=(), num_classes=2, **section),
+                   cfg["model"])
+    _check_section("gss", lambda section: ReplayBuffer(
+        1, policy="gss_greedy", gss_n_sim=section["n_sim"], gss_tau=section["tau"],
+        gss_candidates=section["candidates"]), cfg["gss"])
     if cfg["pool_order"] not in POOL_ORDERS:
         raise ConfigError(
             f"pool_order: unknown value {cfg['pool_order']!r}, expected one of {POOL_ORDERS}")
@@ -205,23 +207,8 @@ def load_benchmark(cfg: dict) -> LabeledDataset:
 
 
 def build_model_spec(cfg: dict, data: LabeledDataset) -> ModelSpec:
-    m = cfg["model"]
-    return ModelSpec(
-        architecture=m["architecture"],
-        input_shape=tuple(data.inputs.shape[1:]),
-        num_classes=data.num_classes,
-        hidden=tuple(m["hidden"]),
-        conv_channels=tuple(m["conv_channels"]),
-        conv_kernel=m["conv_kernel"],
-        dense_width=m["dense_width"],
-        conv1d_channels=m["conv1d_channels"],
-        conv1d_kernel=m["conv1d_kernel"],
-        hidden_size=m["hidden_size"],
-        esn_leak=m["esn_leak"],
-        esn_spectral_radius=m["esn_spectral_radius"],
-        esn_input_scale=m["esn_input_scale"],
-        activation=m["activation"],
-    )
+    return ModelSpec(input_shape=tuple(data.inputs.shape[1:]), num_classes=data.num_classes,
+                     **cfg["model"])
 
 
 # -- artifact writers --------------------------------------------------------------

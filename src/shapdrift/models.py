@@ -8,22 +8,21 @@ its recurrent weights frozen; only the readout trains.
 from __future__ import annotations
 
 import hashlib
-import numbers
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
 from .tensor import (
     Tensor,
-    col_slice,
     conv1d,
     conv2d,
     avgpool2d,
+    lstm,
     matmul,
     no_grad,
     relu,
     reshape,
-    sigmoid,
     swap_last2,
     tanh,
     time_slice,
@@ -31,6 +30,27 @@ from .tensor import (
 )
 
 ARCHITECTURES = ("mlp", "cnn2d", "conv1d", "lstm", "esn")
+ACTIVATIONS = {"tanh": tanh, "relu": relu}
+
+
+def require_numbers(owner, **kinds) -> None:
+    """Raise TypeError naming the first field of ``owner`` that is not an
+    instance of its ``numbers`` type (Integral or Real); bool is rejected."""
+    for name, kind in kinds.items():
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = "an integer" if kind is Integral else "a real number"
+            raise TypeError(f"{name} must be {noun}, got {value!r}")
+
+
+def _widths(name: str, widths) -> tuple:
+    """Layer widths as a tuple of positive ints; the error names the field."""
+    if not isinstance(widths, (tuple, list)) or any(
+            isinstance(w, bool) or not isinstance(w, Integral) for w in widths):
+        raise TypeError(f"{name} must be a list of integers, got {widths!r}")
+    if any(w <= 0 for w in widths):
+        raise ValueError(f"zero-width layer in {name}: {widths}")
+    return tuple(int(w) for w in widths)
 
 
 @dataclass
@@ -63,36 +83,27 @@ class ModelSpec:
             raise ValueError(
                 f"unknown architecture {self.architecture!r}, expected one of {ARCHITECTURES}"
             )
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(
+                f"unknown activation {self.activation!r}, expected one of {tuple(ACTIVATIONS)}")
         self.input_shape = tuple(int(x) for x in self.input_shape)
-        self.hidden = tuple(int(x) for x in self.hidden)
-        self.conv_channels = tuple(int(x) for x in self.conv_channels)
+        self.hidden = _widths("hidden", self.hidden)
+        self.conv_channels = _widths("conv_channels", self.conv_channels)
+        require_numbers(self, num_classes=Integral, seed=Integral, conv_kernel=Integral,
+                        dense_width=Integral, conv1d_channels=Integral,
+                        conv1d_kernel=Integral, hidden_size=Integral, esn_leak=Real,
+                        esn_spectral_radius=Real, esn_input_scale=Real)
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        for name in ("hidden", "conv_channels"):
-            if any(w <= 0 for w in getattr(self, name)):
-                raise ValueError(f"zero-width layer in {name}: {getattr(self, name)}")
-        if self.hidden_size <= 0 or self.dense_width <= 0 or self.conv1d_channels <= 0:
-            raise ValueError("layer widths must be positive")
-        if not 0.0 < self.esn_leak <= 1.0:
+        for name in ("conv_kernel", "dense_width", "conv1d_channels", "conv1d_kernel",
+                     "hidden_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 < self.esn_leak <= 1.0:  # also rejects NaN
             raise ValueError(f"esn_leak must be in (0, 1], got {self.esn_leak}")
-
-
-def require_numbers(owner, **kinds) -> None:
-    """Raise TypeError naming the first field of ``owner`` that is not an
-    instance of its ``numbers`` type (Integral or Real); bool is rejected."""
-    for name, kind in kinds.items():
-        value = getattr(owner, name)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            noun = "an integer" if kind is numbers.Integral else "a real number"
-            raise TypeError(f"{name} must be {noun}, got {value!r}")
-
-
-def _act(name: str):
-    if name == "tanh":
-        return tanh
-    if name == "relu":
-        return relu
-    raise ValueError(f"unknown activation {name!r}")
+        for name in ("esn_spectral_radius", "esn_input_scale"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def _uniform_fanin(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
@@ -148,7 +159,7 @@ class Mlp(Model):
     def __init__(self, spec: ModelSpec):
         super().__init__(spec)
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
-        self.act = _act(spec.activation)
+        self.act = ACTIVATIONS[spec.activation]
         widths = [int(np.prod(spec.input_shape))] + list(spec.hidden) + [spec.num_classes]
         for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
             self._param(f"w{i}", _uniform_fanin(rng, (fan_in, fan_out), fan_in))
@@ -171,7 +182,7 @@ class Cnn2d(Model):
     def __init__(self, spec: ModelSpec):
         super().__init__(spec)
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1]))
-        self.act = _act(spec.activation)
+        self.act = ACTIVATIONS[spec.activation]
         in_ch, h, w = spec.input_shape
         c1, c2 = spec.conv_channels
         k = spec.conv_kernel
@@ -206,7 +217,7 @@ class Conv1dNet(Model):
     def __init__(self, spec: ModelSpec):
         super().__init__(spec)
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 2]))
-        self.act = _act(spec.activation)
+        self.act = ACTIVATIONS[spec.activation]
         steps, features = spec.input_shape
         c, k = spec.conv1d_channels, spec.conv1d_kernel
         if k > steps:
@@ -224,7 +235,11 @@ class Conv1dNet(Model):
 
 
 class Lstm(Model):
-    """Single-layer LSTM; the classification head reads the final hidden state."""
+    """Single-layer LSTM; the classification head reads the final hidden state.
+
+    The recurrence runs through the fused ``tensor.lstm`` primitive: one tape
+    node for the whole sequence, with hand-written backprop through time.
+    """
 
     def __init__(self, spec: ModelSpec):
         super().__init__(spec)
@@ -241,20 +256,7 @@ class Lstm(Model):
 
     def forward(self, x: Tensor) -> Tensor:
         self._check_batch(x)
-        steps, _ = self.spec.input_shape
-        hs = self.spec.hidden_size
-        batch = x.shape[0]
-        h = Tensor(np.zeros((batch, hs)))
-        c = Tensor(np.zeros((batch, hs)))
-        w_ih, w_hh, bias = self.params["w_ih"], self.params["w_hh"], self.params["bias"]
-        for t in range(steps):
-            z = matmul(time_slice(x, t), w_ih) + matmul(h, w_hh) + bias
-            i = sigmoid(col_slice(z, 0, hs))
-            f = sigmoid(col_slice(z, hs, 2 * hs))
-            g = tanh(col_slice(z, 2 * hs, 3 * hs))
-            o = sigmoid(col_slice(z, 3 * hs, 4 * hs))
-            c = f * c + i * g
-            h = o * tanh(c)
+        h = lstm(x, self.params["w_ih"], self.params["w_hh"], self.params["bias"])
         return matmul(h, self.params["head_w"]) + self.params["head_b"]
 
 

@@ -85,6 +85,12 @@ class ReplayBuffer:
         self.gss_n_sim = gss_n_sim
         self.gss_tau = gss_tau
         self.gss_candidates = gss_candidates
+        require_numbers(self, gss_n_sim=Integral, gss_tau=Real, gss_candidates=Integral)
+        for name, low in (("gss_n_sim", 1), ("gss_candidates", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if np.isnan(self.gss_tau):
+            raise ValueError("gss_tau must be a number, got nan")
         self._inputs: list[np.ndarray] = []
         self._labels: list[int] = []
         self._scores: list[float] = []

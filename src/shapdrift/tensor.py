@@ -1,10 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The substrate for every other module: matrix multiply, 1D/2D convolution,
-2D average pooling, elementwise nonlinearities and a fused softmax
-cross-entropy. Operations whose inputs require gradients are recorded on
-an implicit tape (the operation graph); ``backward`` replays it once in
-reverse topological order and releases it.
+2D average pooling, elementwise nonlinearities, a fused LSTM sequence
+(``lstm``: one tape node per sequence, hand-written backprop through time)
+and a fused softmax cross-entropy. Operations whose inputs require
+gradients are recorded on an implicit tape (the operation graph);
+``backward`` replays it once in reverse topological order and releases it.
 """
 
 from __future__ import annotations
@@ -233,8 +234,12 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
+def _sigmoid_np(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    s = _sigmoid_np(a.data)
     out = _make(s, (a,), "sigmoid")
     if out.requires_grad:
         def _bw(g):
@@ -319,6 +324,81 @@ def col_slice(a: Tensor, start: int, stop: int) -> Tensor:
     if a.ndim != 2:
         raise ValueError(f"col_slice expects a 2D tensor, got shape {a.shape}")
     return _slice(a, (slice(None), slice(start, stop)), "col_slice")
+
+
+# -- recurrence ---------------------------------------------------------------
+
+
+def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
+    """Final hidden state of a single-layer LSTM run over a whole sequence.
+
+    x: (batch, steps, features); w_ih: (features, 4H); w_hh: (H, 4H);
+    bias: (4H,), gate blocks in the order input, forget, cell, output. The
+    state starts at zero. The sequence is one tape node whose backward is
+    hand-written backprop through time; it repeats the arithmetic, operand
+    order and array views of the per-step cell composed from ``matmul``,
+    ``col_slice``, ``sigmoid``, ``tanh``, ``mul`` and ``add``, so values and
+    gradients are bit-identical to that composition.
+    """
+    if x.ndim != 3 or w_ih.ndim != 2 or w_hh.ndim != 2 or bias.ndim != 1:
+        raise ValueError(f"lstm expects 3D input, 2D weights and 1D bias, got "
+                         f"{x.shape}, {w_ih.shape}, {w_hh.shape}, {bias.shape}")
+    batch, steps, features = x.shape
+    hs = w_hh.shape[0]
+    if w_ih.shape != (features, 4 * hs) or w_hh.shape != (hs, 4 * hs) or bias.shape != (4 * hs,):
+        raise ValueError(f"lstm: weight shapes {w_ih.shape}, {w_hh.shape}, {bias.shape} "
+                         f"do not fit input {x.shape} and hidden size {hs}")
+    parents = (x, w_ih, w_hh, bias)
+    track = _grad_enabled() and any(p.requires_grad for p in parents)
+    x_data, w_ih_data, w_hh_data = x.data, w_ih.data, w_hh.data
+    h = np.zeros((batch, hs))
+    c = np.zeros((batch, hs))
+    cache = []
+    for t in range(steps):
+        z = x_data[:, t, :] @ w_ih_data + h @ w_hh_data + bias.data
+        i = _sigmoid_np(z[:, :hs])
+        f = _sigmoid_np(z[:, hs:2 * hs])
+        g = np.tanh(z[:, 2 * hs:3 * hs])
+        o = _sigmoid_np(z[:, 3 * hs:])
+        c_prev = c
+        c = f * c + i * g
+        tc = np.tanh(c)
+        if track:
+            cache.append((h, c_prev, i, f, g, o, tc))
+        h = o * tc
+
+    out = _make(h, parents, "lstm")
+    if out.requires_grad:
+        def _bw(grad):
+            dx = np.empty(x.shape) if x.requires_grad else None
+            dh, dc_next = grad, None
+            for t in range(steps - 1, -1, -1):
+                h_prev, c_prev, i, f, g, o, tc = cache[t]
+                dc = (dh * o) * (1.0 - tc * tc)
+                if dc_next is not None:
+                    dc += dc_next
+                dz = np.empty((batch, 4 * hs))
+                dz[:, :hs] = ((dc * g) * i) * (1.0 - i)
+                dz[:, hs:2 * hs] = ((dc * c_prev) * f) * (1.0 - f)
+                dz[:, 2 * hs:3 * hs] = (dc * i) * (1.0 - g * g)
+                dz[:, 3 * hs:] = ((dh * tc) * o) * (1.0 - o)
+                # one _accumulate per step, latest step first, as the per-step
+                # tape adds its terms into a leaf that may already hold a gradient
+                if w_ih.requires_grad:
+                    w_ih._accumulate(x_data[:, t, :].T @ dz)
+                if w_hh.requires_grad:
+                    w_hh._accumulate(h_prev.T @ dz)
+                if bias.requires_grad:
+                    bias._accumulate(dz.sum(axis=0))
+                if dx is not None:
+                    dx[:, t, :] = dz @ w_ih_data.T
+                if t:
+                    dh = dz @ w_hh_data.T
+                    dc_next = dc * f
+            if dx is not None:
+                x._accumulate(dx)
+        out._backward = _bw
+    return out
 
 
 # -- convolution and pooling --------------------------------------------------

@@ -159,7 +159,15 @@ def test_validate_verb(tmp_path, capsys):
                              ({"shap": {"n_samples": "x"}}, "n_samples"),
                              ({"optimizer": {"batch_size": 2.5}}, "batch_size"),
                              ({"optimizer": {"lr": float("nan")}}, "lr"),
-                             ({"shap": {"noise_std": float("nan")}}, "noise_std")):
+                             ({"shap": {"noise_std": float("nan")}}, "noise_std"),
+                             ({"model": {"esn_leak": "x"}}, "esn_leak"),
+                             ({"model": {"hidden_size": 0}}, "hidden_size"),
+                             ({"model": {"hidden_size": 2.5}}, "hidden_size"),
+                             ({"model": {"hidden": [2.5]}}, "hidden"),
+                             ({"model": {"activation": "sine"}}, "activation"),
+                             ({"gss": {"n_sim": "x"}}, "n_sim"),
+                             ({"gss": {"n_sim": 0}}, "n_sim"),
+                             ({"gss": {"tau": "x"}}, "tau")):
         capsys.readouterr()
         bad = write_config(tmp_path, tiny_config(**overrides))
         assert main(["validate", str(bad)]) == 2

@@ -3,7 +3,7 @@ import pytest
 
 from shapdrift import models as md
 from shapdrift.models import ModelSpec, build_model
-from shapdrift.tensor import Tensor
+from shapdrift.tensor import Tensor, softmax_cross_entropy
 
 IMAGE_SPEC = ModelSpec("mlp", (1, 8, 8), num_classes=10, seed=0, hidden=(16,))
 SEQ_SHAPE = (12, 5)
@@ -153,6 +153,38 @@ def test_reservoir_checksum_stable_under_readout_updates():
     model.params["head_w"].data += 0.5
     model.params["head_b"].data -= 1.0
     assert md.reservoir_checksum(model) == before
+
+
+# -- LSTM tape -------------------------------------------------------------------------
+
+
+def _tape_nodes(root) -> int:
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._prev)
+    return len(seen)
+
+
+def test_lstm_loss_graph_size_is_independent_of_sequence_length():
+    # the recurrence is one tape node, so longer sequences add no nodes
+    counts = []
+    for steps in (6, 30):
+        model = build_model(make_spec("lstm", input_shape=(steps, 5)))
+        x = Tensor(np.random.default_rng(steps).normal(size=(3, steps, 5)))
+        loss = softmax_cross_entropy(model.forward(x), np.array([0, 1, 2]))
+        counts.append(_tape_nodes(loss))
+    assert counts[0] == counts[1] <= 12
+
+
+def test_lstm_logits_without_tape_match_grad_mode():
+    model = build_model(make_spec("lstm"))
+    batch = np.random.default_rng(3).normal(size=(4,) + SEQ_SHAPE)
+    logits = model.forward(Tensor(batch))
+    assert logits.requires_grad
+    assert np.array_equal(model.logits_np(batch), logits.data)
 
 
 # -- gradient flow to the input ------------------------------------------------------

@@ -193,6 +193,87 @@ def test_slice_gradients_accumulate_into_parent(slices_first):
     assert np.array_equal(x.grad, expected)
 
 
+# -- lstm -------------------------------------------------------------------------
+
+
+def _lstm_cell_loop(x, w_ih, w_hh, bias):
+    """The LSTM recurrence as a per-step composition of tape primitives."""
+    batch, steps, _ = x.shape
+    hs = w_hh.shape[0]
+    h = Tensor(np.zeros((batch, hs)))
+    c = Tensor(np.zeros((batch, hs)))
+    for t in range(steps):
+        z = tn.matmul(tn.time_slice(x, t), w_ih) + tn.matmul(h, w_hh) + bias
+        i = tn.sigmoid(tn.col_slice(z, 0, hs))
+        f = tn.sigmoid(tn.col_slice(z, hs, 2 * hs))
+        g = tn.tanh(tn.col_slice(z, 2 * hs, 3 * hs))
+        o = tn.sigmoid(tn.col_slice(z, 3 * hs, 4 * hs))
+        c = f * c + i * g
+        h = o * tn.tanh(c)
+    return h
+
+
+def _lstm_leaves(rng, batch, steps, features, hs):
+    return [rng.normal(size=(batch, steps, features)),
+            rng.uniform(-1, 1, size=(features, 4 * hs)) / np.sqrt(features),
+            rng.uniform(-1, 1, size=(hs, 4 * hs)) / np.sqrt(hs),
+            rng.normal(size=4 * hs) * 0.5]
+
+
+@pytest.mark.parametrize("shape", [(1, 5, 3, 4), (4, 1, 3, 4), (3, 6, 2, 1), (32, 30, 12, 32)])
+@pytest.mark.parametrize("case", ["all", "frozen_input", "accumulate"])
+def test_lstm_matches_cell_composition(shape, case):
+    # values and gradients are bit-identical to the per-step composition; in
+    # the accumulate case every leaf already holds a gradient from an earlier pass
+    rng = np.random.default_rng(9)
+    arrays = _lstm_leaves(rng, *shape)
+    head = rng.normal(size=(shape[0], shape[3]))
+    prior = [rng.normal(size=a.shape) for a in arrays]
+    results = []
+    for fn in (_lstm_cell_loop, tn.lstm):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        leaves[0].requires_grad = case != "frozen_input"
+        if case == "accumulate":
+            for leaf, p in zip(leaves, prior):
+                leaf.grad = p.copy()
+        h = fn(*leaves)
+        (h * Tensor(head)).sum().backward()
+        results.append((h.data, [leaf.grad for leaf in leaves]))
+    (ref_h, ref_grads), (h, grads) = results
+    assert np.array_equal(h, ref_h)
+    assert (grads[0] is None) == (case == "frozen_input")
+    for grad, ref in zip(grads, ref_grads):
+        assert (grad is None and ref is None) or np.array_equal(grad, ref)
+
+
+def test_lstm_matches_finite_differences():
+    rng = np.random.default_rng(10)
+    x, w_ih, w_hh, bias = (Tensor(a, requires_grad=True) for a in _lstm_leaves(rng, 3, 4, 2, 3))
+    head = Tensor(rng.normal(size=(3, 3)))
+
+    def make_loss():
+        return (tn.lstm(x, w_ih, w_hh, bias) * head).sum()
+
+    fd_check(make_loss, [x, w_ih, w_hh, bias], rng, coords_per_leaf=6)
+
+
+def test_lstm_without_tape_keeps_no_graph():
+    rng = np.random.default_rng(11)
+    leaves = [Tensor(a, requires_grad=True) for a in _lstm_leaves(rng, 2, 5, 3, 4)]
+    with tn.no_grad():
+        out = tn.lstm(*leaves)
+    assert not out.requires_grad and out._prev == () and out._backward is None
+    assert np.array_equal(out.data, tn.lstm(*leaves).data)
+
+
+def test_lstm_shape_errors_name_the_shapes():
+    x, w_ih, w_hh, bias = (Tensor(a) for a in _lstm_leaves(np.random.default_rng(0), 2, 3, 4, 5))
+    with pytest.raises(ValueError, match=r"\(2, 3, 4\)"):
+        tn.lstm(x, w_hh, w_hh, bias)
+    with pytest.raises(ValueError, match="3D input"):
+        tn.lstm(tn.time_slice(x, 0), w_ih, w_hh, bias)
+
+
 # -- backward ---------------------------------------------------------------------
 
 
