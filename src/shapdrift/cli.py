@@ -13,6 +13,7 @@ rerunning the same config byte-reproduces the CSV outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -52,20 +53,10 @@ _DATA_DEFAULTS = {
     "user-sequences": {"path": None},
 }
 
-_MODEL_DEFAULTS = {
-    "architecture": "mlp",
-    "hidden": [64],
-    "conv_channels": [8, 16],
-    "conv_kernel": 3,
-    "dense_width": 64,
-    "conv1d_channels": 32,
-    "conv1d_kernel": 5,
-    "hidden_size": 128,
-    "esn_leak": 0.5,
-    "esn_spectral_radius": 0.9,
-    "esn_input_scale": 1.0,
-    "activation": "tanh",
-}
+# input_shape and num_classes come from the data; the run seed sets the model seed
+_MODEL_DEFAULTS = {"architecture": "mlp", **{
+    f.name: f.default for f in dataclasses.fields(ModelSpec)
+    if f.default is not dataclasses.MISSING and f.name != "seed"}}
 
 _TOP_DEFAULTS = {
     "benchmark": "synth-images",
@@ -97,15 +88,14 @@ def _merge_section(raw: dict, defaults: dict, section: str) -> dict:
     return merged
 
 
-def _shap_config(section: dict) -> ShapConfig:
-    return ShapConfig(engine=section["engine"], n_samples=section["n_samples"],
-                      noise_std=section["noise_std"])
+def _is_int(value, lowest: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= lowest
 
 
-def _check_section(name: str, build, section: dict) -> None:
-    """Build a section's settings object as ``run`` does; its errors name the section."""
+def _check_section(name: str, build, *args, **kwargs):
+    """Return ``build(*args, **kwargs)``; its errors become a ConfigError naming ``name``."""
     try:
-        build(section)
+        return build(*args, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
@@ -128,9 +118,15 @@ def validate_config(raw: dict) -> dict:
             f"benchmark: unknown value {cfg['benchmark']!r}, expected one of {BENCHMARKS}")
     cfg["data"] = _merge_section(cfg["data"] or {},
                                  _DATA_DEFAULTS[cfg["benchmark"]], "data")
+    synthetic = cfg["benchmark"].startswith("synth-")
     for key, value in cfg["data"].items():
         if value is None:
             raise ConfigError(f"data.{key}: required for benchmark {cfg['benchmark']!r}")
+        lowest = {"classes": 2, "seed": 0}.get(key, 1)
+        if synthetic and not _is_int(value, lowest):
+            raise ConfigError(f"data.{key}: must be an integer >= {lowest}, got {value!r}")
+        if not synthetic and not isinstance(value, str):
+            raise ConfigError(f"data.{key}: must be a path string, got {value!r}")
     if cfg["benchmark"] == "mnist-idx":
         for key in ("images", "labels"):
             if not Path(cfg["data"][key]).exists():
@@ -144,14 +140,9 @@ def validate_config(raw: dict) -> dict:
     cfg["shap"] = _merge_section(cfg["shap"], _TOP_DEFAULTS["shap"], "shap")
     cfg["gss"] = _merge_section(cfg["gss"], _TOP_DEFAULTS["gss"], "gss")
 
-    _check_section("optimizer", lambda section: OptConfig(**section), cfg["optimizer"])
-    _check_section("shap", _shap_config, cfg["shap"])
-    # the data shapes are not known here; placeholders pass ModelSpec's own checks
-    _check_section("model", lambda section: ModelSpec(input_shape=(), num_classes=2, **section),
-                   cfg["model"])
-    _check_section("gss", lambda section: ReplayBuffer(
-        1, policy="gss_greedy", gss_n_sim=section["n_sim"], gss_tau=section["tau"],
-        gss_candidates=section["candidates"]), cfg["gss"])
+    gss = cfg["gss"]
+    _check_section("gss", ReplayBuffer, 1, policy="gss_greedy", gss_n_sim=gss["n_sim"],
+                   gss_tau=gss["tau"], gss_candidates=gss["candidates"])
     if cfg["pool_order"] not in POOL_ORDERS:
         raise ConfigError(
             f"pool_order: unknown value {cfg['pool_order']!r}, expected one of {POOL_ORDERS}")
@@ -161,16 +152,20 @@ def validate_config(raw: dict) -> dict:
         if name not in STRATEGIES:
             raise ConfigError(
                 f"strategies: unknown strategy name {name!r}, expected among {STRATEGIES}")
+    if len(set(cfg["strategies"])) != len(cfg["strategies"]):
+        raise ConfigError(f"strategies: duplicate names in {cfg['strategies']}")
     if not isinstance(cfg["seeds"], list) or not cfg["seeds"]:
         raise ConfigError("seeds: must be a nonempty list of integers")
-    if not all(isinstance(s, int) and not isinstance(s, bool) for s in cfg["seeds"]):
-        raise ConfigError("seeds: every entry must be an integer")
-    if not isinstance(cfg["experiences"], int) or cfg["experiences"] < 1:
+    if not all(_is_int(s, 0) for s in cfg["seeds"]):
+        raise ConfigError("seeds: every entry must be a non-negative integer")
+    if not _is_int(cfg["experiences"], 1):
         raise ConfigError("experiences: must be a positive integer")
-    if not isinstance(cfg["buffer_capacity"], int) or cfg["buffer_capacity"] < 1:
+    if not _is_int(cfg["buffer_capacity"], 1):
         raise ConfigError("buffer_capacity: must be a positive integer")
-    if not isinstance(cfg["saliency_probes"], int) or cfg["saliency_probes"] < 0:
+    if not _is_int(cfg["saliency_probes"], 0):
         raise ConfigError("saliency_probes: must be a non-negative integer")
+    if not isinstance(cfg["output_dir"], str):
+        raise ConfigError(f"output_dir: must be a string, got {cfg['output_dir']!r}")
     return cfg
 
 
@@ -206,9 +201,22 @@ def load_benchmark(cfg: dict) -> LabeledDataset:
     return load_sequences(d["path"])
 
 
-def build_model_spec(cfg: dict, data: LabeledDataset) -> ModelSpec:
-    return ModelSpec(input_shape=tuple(data.inputs.shape[1:]), num_classes=data.num_classes,
-                     **cfg["model"])
+def _prepare(cfg: dict, seed: int) -> tuple:
+    """Everything ``run`` builds before training one seed of a validated config:
+    (OptConfig, ShapConfig, stream, evaluation slice, ModelSpec). A bad value
+    raises a ConfigError that names its section."""
+    shap = cfg["shap"]
+    opt = _check_section("optimizer", OptConfig, **cfg["optimizer"])
+    shap_config = _check_section("shap", ShapConfig, engine=shap["engine"],
+                                 n_samples=shap["n_samples"], noise_std=shap["noise_std"])
+    data = load_benchmark(cfg)
+    stream = _check_section("stream", build_stream, data, cfg["experiences"],
+                            class_order=cfg["class_order"])
+    slice_ = _check_section("shap", make_slice, stream, background_n=shap["background_n"],
+                            probes_per_class=shap["probes_per_class"], seed=seed)
+    spec = _check_section("model", ModelSpec, input_shape=data.inputs.shape[1:],
+                          num_classes=data.num_classes, **cfg["model"])
+    return opt, shap_config, stream, slice_, spec
 
 
 # -- artifact writers --------------------------------------------------------------
@@ -225,8 +233,6 @@ def emit_saliency_grid(inputs: np.ndarray, maps, path) -> None:
     tile per class map, min-max scaled per tile, separated by 1-pixel white
     lines."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim == 3:
-        inputs, maps = inputs[None], [maps]
     if inputs.ndim != 4 or inputs.shape[1] != 1:
         raise ValueError(
             f"saliency grids are image-only; got input batch shape {inputs.shape}")
@@ -315,15 +321,9 @@ def emit_curves(report: DriftReport, path, metric: str = "m") -> None:
 
 def _run_single_seed(cfg: dict, seed: int, outdir: str) -> list:
     """Full protocol for one seed; returns the relative paths written."""
-    data = load_benchmark(cfg)
-    stream = build_stream(data, cfg["experiences"], class_order=cfg["class_order"])
-    slice_ = make_slice(stream, background_n=cfg["shap"]["background_n"],
-                        probes_per_class=cfg["shap"]["probes_per_class"], seed=seed)
-    spec = build_model_spec(cfg, data)
+    opt, shap, stream, slice_, spec = _prepare(cfg, seed)
     report = run_protocol(
-        stream, slice_, spec, list(cfg["strategies"]),
-        opt=OptConfig(**cfg["optimizer"]),
-        shap=_shap_config(cfg["shap"]),
+        stream, slice_, spec, list(cfg["strategies"]), opt=opt, shap=shap,
         buffer_capacity=cfg["buffer_capacity"],
         gss_n_sim=cfg["gss"]["n_sim"], gss_tau=cfg["gss"]["tau"],
         gss_candidates=cfg["gss"]["candidates"],
@@ -393,6 +393,7 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
+    _prepare(cfg, cfg["seeds"][0])  # no check depends on the seed
     print(f"config OK: benchmark={cfg['benchmark']} "
           f"strategies={cfg['strategies']} seeds={cfg['seeds']} "
           f"hash={config_hash(cfg)[:12]}")

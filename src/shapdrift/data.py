@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -312,6 +313,9 @@ def make_slice(
     Background is drawn without replacement; probes are stratified per class.
     Deterministic per seed.
     """
+    for name, n in (("background_n", background_n), ("probes_per_class", probes_per_class)):
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ValueError(f"{name} must be a positive integer, got {n!r}")
     first = stream.experiences[0]
     rng = np.random.default_rng(np.random.SeedSequence([seed, background_n, probes_per_class]))
 

@@ -1,5 +1,5 @@
 """Per-class attribution engines: exact Shapley, permutation sampling, and
-expected-gradients SHAP, plus positive clamping.
+expected-gradients SHAP.
 
 Every engine treats one input scalar (pixel or per-step-per-feature cell)
 as one game feature and is a pure function of (f, x, background, seed).
@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .data import LabeledDataset
-from .models import Model, require_numbers
+from .models import CHUNK_SIZE, Model, require_numbers
 from .tensor import Tensor
 
 
@@ -53,9 +53,6 @@ class ShapConfig:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
 
 
-CHUNK_SIZE = 256  # rows per model pass; bounds tape memory on recurrent models
-
-
 class ClassLogit:
     """f(x) = pre-softmax logit of one output unit, callable on input batches.
 
@@ -68,11 +65,7 @@ class ClassLogit:
         self.class_id = class_id
 
     def __call__(self, batch: np.ndarray) -> np.ndarray:
-        out = np.empty(len(batch))
-        for lo in range(0, len(batch), CHUNK_SIZE):
-            chunk = batch[lo:lo + CHUNK_SIZE]
-            out[lo:lo + len(chunk)] = self.model.logits_np(chunk)[:, self.class_id]
-        return out
+        return self.model.logits_np(batch)[:, self.class_id]
 
     def gradient(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (values, d value / d input) for each row of the batch."""
@@ -255,9 +248,7 @@ def expected_gradients(model: Model, xs: np.ndarray, background, config: ShapCon
         phi[i] = (diffs * grads).reshape((len(xs), n) + xs.shape[1:]).mean(axis=1)
     if not np.all(np.isfinite(phi)):
         raise ValueError("attribution map contains non-finite values")
-    logits = np.concatenate([model.logits_np(bg[lo:lo + CHUNK_SIZE])
-                             for lo in range(0, len(bg), CHUNK_SIZE)])
-    return phi, logits.mean(axis=0)[class_ids]
+    return phi, model.logits_np(bg).mean(axis=0)[class_ids]
 
 
 def gradient_shap(f: ClassLogit, x: np.ndarray, background, config: ShapConfig) -> AttributionMap:
@@ -267,13 +258,7 @@ def gradient_shap(f: ClassLogit, x: np.ndarray, background, config: ShapConfig) 
     return AttributionMap(phi[0, 0], float(phi0[0]), class_id=f.class_id)
 
 
-# -- clamping and per-class dispatch ----------------------------------------------------
-
-
-def clamp_positive(attribution: AttributionMap) -> AttributionMap:
-    """Zero out negative values; the base value is untouched."""
-    return AttributionMap(np.maximum(attribution.phi, 0.0), attribution.phi0,
-                          class_id=attribution.class_id, stderr=attribution.stderr)
+# -- per-class dispatch -----------------------------------------------------------------
 
 
 def explain_all_classes(model: Model, x: np.ndarray, background,

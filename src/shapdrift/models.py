@@ -31,6 +31,8 @@ from .tensor import (
 
 ARCHITECTURES = ("mlp", "cnn2d", "conv1d", "lstm", "esn")
 ACTIVATIONS = {"tanh": tanh, "relu": relu}
+_INPUT_RANKS = {"cnn2d": 3, "conv1d": 2, "lstm": 2, "esn": 2}  # mlp takes any rank
+CHUNK_SIZE = 256  # rows per model pass; bounds tape memory on recurrent models
 
 
 def require_numbers(owner, **kinds) -> None:
@@ -69,7 +71,7 @@ class ModelSpec:
     hidden: tuple = (64,)            # mlp dense widths
     conv_channels: tuple = (8, 16)   # cnn2d conv widths
     conv_kernel: int = 3
-    dense_width: int = 64            # cnn2d / conv1d head width
+    dense_width: int = 64            # cnn2d head width
     conv1d_channels: int = 32
     conv1d_kernel: int = 5
     hidden_size: int = 128           # lstm hidden width / esn reservoir size
@@ -104,6 +106,24 @@ class ModelSpec:
         for name in ("esn_spectral_radius", "esn_input_scale"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # what each architecture needs from its input
+        shape, rank = self.input_shape, _INPUT_RANKS.get(self.architecture)
+        if rank is not None and len(shape) != rank:
+            raise ValueError(f"architecture {self.architecture!r} needs a {rank}-axis "
+                             f"input, got input shape {shape}")
+        if any(n < 1 for n in shape):
+            raise ValueError(f"input shape {shape} has an empty axis")
+        if self.architecture == "cnn2d":
+            if len(self.conv_channels) != 2:
+                raise ValueError(
+                    f"cnn2d needs exactly two conv_channels, got {self.conv_channels}")
+            k = self.conv_kernel
+            if ((min(shape[1:]) - k + 1) // 2 - k + 1) // 2 < 1:
+                raise ValueError(f"input {shape} too small for two cnn2d conv-pool "
+                                 f"stages with conv_kernel {k}")
+        if self.architecture == "conv1d" and self.conv1d_kernel > shape[0]:
+            raise ValueError(
+                f"conv1d_kernel {self.conv1d_kernel} exceeds sequence length {shape[0]}")
 
 
 def _uniform_fanin(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
@@ -130,9 +150,12 @@ class Model:
         return {k: v for k, v in self.params.items() if v.requires_grad}
 
     def logits_np(self, batch: np.ndarray) -> np.ndarray:
-        """Forward without tape recording; returns a plain ndarray."""
+        """No-tape forward in ``CHUNK_SIZE``-row passes; returns a (rows, classes) ndarray."""
+        out = np.empty((len(batch), self.spec.num_classes))
         with no_grad():
-            return self.forward(Tensor(batch)).data
+            for lo in range(0, len(batch), CHUNK_SIZE):
+                out[lo:lo + CHUNK_SIZE] = self.forward(Tensor(batch[lo:lo + CHUNK_SIZE])).data
+        return out
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.params.items()}
@@ -192,8 +215,6 @@ class Cnn2d(Model):
         self._param("conv2_b", np.zeros(c2))
         h1, w1 = (h - k + 1) // 2, (w - k + 1) // 2
         h2, w2 = (h1 - k + 1) // 2, (w1 - k + 1) // 2
-        if h2 < 1 or w2 < 1:
-            raise ValueError(f"input {spec.input_shape} too small for cnn2d with kernel {k}")
         flat = c2 * h2 * w2
         self._param("dense_w", _uniform_fanin(rng, (flat, spec.dense_width), flat))
         self._param("dense_b", np.zeros(spec.dense_width))
@@ -220,8 +241,6 @@ class Conv1dNet(Model):
         self.act = ACTIVATIONS[spec.activation]
         steps, features = spec.input_shape
         c, k = spec.conv1d_channels, spec.conv1d_kernel
-        if k > steps:
-            raise ValueError(f"conv1d kernel {k} exceeds sequence length {steps}")
         self._param("conv_w", _uniform_fanin(rng, (c, features, k), features * k))
         self._param("conv_b", np.zeros(c))
         self._param("head_w", _uniform_fanin(rng, (c, spec.num_classes), c))

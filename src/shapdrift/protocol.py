@@ -57,7 +57,7 @@ def _mass_drift(s: np.ndarray, j: np.ndarray) -> np.ndarray:
     return diff * diff / s.shape[-1]
 
 
-def _pooled(maps: np.ndarray, order: str, kernel: int = POOL_KERNEL) -> np.ndarray:
+def _pooled(maps: np.ndarray, order: str) -> np.ndarray:
     """z-score each map over its trailing two axes, clamp at zero (``order``
     says which comes first), then average-pool."""
     if order not in POOL_ORDERS:
@@ -68,7 +68,7 @@ def _pooled(maps: np.ndarray, order: str, kernel: int = POOL_KERNEL) -> np.ndarr
             x = relu(normalize_zscore(x))
         else:
             x = normalize_zscore(relu(x))
-        return avgpool2d(x, kernel).data
+        return avgpool2d(x, POOL_KERNEL).data
 
 
 def _pooled_drift(ps: np.ndarray, pj: np.ndarray) -> np.ndarray:
@@ -89,21 +89,12 @@ def metric_m(s_map, j_map) -> float:
     return float(_mass_drift(s.ravel(), j.ravel()))
 
 
-def pooled_squared_difference(s_processed, j_processed, kernel: int = POOL_KERNEL) -> float:
-    """Tail of the pooled metric: average-pool two already-preprocessed maps
-    and return the mean squared difference over pooled cells."""
-    with no_grad():
-        ps, pj = (avgpool2d(Tensor(a), kernel).data for a in (s_processed, j_processed))
-    return float(_pooled_drift(ps, pj))
-
-
-def metric_m_pool(s_map, j_map, kernel: int = POOL_KERNEL,
-                  order: str = "normalize_then_clamp") -> float:
+def metric_m_pool(s_map, j_map, order: str = "normalize_then_clamp") -> float:
     """Spatial drift between two raw signed 2D maps.
 
     Each map is z-score normalized (zero mean, unit population variance),
-    clamped at zero, average-pooled with a kernel x kernel window at stride
-    kernel, and the pooled grids are compared by mean squared difference.
+    clamped at zero, average-pooled with a POOL_KERNEL-square window at stride
+    POOL_KERNEL, and the pooled grids are compared by mean squared difference.
     ``order`` flips to clamping before normalization.
     """
     s = np.asarray(s_map, dtype=np.float64)
@@ -112,9 +103,9 @@ def metric_m_pool(s_map, j_map, kernel: int = POOL_KERNEL,
         raise ValueError(f"maps must be 2D, got shapes {s.shape} and {j.shape}")
     if s.shape != j.shape:
         raise ValueError(f"map shapes differ: {s.shape} != {j.shape}")
-    if min(s.shape) < kernel:
-        raise ValueError(f"map extents {s.shape} smaller than pooling kernel {kernel}")
-    return float(_pooled_drift(_pooled(s, order, kernel), _pooled(j, order, kernel)))
+    if min(s.shape) < POOL_KERNEL:
+        raise ValueError(f"map extents {s.shape} smaller than pooling kernel {POOL_KERNEL}")
+    return float(_pooled_drift(_pooled(s, order), _pooled(j, order)))
 
 
 # -- report rows and CSV schema -----------------------------------------------------

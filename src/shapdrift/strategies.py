@@ -47,14 +47,11 @@ def sgd_step(model: Model, lr: float) -> None:
             p.grad = None
 
 
-def evaluate(model: Model, dataset: LabeledDataset, batch_size: int = 256) -> float:
+def evaluate(model: Model, dataset: LabeledDataset) -> float:
     """Top-1 accuracy on a dataset."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    hits = 0
-    for lo in range(0, len(dataset), batch_size):
-        logits = model.logits_np(dataset.inputs[lo:lo + batch_size])
-        hits += int(np.sum(logits.argmax(axis=1) == dataset.labels[lo:lo + batch_size]))
+    hits = int(np.sum(model.logits_np(dataset.inputs).argmax(axis=1) == dataset.labels))
     return hits / len(dataset)
 
 

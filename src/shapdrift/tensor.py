@@ -126,15 +126,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, _wrap(-1.0))
-
-    def __sub__(self, other):
-        return add(self, -_wrap(other))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), -self)
-
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
 
@@ -143,9 +134,6 @@ class Tensor:
 
     def sum(self, axis=None):
         return tsum(self, axis)
-
-    def mean(self, axis=None):
-        return tmean(self, axis)
 
 
 def _wrap(x: Arrayish) -> Tensor:

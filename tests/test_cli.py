@@ -1,13 +1,18 @@
 """CLI tests: config schema enforcement, hashing, artifact emission
 (PGM grids, SVG curves, CSVs, manifest), verbs, and reproducibility."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapdrift.cli import (
     ConfigError,
+    _prepare,
     config_hash,
     emit_curves,
     emit_saliency_grid,
@@ -18,6 +23,7 @@ from shapdrift.cli import (
 )
 from shapdrift.data import save_sequences, synth_sequences
 from shapdrift.explainers import AttributionMap
+from shapdrift.models import build_model
 
 
 def tiny_config(**overrides):
@@ -108,9 +114,9 @@ def make_maps(n_classes, side=8, seed=0):
 
 
 def test_saliency_grid_geometry(tmp_path):
-    x = np.random.default_rng(1).uniform(size=(1, 8, 8))
+    x = np.random.default_rng(1).uniform(size=(1, 1, 8, 8))
     path = tmp_path / "grid.pgm"
-    emit_saliency_grid(x, make_maps(10), path)
+    emit_saliency_grid(x, [make_maps(10)], path)
     grid = load_pgm(path)
     assert grid.shape == (8, 11 * 8 + 10)  # 11 tiles + 10 one-pixel separators
 
@@ -149,6 +155,9 @@ def test_validate_verb(tmp_path, capsys):
     assert "config OK" in capsys.readouterr().out
     bad = write_config(tmp_path, tiny_config(strategies=["naiv"]))
     assert main(["validate", str(bad)]) == 2
+    shap = tiny_config()["shap"]
+    seqs = {"benchmark": "synth-sequences",
+            "data": {"classes": 4, "per_class": 12, "steps": 10, "features": 6, "seed": 0}}
     # values that run would reject: validate exits 2 and names the field
     for overrides, field in (({"pool_order": "sideways"}, "pool_order"),
                              ({"optimizer": {"lr": -1}}, "lr"),
@@ -167,11 +176,68 @@ def test_validate_verb(tmp_path, capsys):
                              ({"model": {"activation": "sine"}}, "activation"),
                              ({"gss": {"n_sim": "x"}}, "n_sim"),
                              ({"gss": {"n_sim": 0}}, "n_sim"),
-                             ({"gss": {"tau": "x"}}, "tau")):
+                             ({"gss": {"tau": "x"}}, "tau"),
+                             ({"experiences": 3}, "experiences"),
+                             ({"class_order": [0, 0, 1, 2]}, "class_order"),
+                             ({"shap": dict(shap, background_n=1000)}, "background_n"),
+                             ({"shap": dict(shap, probes_per_class=50)}, "probes_per_class"),
+                             ({"shap": dict(shap, background_n=0)}, "background_n"),
+                             ({"shap": dict(shap, probes_per_class=0)}, "probes_per_class"),
+                             ({"model": {"architecture": "cnn2d", "conv_channels": [8]}},
+                              "conv_channels"),
+                             ({"model": {"architecture": "cnn2d", "conv_kernel": 7}},
+                              "conv_kernel"),
+                             ({"strategies": ["naive", "naive"]}, "strategies"),
+                             (dict(seqs, model={"architecture": "conv1d", "conv1d_kernel": 500}),
+                              "conv1d_kernel"),
+                             ({"model": {"architecture": "lstm"}}, "architecture"),
+                             (dict(seqs, model={"architecture": "cnn2d"}), "architecture"),
+                             ({"data": {"classes": 4, "per_class": 12, "side": 0}}, "side"),
+                             ({"output_dir": 5}, "output_dir"),
+                             ({"seeds": [-1]}, "seeds")):
         capsys.readouterr()
         bad = write_config(tmp_path, tiny_config(**overrides))
         assert main(["validate", str(bad)]) == 2
         assert field in capsys.readouterr().err
+
+
+def config_leaves(node, path=()):
+    """Paths to every non-object value of a config, list entries included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from config_leaves(value, path + (key,))
+        return
+    yield path
+    if isinstance(node, list):
+        for i in range(len(node)):
+            yield path + (i,)
+
+
+FUZZ_VALUES = st.one_of(st.integers(-2, 20), st.sampled_from(
+    [2.5, float("nan"), float("inf"), True, None, "x", [], [1]]))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.tuples(st.sampled_from(list(config_leaves(tiny_config()))), FUZZ_VALUES),
+                min_size=1, max_size=2))
+def test_validate_fuzz_exits_cleanly(tmp_path_factory, edits):
+    cfg = tiny_config()
+    # deepest paths first, so replacing a whole list overrides an edit to one entry
+    for path, value in sorted(edits, key=lambda edit: -len(edit[0])):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    path = write_config(tmp_path_factory.mktemp("fuzz"), cfg)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["validate", str(path)])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("config error:")
+    else:
+        checked = load_config(path)
+        build_model(_prepare(checked, checked["seeds"][0])[-1])
 
 
 def test_run_verb_produces_all_artifacts(tmp_path):

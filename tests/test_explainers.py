@@ -8,7 +8,6 @@ from shapdrift.explainers import (
     AttributionMap,
     ClassLogit,
     ShapConfig,
-    clamp_positive,
     exact_shapley,
     explain_all_classes,
     gradient_shap,
@@ -197,15 +196,7 @@ def test_all_engines_agree_on_linear_model():
         np.testing.assert_allclose(out.phi, expected, atol=1e-9)
 
 
-# -- clamping and per-class dispatch ----------------------------------------------------
-
-
-def test_clamp_zeroes_negatives_only():
-    raw = AttributionMap(np.array([-1.0, 0.5, -0.2, 2.0]), phi0=-3.0, class_id=4)
-    clamped = clamp_positive(raw)
-    np.testing.assert_array_equal(clamped.phi, [0.0, 0.5, 0.0, 2.0])
-    assert clamped.phi0 == -3.0 and clamped.class_id == 4
-    np.testing.assert_array_equal(raw.phi, [-1.0, 0.5, -0.2, 2.0])
+# -- per-class dispatch -----------------------------------------------------------------
 
 
 def test_attribution_map_rejects_nonfinite():
@@ -217,10 +208,8 @@ def test_explain_all_classes_covers_every_class():
     model = mlp(k=6, classes=4, seed=5)
     rng = np.random.default_rng(1)
     x, bg = rng.normal(size=6), rng.normal(size=(8, 6))
-    maps = [clamp_positive(m) for m in
-            explain_all_classes(model, x, bg, ShapConfig("gradient", n_samples=20, seed=2))]
+    maps = explain_all_classes(model, x, bg, ShapConfig("gradient", n_samples=20, seed=2))
     assert [m.class_id for m in maps] == [0, 1, 2, 3]
-    assert all(np.all(m.phi >= 0.0) for m in maps)
     assert all(m.phi.shape == (6,) for m in maps)
 
 
@@ -242,9 +231,8 @@ def test_explain_all_classes_dispatches_every_engine():
     rng = np.random.default_rng(6)
     x, bg = rng.normal(size=4), rng.normal(size=(5, 4))
     for engine in ("exact", "sampling", "gradient"):
-        maps = [clamp_positive(m) for m in
-                explain_all_classes(model, x, bg, ShapConfig(engine, n_samples=10, seed=1))]
-        assert len(maps) == 2 and all(np.all(m.phi >= 0.0) for m in maps)
+        maps = explain_all_classes(model, x, bg, ShapConfig(engine, n_samples=10, seed=1))
+        assert [m.class_id for m in maps] == [0, 1]
 
 
 def test_per_example_config_is_deterministic_and_distinct():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from shapdrift import models as md
+from shapdrift.explainers import ClassLogit
 from shapdrift.models import ModelSpec, build_model
-from shapdrift.tensor import Tensor, softmax_cross_entropy
+from shapdrift.tensor import Tensor, no_grad, softmax_cross_entropy
 
 IMAGE_SPEC = ModelSpec("mlp", (1, 8, 8), num_classes=10, seed=0, hidden=(16,))
 SEQ_SHAPE = (12, 5)
@@ -185,6 +186,20 @@ def test_lstm_logits_without_tape_match_grad_mode():
     logits = model.forward(Tensor(batch))
     assert logits.requires_grad
     assert np.array_equal(model.logits_np(batch), logits.data)
+
+
+@pytest.mark.parametrize("arch", ["mlp", "lstm"])
+def test_logits_np_runs_chunk_by_chunk(arch):
+    spec = make_spec(arch)
+    model = build_model(spec)
+    batch = np.random.default_rng(4).normal(size=(2 * md.CHUNK_SIZE + 5,) + spec.input_shape)
+    with no_grad():
+        chunks = [model.forward(Tensor(batch[lo:lo + md.CHUNK_SIZE])).data
+                  for lo in range(0, len(batch), md.CHUNK_SIZE)]
+    assert np.array_equal(model.logits_np(batch), np.concatenate(chunks))
+    empty = np.empty((0,) + spec.input_shape)
+    assert model.logits_np(empty).shape == (0, spec.num_classes)
+    assert ClassLogit(model, 1)(empty).shape == (0,)
 
 
 # -- gradient flow to the input ------------------------------------------------------

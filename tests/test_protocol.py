@@ -17,7 +17,6 @@ from shapdrift.protocol import (
     load_accuracy_csv,
     metric_m,
     metric_m_pool,
-    pooled_squared_difference,
     run_protocol,
 )
 from shapdrift.strategies import OptConfig
@@ -51,17 +50,6 @@ def test_m_rejects_size_mismatch():
 
 
 # -- metric M_pool ----------------------------------------------------------------
-
-
-def corner_block_map():
-    s = np.zeros((8, 8))
-    s[:4, :4] = 1.0
-    return s
-
-
-def test_pooled_squared_difference_hand_example():
-    # pooled S = [1, 0, 0, 0], pooled J = zeros -> mean of squares = 1/4
-    assert pooled_squared_difference(corner_block_map(), np.zeros((8, 8))) == 0.25
 
 
 def test_m_pool_zero_for_identical_maps():
