@@ -1,8 +1,10 @@
 """Per-class attribution engines: exact Shapley, permutation sampling, and
-expected-gradients SHAP.
+expected-gradients SHAP, behind one dispatcher, ``explain_all_classes``.
 
 Every engine treats one input scalar (pixel or per-step-per-feature cell)
 as one game feature and is a pure function of (f, x, background, seed).
+The exact and sampling engines also play a multi-output f, one game per
+output column on shared draws, so each row set runs through the model once.
 """
 
 from __future__ import annotations
@@ -14,22 +16,23 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .data import LabeledDataset
 from .models import CHUNK_SIZE, Model, require_numbers
 from .tensor import Tensor
 
 
 @dataclass
 class AttributionMap:
-    """Per-feature attribution values shaped like the input, plus the base value."""
+    """Per-feature attribution values shaped like the input, plus the base value;
+    a multi-output game adds a leading outputs axis to phi, phi0 and stderr."""
 
     phi: np.ndarray
-    phi0: float
+    phi0: float | np.ndarray
     class_id: int = -1
     stderr: Optional[np.ndarray] = None  # per-feature MC standard error (sampling engine)
 
     def __post_init__(self):
-        self.phi = np.asarray(self.phi, dtype=np.float64)
+        # C order, so stacks of maps reduce in the same order whatever built them
+        self.phi = np.ascontiguousarray(self.phi, dtype=np.float64)
         if not np.all(np.isfinite(self.phi)):
             raise ValueError("attribution map contains non-finite values")
 
@@ -51,6 +54,8 @@ class ShapConfig:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
         if not self.noise_std >= 0:  # also rejects NaN
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if self.noise_std > 0 and self.engine != "gradient":
+            raise ValueError(f"noise_std applies only to the gradient engine, not {self.engine!r}")
 
 
 class ClassLogit:
@@ -68,28 +73,43 @@ class ClassLogit:
         return self.model.logits_np(batch)[:, self.class_id]
 
     def gradient(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (values, d value / d input) for each row of the batch."""
+        """Return (values, d value / d input) for each row; no parameter gradient is filled."""
         values = np.empty(len(batch))
         grads = np.empty_like(batch, dtype=np.float64)
         selector = np.zeros((self.model.spec.num_classes, 1))
         selector[self.class_id, 0] = 1.0
-        for lo in range(0, len(batch), CHUNK_SIZE):
-            chunk = batch[lo:lo + CHUNK_SIZE]
-            x = Tensor(chunk, requires_grad=True)
-            logits = self.model.forward(x)
-            values[lo:lo + len(chunk)] = logits.data[:, self.class_id]
-            (logits @ Tensor(selector)).sum().backward()
-            grads[lo:lo + len(chunk)] = x.grad
+        params = list(self.model.trainable_parameters().values())
+        for p in params:
+            p.requires_grad = False
+        try:
+            for lo in range(0, len(batch), CHUNK_SIZE):
+                chunk = batch[lo:lo + CHUNK_SIZE]
+                x = Tensor(chunk, requires_grad=True)
+                logits = self.model.forward(x)
+                values[lo:lo + len(chunk)] = logits.data[:, self.class_id]
+                (logits @ Tensor(selector)).sum().backward()
+                grads[lo:lo + len(chunk)] = x.grad
+        finally:
+            for p in params:
+                p.requires_grad = True
         return values, grads
 
 
-def _background_inputs(background) -> np.ndarray:
-    if isinstance(background, LabeledDataset):
-        background = background.inputs
+def _background_inputs(background, item_shape: tuple) -> np.ndarray:
     background = np.asarray(background, dtype=np.float64)
     if len(background) == 0:
         raise ValueError("background set is empty")
+    if background.shape[1:] != item_shape:
+        raise ValueError(f"background item shape {background.shape[1:]} != input shape {item_shape}")
     return background
+
+
+def _game_map(f, phi, phi0, shape: tuple, multi: bool, stderr=None) -> AttributionMap:
+    """Package per-game (games, features) results; a single-output f drops the games axis."""
+    shape = (phi.shape[:1] if multi else ()) + shape
+    return AttributionMap(phi.reshape(shape), phi0 if multi else float(phi0[0]),
+                          class_id=getattr(f, "class_id", -1),
+                          stderr=None if stderr is None else stderr.reshape(shape))
 
 
 # -- exact engine ---------------------------------------------------------------
@@ -106,6 +126,7 @@ def exact_shapley(
     replaced by the baseline), by enumerating all 2^K coalitions.
 
     phi0 = v(empty set) = f(baseline); efficiency phi0 + sum(phi) = f(x).
+    An f with (rows, outputs) values plays one such game per output column.
     """
     x = np.asarray(x, dtype=np.float64)
     baseline = np.asarray(baseline, dtype=np.float64)
@@ -121,27 +142,30 @@ def exact_shapley(
     n_masks = 1 << k
     feature_bits = np.arange(k)
 
-    v = np.empty(n_masks)
+    chunks = []
+    sizes = np.empty(n_masks, dtype=np.int64)  # coalition size of each mask
     for lo in range(0, n_masks, eval_batch):
         masks = np.arange(lo, min(lo + eval_batch, n_masks), dtype=np.int64)
         bits = ((masks[:, None] >> feature_bits[None, :]) & 1).astype(bool)
+        sizes[lo:lo + len(masks)] = bits.sum(axis=1)
         rows = np.where(bits, flat_x[None, :], flat_b[None, :])
-        v[lo:lo + len(masks)] = np.asarray(f(rows.reshape((-1,) + x.shape)), dtype=np.float64)
+        chunks.append(np.asarray(f(rows.reshape((-1,) + x.shape)), dtype=np.float64))
+    v = np.concatenate(chunks)
+    multi = v.ndim == 2
+    v = np.ascontiguousarray(v.reshape(n_masks, -1).T)  # one row of coalition values per game
 
     all_masks = np.arange(n_masks, dtype=np.int64)
-    sizes = np.zeros(n_masks, dtype=np.int64)
-    for j in range(k):
-        sizes += (all_masks >> j) & 1
 
     fact = [math.factorial(i) for i in range(k + 1)]
     weights = np.array([fact[s] * fact[k - s - 1] / fact[k] for s in range(k)])
 
-    phi = np.empty(k)
+    phi = np.empty((len(v), k))
     for j in range(k):
         without = all_masks[(all_masks >> j) & 1 == 0]
-        phi[j] = np.sum(weights[sizes[without]] * (v[without | (1 << j)] - v[without]))
-    return AttributionMap(phi.reshape(x.shape), float(v[0]),
-                          class_id=getattr(f, "class_id", -1))
+        terms = weights[sizes[without]] * (v[:, without | (1 << j)] - v[:, without])
+        # contiguous rows keep the sum pairwise, as for a single game
+        phi[:, j] = np.ascontiguousarray(terms).sum(axis=-1)
+    return _game_map(f, phi, v[:, 0], x.shape, multi)
 
 
 # -- permutation-sampling engine ----------------------------------------------------
@@ -160,48 +184,43 @@ def sampling_shapley(
     background, then credits each feature its marginal contribution when
     added in permutation order. Unbiased for the exact values under the
     same baseline distribution; ``stderr`` carries the per-feature MC error.
+    An f with (rows, outputs) values plays one game per output column, all
+    on the same permutations and baselines.
     """
     x = np.asarray(x, dtype=np.float64)
-    bg = _background_inputs(background)
-    if bg.shape[1:] != x.shape:
-        raise ValueError(f"background item shape {bg.shape[1:]} != input shape {x.shape}")
+    bg = _background_inputs(background, x.shape)
     k = x.size
     flat_x = x.ravel()
     flat_bg = bg.reshape(len(bg), k)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
     n = config.n_samples
+    base_values = np.asarray(f(bg), dtype=np.float64)
+    multi = base_values.ndim == 2
+    phi0 = np.array([np.mean(column) for column in base_values.reshape(len(bg), -1).T])
 
-    mean = np.zeros(k)
-    m2 = np.zeros(k)  # Welford accumulation over per-permutation contributions
+    mean = np.zeros((len(phi0), k))
+    m2 = np.zeros_like(mean)  # Welford accumulation over per-permutation contributions
     seen = 0
     steps = np.arange(k + 1)[:, None]
     for lo in range(0, n, block):
         count = min(block, n - lo)
         rows = np.empty((count, k + 1, k))
-        order = np.empty((count, k), dtype=np.int64)
+        pos = np.empty((count, k), dtype=np.int64)  # step at which each feature joins
         for s in range(count):
-            perm = rng.permutation(k)
+            pos[s] = np.argsort(rng.permutation(k))
             base = flat_bg[rng.integers(len(flat_bg))]
-            pos = np.empty(k, dtype=np.int64)
-            pos[perm] = np.arange(k)
-            rows[s] = np.where(pos[None, :] < steps, flat_x[None, :], base[None, :])
-            order[s] = perm
+            rows[s] = np.where(pos[s][None, :] < steps, flat_x[None, :], base[None, :])
         vals = np.asarray(f(rows.reshape((-1,) + x.shape)), dtype=np.float64)
-        vals = vals.reshape(count, k + 1)
-        contribs = np.diff(vals, axis=1)
+        contribs = np.diff(vals.reshape(count, k + 1, -1), axis=1)
         for s in range(count):
             seen += 1
-            sample = np.empty(k)
-            sample[order[s]] = contribs[s]
+            sample = contribs[s, pos[s]].T
             delta = sample - mean
             mean += delta / seen
             m2 += delta * (sample - mean)
 
     stderr = np.sqrt(m2 / max(seen - 1, 1) / seen)
-    phi0 = float(np.mean(f(bg)))
-    return AttributionMap(mean.reshape(x.shape), phi0,
-                          class_id=getattr(f, "class_id", -1),
-                          stderr=stderr.reshape(x.shape))
+    return _game_map(f, mean, phi0, x.shape, multi, stderr)
 
 
 # -- expected-gradients engine ---------------------------------------------------------
@@ -222,9 +241,7 @@ def expected_gradients(model: Model, xs: np.ndarray, background, config: ShapCon
     ``class_ids`` order, and phi0 shaped (classes,).
     """
     xs = np.asarray(xs, dtype=np.float64)
-    bg = _background_inputs(background)
-    if bg.shape[1:] != xs.shape[1:]:
-        raise ValueError(f"background item shape {bg.shape[1:]} != input shape {xs.shape[1:]}")
+    bg = _background_inputs(background, xs.shape[1:])
     n = config.n_samples
     points = np.empty((len(xs) * n,) + xs.shape[1:])
     diffs = np.empty_like(points)
@@ -261,31 +278,26 @@ def gradient_shap(f: ClassLogit, x: np.ndarray, background, config: ShapConfig) 
 # -- per-class dispatch -----------------------------------------------------------------
 
 
-def explain_all_classes(model: Model, x: np.ndarray, background,
-                        config: ShapConfig) -> list[AttributionMap]:
-    """One raw (unclamped) attribution map per output unit.
+def explain_all_classes(model: Model, xs: np.ndarray, background, config: ShapConfig,
+                        seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Raw (unclamped) maps of every output unit for every probe, by any engine.
 
-    Each class re-seeds the estimator from the same config seed, so all
-    classes see identical baseline/interpolation draws and the resulting
-    maps are directly comparable.
+    Probe p draws from ``seeds[p]`` and all classes share its draws; the exact
+    and sampling engines play the class logits as one multi-output game, so
+    each row set runs through the model once.
+
+    Returns phi shaped (classes, probes, *input shape) and phi0 shaped (classes,).
     """
-    bg = _background_inputs(background)
-    num_classes = model.spec.num_classes
+    xs = np.asarray(xs, dtype=np.float64)
+    bg = _background_inputs(background, xs.shape[1:])
     if config.engine == "gradient":
-        phi, phi0 = expected_gradients(model, np.asarray(x)[None], bg, config,
-                                       [config.seed], range(num_classes))
-        return [AttributionMap(phi[c, 0], float(phi0[c]), class_id=c)
-                for c in range(num_classes)]
-    maps = []
-    for class_id in range(num_classes):
-        f = ClassLogit(model, class_id)
-        if config.engine == "exact":
-            attribution = exact_shapley(f, x, bg.mean(axis=0))
-        else:
-            attribution = sampling_shapley(f, x, bg, config)
-        attribution.class_id = class_id
-        maps.append(attribution)
-    return maps
+        return expected_gradients(model, xs, bg, config, seeds, range(model.spec.num_classes))
+    if config.engine == "exact":
+        maps = [exact_shapley(model.logits_np, x, bg.mean(axis=0)) for x in xs]
+    else:
+        maps = [sampling_shapley(model.logits_np, x, bg, replace(config, seed=seed))
+                for x, seed in zip(xs, seeds)]
+    return np.stack([m.phi for m in maps], axis=1), maps[0].phi0
 
 
 def per_example_config(config: ShapConfig, example_index: int) -> ShapConfig:

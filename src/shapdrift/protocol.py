@@ -20,7 +20,6 @@ from .data import EvaluationSlice, ExperienceStream
 from .explainers import (
     AttributionMap,
     ShapConfig,
-    expected_gradients,
     explain_all_classes,
     per_example_config,
 )
@@ -228,18 +227,10 @@ def _snapshot_maps(model, probes, background: np.ndarray,
     """Raw (unclamped) per-class maps for every probe under one weight snapshot.
 
     Returns phi shaped (classes, probes, *input shape), so each class's probes
-    are contiguous for scoring, and phi0 shaped (classes,). Probe p is seeded
-    by ``per_example_config(shap, p)`` whatever the engine.
+    are contiguous for scoring, and phi0 shaped (classes,).
     """
-    num_classes = model.spec.num_classes
-    configs = [per_example_config(shap, p) for p in range(len(probes.inputs))]
-    if shap.engine == "gradient":
-        return expected_gradients(model, probes.inputs, background, shap,
-                                  [c.seed for c in configs], range(num_classes))
-    per_probe = [explain_all_classes(model, x, background, cfg)
-                 for x, cfg in zip(probes.inputs, configs)]
-    phi = np.stack([np.stack([m.phi for m in maps]) for maps in per_probe], axis=1)
-    return phi, np.array([m.phi0 for m in per_probe[0]])
+    seeds = [per_example_config(shap, p).seed for p in range(len(probes.inputs))]
+    return explain_all_classes(model, probes.inputs, background, shap, seeds)
 
 
 def _train_strategy(strategy: str, spec: ModelSpec, stream: ExperienceStream,

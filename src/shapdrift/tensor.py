@@ -66,9 +66,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
@@ -128,9 +125,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
 
     def sum(self, axis=None):
         return tsum(self, axis)
@@ -222,8 +216,8 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
-def _sigmoid_np(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
+def _sigmoid_np(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.divide(1.0, 1.0 + np.exp(-z), out=out)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -341,18 +335,19 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
     x_data, w_ih_data, w_hh_data = x.data, w_ih.data, w_hh.data
     h = np.zeros((batch, hs))
     c = np.zeros((batch, hs))
-    cache = []
+    # one block per call: fresh arrays each step, freed at once, made malloc trim the heap
+    cache = np.empty((steps if track else 1, 7, batch, hs))
     for t in range(steps):
-        z = x_data[:, t, :] @ w_ih_data + h @ w_hh_data + bias.data
-        i = _sigmoid_np(z[:, :hs])
-        f = _sigmoid_np(z[:, hs:2 * hs])
-        g = np.tanh(z[:, 2 * hs:3 * hs])
-        o = _sigmoid_np(z[:, 3 * hs:])
-        c_prev = c
-        c = f * c + i * g
-        tc = np.tanh(c)
+        s = cache[t if track else 0]
         if track:
-            cache.append((h, c_prev, i, f, g, o, tc))
+            s[0], s[1] = h, c  # h_prev, c_prev
+        z = x_data[:, t, :] @ w_ih_data + h @ w_hh_data + bias.data
+        i = _sigmoid_np(z[:, :hs], s[2])
+        f = _sigmoid_np(z[:, hs:2 * hs], s[3])
+        g = np.tanh(z[:, 2 * hs:3 * hs], out=s[4])
+        o = _sigmoid_np(z[:, 3 * hs:], s[5])
+        c = f * c + i * g
+        tc = np.tanh(c, out=s[6])
         h = o * tc
 
     out = _make(h, parents, "lstm")

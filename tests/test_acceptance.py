@@ -424,9 +424,9 @@ def test_08_lstm_replay_drifts_more_than_esn(lstm_reports, esn_reports):
         before = reservoir_checksum(model)
         train_replay(model, stream, ESN_OPT, ReplayBuffer(2000), seed=train_seed)
         eval_slice = make_slice(stream, background_n=48, probes_per_class=4, seed=seed)
-        explain_all_classes(model, eval_slice.probes.inputs[0],
+        explain_all_classes(model, eval_slice.probes.inputs[:1],
                             eval_slice.background.inputs,
-                            ShapConfig("gradient", n_samples=8, seed=shap_seed))
+                            ShapConfig("gradient", n_samples=8, seed=shap_seed), [shap_seed])
         assert reservoir_checksum(model) == before, f"reservoir changed, seed {seed}"
     print("PASS: LSTM replay drift exceeds ESN at comparable accuracy; reservoir frozen")
 

@@ -169,6 +169,8 @@ def test_validate_verb(tmp_path, capsys):
                              ({"optimizer": {"batch_size": 2.5}}, "batch_size"),
                              ({"optimizer": {"lr": float("nan")}}, "lr"),
                              ({"shap": {"noise_std": float("nan")}}, "noise_std"),
+                             ({"shap": dict(shap, engine="sampling", noise_std=0.5)},
+                              "noise_std"),
                              ({"model": {"esn_leak": "x"}}, "esn_leak"),
                              ({"model": {"hidden_size": 0}}, "hidden_size"),
                              ({"model": {"hidden_size": 2.5}}, "hidden_size"),

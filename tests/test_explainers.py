@@ -1,6 +1,8 @@
 """Attribution engine tests: hand-computed games, Shapley axioms,
 Monte-Carlo error bounds, and linear-model exactness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -208,9 +210,9 @@ def test_explain_all_classes_covers_every_class():
     model = mlp(k=6, classes=4, seed=5)
     rng = np.random.default_rng(1)
     x, bg = rng.normal(size=6), rng.normal(size=(8, 6))
-    maps = explain_all_classes(model, x, bg, ShapConfig("gradient", n_samples=20, seed=2))
-    assert [m.class_id for m in maps] == [0, 1, 2, 3]
-    assert all(m.phi.shape == (6,) for m in maps)
+    phi, phi0 = explain_all_classes(model, x[None], bg,
+                                    ShapConfig("gradient", n_samples=20, seed=2), [2])
+    assert phi.shape == (4, 1, 6) and phi0.shape == (4,)
 
 
 def test_explain_all_classes_shares_draws_across_classes():
@@ -220,10 +222,11 @@ def test_explain_all_classes_shares_draws_across_classes():
     rng = np.random.default_rng(4)
     x, bg = rng.normal(size=5), rng.normal(size=(6, 5))
     cfg = ShapConfig("gradient", n_samples=15, seed=9)
-    maps = explain_all_classes(model, x, bg, cfg)
-    for class_id, amap in enumerate(maps):
+    phi, phi0 = explain_all_classes(model, x[None], bg, cfg, [cfg.seed])
+    for class_id in range(3):
         direct = gradient_shap(ClassLogit(model, class_id), x, bg, cfg)
-        np.testing.assert_array_equal(amap.phi, direct.phi)
+        np.testing.assert_array_equal(phi[class_id, 0], direct.phi)
+        assert phi0[class_id] == direct.phi0
 
 
 def test_explain_all_classes_dispatches_every_engine():
@@ -231,8 +234,62 @@ def test_explain_all_classes_dispatches_every_engine():
     rng = np.random.default_rng(6)
     x, bg = rng.normal(size=4), rng.normal(size=(5, 4))
     for engine in ("exact", "sampling", "gradient"):
-        maps = explain_all_classes(model, x, bg, ShapConfig(engine, n_samples=10, seed=1))
-        assert [m.class_id for m in maps] == [0, 1]
+        phi, phi0 = explain_all_classes(model, x[None], bg,
+                                        ShapConfig(engine, n_samples=10, seed=1), [1])
+        assert phi.shape == (2, 1, 4) and phi0.shape == (2,)
+
+
+@pytest.mark.parametrize("engine,spec", [
+    ("exact", ModelSpec("mlp", (1, 4, 4), 3, seed=1, hidden=(5,))),
+    ("exact", ModelSpec("mlp", (3, 4), 4, seed=2, hidden=(6,))),
+    ("exact", ModelSpec("cnn2d", (1, 4, 4), 3, seed=3, conv_channels=(2, 2), conv_kernel=1,
+                        dense_width=4)),
+    ("sampling", ModelSpec("mlp", (3, 4), 4, seed=4, hidden=(6,))),
+    ("sampling", ModelSpec("cnn2d", (1, 12, 12), 10, seed=5, conv_channels=(3, 4))),
+])
+def test_multi_output_game_equals_one_game_per_class(engine, spec):
+    # the all-classes game, through the dispatcher and through the engine
+    # itself, gives each class bit for bit its own single-output game
+    model = build_model(spec)
+    rng = np.random.default_rng(21)
+    xs = rng.normal(size=(3,) + spec.input_shape)
+    bg = rng.normal(size=(6,) + spec.input_shape)
+    cfg = ShapConfig(engine, n_samples=12, seed=4)
+    seeds = [per_example_config(cfg, p).seed for p in range(len(xs))]
+    phi, phi0 = explain_all_classes(model, xs, bg, cfg, seeds)
+    assert phi.shape == (spec.num_classes, len(xs)) + spec.input_shape
+    assert phi.flags.c_contiguous
+    for p, (x, seed) in enumerate(zip(xs, seeds)):
+        if engine == "exact":
+            engine_call = lambda f: exact_shapley(f, x, bg.mean(axis=0))
+        else:
+            engine_call = lambda f: sampling_shapley(f, x, bg, replace(cfg, seed=seed))
+        joint = engine_call(model.logits_np)
+        assert joint.phi.shape == (spec.num_classes,) + spec.input_shape
+        for c in range(spec.num_classes):
+            direct = engine_call(ClassLogit(model, c))
+            assert direct.class_id == c
+            np.testing.assert_array_equal(phi[c, p], direct.phi)
+            np.testing.assert_array_equal(joint.phi[c], direct.phi)
+            assert phi0[c] == direct.phi0 and joint.phi0[c] == direct.phi0
+            if engine == "sampling":
+                np.testing.assert_array_equal(joint.stderr[c], direct.stderr)
+
+
+@pytest.mark.parametrize("spec", [ModelSpec("mlp", (6,), 3, seed=1, hidden=(5,)),
+                                  ModelSpec("lstm", (5, 3), 3, seed=2, hidden_size=4)])
+def test_gradient_attribution_fills_no_parameter_grad(spec):
+    model = build_model(spec)
+    names = list(model.trainable_parameters())
+    rng = np.random.default_rng(3)
+    xs, bg = rng.normal(size=(2,) + spec.input_shape), rng.normal(size=(4,) + spec.input_shape)
+    explain_all_classes(model, xs, bg, ShapConfig("gradient", n_samples=5, seed=0), [0, 1])
+    assert all(p.grad is None for p in model.params.values())
+    assert list(model.trainable_parameters()) == names
+    # a call that raises restores the flags too
+    with pytest.raises(ValueError, match="batch shape"):
+        ClassLogit(model, 0).gradient(np.zeros((2, 7)))
+    assert list(model.trainable_parameters()) == names
 
 
 def test_per_example_config_is_deterministic_and_distinct():

@@ -223,21 +223,22 @@ def test_sequence_stream_reports_m_only():
     assert len(report.rows) == 2 * 2 * 4
 
 
-def test_batched_maps_match_per_probe_engine_calls():
+@pytest.mark.parametrize("engine", ["exact", "sampling", "gradient"])
+def test_batched_maps_match_per_probe_engine_calls(engine):
     # batching probes into one engine call must not change any probe's map
-    data = synth_images(2, 12, side=8, seed=2)
+    side = 4 if engine == "exact" else 8  # exact enumerates 2^(side^2) coalitions
+    data = synth_images(2, 12, side=side, seed=2)
     stream = build_stream(data, 1)
     slice_ = make_slice(stream, background_n=8, probes_per_class=2, seed=0)
-    model = build_model(ModelSpec("mlp", (1, 8, 8), 2, seed=5, hidden=(8,)))
-    shap = ShapConfig("gradient", n_samples=6, seed=11)
+    model = build_model(ModelSpec("mlp", (1, side, side), 2, seed=5, hidden=(8,)))
+    shap = ShapConfig(engine, n_samples=6, seed=11)
     batched, phi0 = _snapshot_maps(model, slice_.probes, slice_.background.inputs, shap)
-    assert batched.shape == (2, len(slice_.probes.inputs), 1, 8, 8)
+    assert batched.shape == (2, len(slice_.probes.inputs), 1, side, side)
     for p, x in enumerate(slice_.probes.inputs):
-        direct = explain_all_classes(model, x, slice_.background.inputs,
-                                     per_example_config(shap, p))
-        for c in range(2):
-            np.testing.assert_allclose(batched[c, p], direct[c].phi, atol=1e-12)
-            assert phi0[c] == pytest.approx(direct[c].phi0, abs=1e-12)
+        direct, direct_phi0 = explain_all_classes(model, x[None], slice_.background.inputs,
+                                                  shap, [per_example_config(shap, p).seed])
+        np.testing.assert_array_equal(batched[:, p], direct[:, 0])
+        np.testing.assert_array_equal(phi0, direct_phi0)
 
 
 def test_protocol_validation_errors():

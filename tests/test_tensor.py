@@ -21,9 +21,9 @@ def fd_check(make_loss, leaves, rng, coords_per_leaf=4, step=1e-5, rel_tol=1e-4)
         for idx in coords:
             orig = flat[idx]
             flat[idx] = orig + step
-            up = make_loss().item()
+            up = float(make_loss().data)
             flat[idx] = orig - step
-            down = make_loss().item()
+            down = float(make_loss().data)
             flat[idx] = orig
             fd = (up - down) / (2 * step)
             ad = grad.reshape(-1)[idx]
@@ -46,7 +46,7 @@ def test_matmul_shape_error_names_both_shapes():
 
 
 def test_tanh_at_origin():
-    assert tn.tanh(Tensor(0.0)).item() == 0.0
+    assert float(tn.tanh(Tensor(0.0)).data) == 0.0
 
 
 def test_add_broadcast_mismatch_error():
@@ -383,7 +383,7 @@ def test_primitive_gradients_match_finite_differences(seed):
 def test_softmax_cross_entropy_value():
     logits = Tensor(np.log(np.array([[1.0, 1.0, 2.0]])))
     loss = tn.softmax_cross_entropy(logits, np.array([2]))
-    assert np.isclose(loss.item(), -np.log(0.5))
+    assert np.isclose(float(loss.data), -np.log(0.5))
 
 
 def test_determinism_bit_identical():
@@ -395,7 +395,7 @@ def test_determinism_bit_identical():
         b = Tensor(rng.normal(size=(6, 6)))
         loss = (tn.tanh(a @ b)).sum()
         loss.backward()
-        return loss.item(), a.grad.copy()
+        return float(loss.data), a.grad.copy()
 
     l1, g1 = run(rng1)
     l2, g2 = run(rng2)
