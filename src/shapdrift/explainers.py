@@ -52,8 +52,8 @@ class ShapConfig:
         require_numbers(self, n_samples=Integral, seed=Integral, noise_std=Real)
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        if not self.noise_std >= 0:  # also rejects NaN
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 0 <= self.noise_std < np.inf:  # also rejects NaN
+            raise ValueError(f"noise_std must be >= 0 and finite, got {self.noise_std}")
         if self.noise_std > 0 and self.engine != "gradient":
             raise ValueError(f"noise_std applies only to the gradient engine, not {self.engine!r}")
 

@@ -23,6 +23,7 @@ from .tensor import (
     no_grad,
     relu,
     reshape,
+    softmax_cross_entropy,
     swap_last2,
     tanh,
     time_slice,
@@ -157,6 +158,28 @@ class Model:
                 out[lo:lo + CHUNK_SIZE] = self.forward(Tensor(batch[lo:lo + CHUNK_SIZE])).data
         return out
 
+    def example_gradients(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Each row's softmax cross-entropy loss gradient as a (rows, P) array.
+
+        A row is flattened over ``trainable_parameters()`` in sorted-name
+        order. This is one batch-1 taped forward and backward pass per row;
+        every parameter's ``grad`` is left ``None``.
+        """
+        params = self.trainable_parameters()
+        names = sorted(params)
+        out = np.zeros((len(xs), sum(params[name].size for name in names)))
+        for r in range(len(xs)):
+            softmax_cross_entropy(self.forward(Tensor(xs[r:r + 1])),
+                                  np.asarray(ys[r:r + 1], dtype=np.int64)).backward()
+            lo = 0
+            for name in names:
+                p = params[name]
+                if p.grad is not None:
+                    out[r, lo:lo + p.size] = p.grad.ravel()
+                    p.grad = None
+                lo += p.size
+        return out
+
     def state_dict(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.params.items()}
 
@@ -197,6 +220,49 @@ class Mlp(Model):
             if i < self.n_layers - 1:
                 h = self.act(h)
         return h
+
+    def example_gradients(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """``Model.example_gradients`` in one numpy pass over all rows.
+
+        It repeats the tape's batch-1 arithmetic, so the result is equal bit
+        for bit. Products with a weight matrix take the rows as a stack of
+        (1, K) operands, which ``np.matmul`` evaluates with the same kernel as
+        one (1, K) matrix; a (rows, K) operand would use another kernel and
+        change the last bits. Elementwise steps run on all rows at once. A
+        weight gradient is the outer product of each row's layer input and
+        its back-propagated error (Goodfellow 2015, arXiv:1510.01799).
+        """
+        self._check_batch(xs)
+        rows = len(xs)
+        params = self.trainable_parameters()
+        out = np.empty((rows, sum(p.size for p in params.values())))
+        block, lo = {}, 0
+        for name in sorted(params):
+            block[name] = out[:, lo:lo + params[name].size].reshape(rows, *params[name].shape)
+            lo += params[name].size
+        tanh_act = self.spec.activation == "tanh"
+        h = np.asarray(xs, dtype=np.float64).reshape(rows, 1, -1)
+        inputs = []
+        for i in range(self.n_layers):
+            inputs.append(h)
+            h = h @ self.params[f"w{i}"].data + self.params[f"b{i}"].data
+            if i < self.n_layers - 1:
+                h = np.tanh(h) if tanh_act else np.maximum(h, 0.0)
+        # softmax minus one-hot: the loss gradient of a batch of one
+        z = h - h.max(axis=2, keepdims=True)
+        ez = np.exp(z)
+        g = ez / ez.sum(axis=2, keepdims=True)
+        g[np.arange(rows), 0, np.asarray(ys, dtype=np.int64)] -= 1.0
+        for i in reversed(range(self.n_layers)):
+            block[f"b{i}"][:] = g[:, 0]
+            # no index is summed, so each entry is one rounded product, as in
+            # the tape's (K, 1) @ (1, N)
+            np.einsum("rk,rn->rkn", inputs[i][:, 0], g[:, 0], out=block[f"w{i}"])
+            if i > 0:
+                g = g @ self.params[f"w{i}"].data.T
+                t = inputs[i]  # relu's output is positive exactly where its input is
+                g = g * (1.0 - t * t) if tanh_act else g * (t > 0)
+        return out
 
 
 class Cnn2d(Model):

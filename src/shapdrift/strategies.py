@@ -33,8 +33,8 @@ class OptConfig:
 
     def __post_init__(self):
         require_numbers(self, lr=Real, batch_size=Integral, epochs=Integral)
-        if not self.lr > 0:  # also rejects NaN
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:  # also rejects NaN
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
 
@@ -68,7 +68,8 @@ class ReplayBuffer:
     candidate is admitted to a full buffer only when the cosine similarity
     between its loss gradient and those of ``gss_n_sim`` randomly chosen
     stored entries stays below ``gss_tau``, in which case it replaces the
-    stored entry with the highest recorded similarity score.
+    stored entry with the highest recorded similarity score. Scoring is one
+    ``Model.example_gradients`` call per candidate (see ``gss_admit``).
     """
 
     def __init__(self, capacity: int, policy: str = "class_balanced",
@@ -145,24 +146,8 @@ class ReplayBuffer:
         return admitted
 
 
-def _flat_gradient(model: Model, x: np.ndarray, y: int) -> np.ndarray:
-    """Loss gradient of a single example, flattened over trainable parameters."""
-    loss = softmax_cross_entropy(model.forward(Tensor(x[None])),
-                                 np.asarray([y], dtype=np.int64))
-    loss.backward()
-    params = model.trainable_parameters()
-    flat = np.concatenate([
-        params[name].grad.ravel() if params[name].grad is not None
-        else np.zeros(params[name].data.size)
-        for name in sorted(params)
-    ])
-    for p in params.values():
-        p.grad = None
-    return flat
-
-
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    denom = np.linalg.norm(a) * np.linalg.norm(b)
+def _cosine(a: np.ndarray, norm_a: float, b: np.ndarray) -> float:
+    denom = norm_a * np.linalg.norm(b)
     return float(a @ b / denom) if denom > 0 else 0.0
 
 
@@ -172,19 +157,22 @@ def gss_admit(buffer: ReplayBuffer, x: np.ndarray, y: int, model: Model,
 
     The candidate's score is its maximum cosine similarity against the
     gradients (at current weights) of up to ``gss_n_sim`` stored entries.
-    A non-full buffer always admits; a full one admits only scores below
-    ``gss_tau`` and evicts the stored entry with the highest score.
+    The candidate's and the sampled entries' gradients come from one
+    ``model.example_gradients`` call: one batched pass for an MLP, one
+    batch-1 pass per row for the other architectures. A non-full buffer
+    always admits; a full one admits only scores below ``gss_tau`` and
+    evicts the stored entry with the highest score.
     """
-    grad_c = _flat_gradient(model, x, y)
     if len(buffer) == 0:
         score = 0.0
     else:
         sample = rng.choice(len(buffer), size=min(buffer.gss_n_sim, len(buffer)),
                             replace=False)
-        score = max(
-            _cosine(grad_c, _flat_gradient(model, buffer._inputs[i], buffer._labels[i]))
-            for i in sample
-        )
+        grads = model.example_gradients(
+            np.stack([x] + [buffer._inputs[i] for i in sample]),
+            np.asarray([y] + [buffer._labels[i] for i in sample], dtype=np.int64))
+        norm_c = np.linalg.norm(grads[0])
+        score = max(_cosine(grads[0], norm_c, g) for g in grads[1:])
     if len(buffer) < buffer.capacity:
         buffer._inputs.append(np.array(x))
         buffer._labels.append(int(y))
@@ -203,16 +191,17 @@ def gss_admit(buffer: ReplayBuffer, x: np.ndarray, y: int, model: Model,
 
 
 def _run_epochs(model: Model, inputs: np.ndarray, labels: np.ndarray,
-                opt: OptConfig, rng: np.random.Generator,
+                opt: OptConfig, rng: np.random.Generator, stage: str,
                 replay: ReplayBuffer | None = None) -> float:
     """Mini-batch SGD for opt.epochs passes; returns the last epoch's mean loss.
 
     With a replay buffer attached, every batch is extended 1:1 with memory
     samples, and a gss_greedy buffer additionally screens a few candidates
-    from each fresh batch after the step.
+    from each fresh batch after the step. ``stage`` names the strategy and
+    experience in the ``TrainingDiverged`` message.
     """
     final_loss = float("nan")
-    for _ in range(opt.epochs):
+    for epoch in range(opt.epochs):
         order = rng.permutation(len(inputs))
         losses = []
         for lo in range(0, len(order), opt.batch_size):
@@ -225,7 +214,8 @@ def _run_epochs(model: Model, inputs: np.ndarray, labels: np.ndarray,
             loss = softmax_cross_entropy(model.forward(Tensor(bx)), by)
             value = float(loss.data)
             if not np.isfinite(value):
-                raise TrainingDiverged(f"loss became {value} during training")
+                raise TrainingDiverged(f"loss became {value} during training "
+                                       f"({stage}, epoch {epoch + 1} of {opt.epochs})")
             loss.backward()
             sgd_step(model, opt.lr)
             losses.append(value)
@@ -275,9 +265,9 @@ def train_naive(model: Model, stream: ExperienceStream, opt: OptConfig,
     log = TrainLog("naive", [exp.classes for exp in stream.experiences])
     for e, exp in enumerate(stream.experiences):
         rng = np.random.default_rng(np.random.SeedSequence([seed, e]))
-        log.final_losses.append(
-            _run_epochs(model, exp.train.inputs, exp.train.labels, opt, rng)
-        )
+        log.final_losses.append(_run_epochs(
+            model, exp.train.inputs, exp.train.labels, opt, rng,
+            f"naive, experience {e + 1} of {len(stream)}"))
         _snapshot(model, log, stream)
     return log
 
@@ -289,10 +279,9 @@ def train_replay(model: Model, stream: ExperienceStream, opt: OptConfig,
     log = TrainLog(strategy, [exp.classes for exp in stream.experiences])
     for e, exp in enumerate(stream.experiences):
         rng = np.random.default_rng(np.random.SeedSequence([seed, e]))
-        log.final_losses.append(
-            _run_epochs(model, exp.train.inputs, exp.train.labels, opt, rng,
-                        replay=buffer)
-        )
+        log.final_losses.append(_run_epochs(
+            model, exp.train.inputs, exp.train.labels, opt, rng,
+            f"{strategy}, experience {e + 1} of {len(stream)}", replay=buffer))
         if buffer.policy == "class_balanced":
             buffer.rebalance(exp.train, rng)
         _snapshot(model, log, stream)
@@ -310,6 +299,7 @@ def train_joint(model: Model, stream: ExperienceStream, opt: OptConfig,
     inputs = np.concatenate([exp.train.inputs for exp in stream.experiences])
     labels = np.concatenate([exp.train.labels for exp in stream.experiences])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    log.final_losses.append(_run_epochs(model, inputs, labels, opt, rng))
+    log.final_losses.append(_run_epochs(model, inputs, labels, opt, rng,
+                                        f"joint, all {len(stream)} experiences"))
     _snapshot(model, log, stream)
     return log

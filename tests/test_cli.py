@@ -169,6 +169,8 @@ def test_validate_verb(tmp_path, capsys):
                              ({"optimizer": {"batch_size": 2.5}}, "batch_size"),
                              ({"optimizer": {"lr": float("nan")}}, "lr"),
                              ({"shap": {"noise_std": float("nan")}}, "noise_std"),
+                             ({"optimizer": {"lr": float("inf")}}, "lr"),
+                             ({"shap": {"noise_std": float("inf")}}, "noise_std"),
                              ({"shap": dict(shap, engine="sampling", noise_std=0.5)},
                               "noise_std"),
                              ({"model": {"esn_leak": "x"}}, "esn_leak"),
@@ -303,6 +305,16 @@ def test_parallel_workers_match_serial(tmp_path):
         a = (serial_out / f"seed_{seed}" / "drift.csv").read_bytes()
         b = (par_out / f"seed_{seed}" / "drift.csv").read_bytes()
         assert a == b
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_reports_where_training_diverged(tmp_path, capsys):
+    cfg = tiny_config(output_dir=str(tmp_path / "out"),
+                      model={"architecture": "mlp", "hidden": [8], "activation": "relu"},
+                      optimizer={"lr": 1e300, "batch_size": 16, "epochs": 1})
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().err == (
+        "error: loss became nan during training (joint, all 2 experiences, epoch 1 of 1)\n")
 
 
 def test_report_verb_reemits_curves(tmp_path):

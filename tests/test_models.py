@@ -236,6 +236,61 @@ def test_input_gradient_matches_finite_differences(arch):
         assert abs(fd - ad) / max(abs(fd), abs(ad), 1e-3) <= 1e-4
 
 
+# -- per-example loss gradients ------------------------------------------------------
+
+
+def parameter_snapshot(model):
+    return {name: (p.requires_grad, p.data.copy())
+            for name, p in model.trainable_parameters().items()}
+
+
+def assert_parameters_untouched(model, before):
+    after = model.trainable_parameters()
+    assert list(after) == list(before)
+    for name, p in after.items():
+        assert p.grad is None
+        assert p.requires_grad == before[name][0]
+        np.testing.assert_array_equal(p.data, before[name][1])
+
+
+@pytest.mark.parametrize("arch", md.ARCHITECTURES)
+def test_example_gradients_lay_out_each_rows_tape_gradient(arch):
+    model = build_model(make_spec(arch))
+    rng = np.random.default_rng(5)
+    xs = rng.normal(size=(3,) + model.spec.input_shape)
+    ys = np.array([0, 3, 1])
+    before = parameter_snapshot(model)
+    grads = model.example_gradients(xs, ys)
+    assert_parameters_untouched(model, before)
+    params = model.trainable_parameters()
+    assert grads.shape == (3, sum(p.size for p in params.values()))
+    for r in range(3):
+        softmax_cross_entropy(model.forward(Tensor(xs[r:r + 1])), ys[r:r + 1]).backward()
+        expected = np.concatenate([params[name].grad.ravel() for name in sorted(params)])
+        for p in params.values():
+            p.grad = None
+        np.testing.assert_array_equal(grads[r], expected)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(32,), (16, 8), (16, 8, 8)])
+@pytest.mark.parametrize("rows", [1, 2, 11, 40])
+def test_mlp_example_gradients_equal_the_tape_loop(activation, hidden, rows):
+    model = build_model(make_spec("mlp", input_shape=(1, 12, 12), num_classes=10,
+                                  hidden=hidden, activation=activation))
+    rng = np.random.default_rng(rows)
+    xs = rng.uniform(size=(rows, 1, 12, 12))
+    ys = rng.integers(0, 10, size=rows)
+    if rows > 2:  # one duplicated row
+        xs[-1], ys[-1] = xs[0], ys[0]
+    before = parameter_snapshot(model)
+    fast = model.example_gradients(xs, ys)
+    assert_parameters_untouched(model, before)
+    loop = md.Model.example_gradients(model, xs, ys)
+    assert_parameters_untouched(model, before)
+    np.testing.assert_array_equal(fast, loop)
+
+
 # -- state dicts -----------------------------------------------------------------------
 
 

@@ -4,8 +4,9 @@ rules, forgetting/retention behaviour, and determinism."""
 import numpy as np
 import pytest
 
+from shapdrift import strategies
 from shapdrift.data import build_stream, synth_images
-from shapdrift.models import ModelSpec, build_model
+from shapdrift.models import Mlp, Model, ModelSpec, build_model
 from shapdrift.strategies import (
     OptConfig,
     ReplayBuffer,
@@ -149,6 +150,43 @@ def test_gss_determinism():
     assert results[0] == results[1]
 
 
+def gss_on_a_filling_buffer(activation, hidden):
+    """A GSS run whose 120-slot buffer fills, so tau and eviction both act;
+    returns every admission decision and the final buffer."""
+    data = synth_images(10, 60, side=12, seed=0)
+    stream = build_stream(data, 5)
+    model = build_model(ModelSpec("mlp", data.inputs.shape[1:], 10,
+                                  hidden=hidden, activation=activation))
+    buf = ReplayBuffer(120, policy="gss_greedy")
+    decisions = []
+    admit = strategies.gss_admit
+
+    def recorded(*args):
+        decisions.append(admit(*args))
+        return decisions[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(strategies, "gss_admit", recorded)
+        train_replay(model, stream, OptConfig(0.2, 100, 20), buf, seed=0)
+    return decisions, buf
+
+
+@pytest.mark.parametrize("activation, hidden, admitted",
+                         [("tanh", (32,), 170), ("relu", (16, 8), 172)])
+def test_gss_decisions_on_a_filling_buffer_match_the_tape_loop(
+        activation, hidden, admitted, monkeypatch):
+    decisions, fast = gss_on_a_filling_buffer(activation, hidden)
+    # 200 candidates; the rejections and the evictions past slot 120 both happen
+    assert len(decisions) == 200 and sum(decisions) == admitted
+    assert len(fast) == fast.capacity
+    monkeypatch.setattr(Mlp, "example_gradients", Model.example_gradients)
+    loop_decisions, loop = gss_on_a_filling_buffer(activation, hidden)
+    assert decisions == loop_decisions
+    np.testing.assert_array_equal(np.stack(fast._inputs), np.stack(loop._inputs))
+    np.testing.assert_array_equal(fast.labels, loop.labels)
+    assert fast._scores == loop._scores
+
+
 # -- training strategies --------------------------------------------------------------
 
 
@@ -246,6 +284,22 @@ def test_divergence_is_reported():
     model.params["w0"].data[:] = np.inf
     with pytest.raises(TrainingDiverged):
         train_naive(model, stream, OptConfig(epochs=1), seed=0)
+
+
+@pytest.mark.parametrize("train, where", [
+    (lambda m, s, o: train_naive(m, s, o), "naive, experience 2 of 2, epoch 1 of 3"),
+    (lambda m, s, o: train_replay(m, s, o, ReplayBuffer(8)),
+     "er, experience 2 of 2, epoch 1 of 3"),
+    (lambda m, s, o: train_replay(m, s, o, ReplayBuffer(8, policy="gss_greedy")),
+     "gss, experience 2 of 2, epoch 1 of 3"),
+    (lambda m, s, o: train_joint(m, s, o), "joint, all 2 experiences, epoch 1 of 3"),
+])
+def test_divergence_names_strategy_experience_and_epoch(train, where):
+    stream = make_stream()
+    stream.experiences[1].train.inputs[3, 0, 2, 2] = np.nan  # one NaN input
+    with pytest.raises(TrainingDiverged) as info:
+        train(make_model(stream), stream, OptConfig(epochs=3))
+    assert str(info.value) == f"loss became nan during training ({where})"
 
 
 def test_trainlog_json_roundtrip(tmp_path):
