@@ -31,7 +31,7 @@ from .data import (
     synth_images,
     synth_sequences,
 )
-from .explainers import ShapConfig
+from .explainers import EXACT_MAX_FEATURES, ShapConfig
 from .models import ModelSpec
 from .protocol import POOL_ORDERS, DriftReport, aggregate, run_protocol
 from .strategies import STRATEGIES, OptConfig, ReplayBuffer
@@ -53,10 +53,15 @@ _DATA_DEFAULTS = {
     "user-sequences": {"path": None},
 }
 
+
+def _field_defaults(cls) -> dict:
+    """The defaults of the fields of dataclass ``cls`` that have one, seed excepted."""
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING and f.name != "seed"}
+
+
 # input_shape and num_classes come from the data; the run seed sets the model seed
-_MODEL_DEFAULTS = {"architecture": "mlp", **{
-    f.name: f.default for f in dataclasses.fields(ModelSpec)
-    if f.default is not dataclasses.MISSING and f.name != "seed"}}
+_MODEL_DEFAULTS = {"architecture": "mlp", **_field_defaults(ModelSpec)}
 
 _TOP_DEFAULTS = {
     "benchmark": "synth-images",
@@ -66,9 +71,8 @@ _TOP_DEFAULTS = {
     "model": None,
     "strategies": ["naive", "er", "gss", "joint"],
     "buffer_capacity": 2000,
-    "optimizer": {"lr": 0.05, "batch_size": 64, "epochs": 4},
-    "shap": {"engine": "gradient", "n_samples": 200, "noise_std": 0.0,
-             "background_n": 100, "probes_per_class": 10},
+    "optimizer": _field_defaults(OptConfig),
+    "shap": {**_field_defaults(ShapConfig), "background_n": 100, "probes_per_class": 10},
     "gss": {"n_sim": 10, "tau": 0.95, "candidates": 2},
     "pool_order": "normalize_then_clamp",
     "seeds": [0],
@@ -210,6 +214,10 @@ def _prepare(cfg: dict, seed: int) -> tuple:
     shap_config = _check_section("shap", ShapConfig, engine=shap["engine"],
                                  n_samples=shap["n_samples"], noise_std=shap["noise_std"])
     data = load_benchmark(cfg)
+    features = int(np.prod(data.inputs.shape[1:]))
+    if shap["engine"] == "exact" and features > EXACT_MAX_FEATURES:
+        raise ConfigError(f"shap: the exact engine takes at most {EXACT_MAX_FEATURES} "
+                          f"input features, got {features}; use 'sampling' or 'gradient'")
     stream = _check_section("stream", build_stream, data, cfg["experiences"],
                             class_order=cfg["class_order"])
     slice_ = _check_section("shap", make_slice, stream, background_n=shap["background_n"],
@@ -228,27 +236,21 @@ def _tile_u8(tile: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.clip((tile - lo) / (hi - lo) * 255.0, 0, 255).astype(np.uint8)
 
 
-def emit_saliency_grid(inputs: np.ndarray, maps, path) -> None:
-    """Composite PGM (P5): one row per probe — the input tile followed by one
-    tile per class map, min-max scaled per tile, separated by 1-pixel white
-    lines."""
+def emit_saliency_grid(inputs: np.ndarray, maps: np.ndarray, path) -> None:
+    """Composite PGM (P5) of (probes, 1, H, W) inputs and (classes, probes, H, W)
+    maps: one row per probe — the input tile followed by one tile per class
+    map, min-max scaled per tile, separated by 1-pixel white lines."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 4 or inputs.shape[1] != 1:
         raise ValueError(
             f"saliency grids are image-only; got input batch shape {inputs.shape}")
     n_probes, _, h, w = inputs.shape
-    n_classes = len(maps[0])
 
-    def map_2d(m):
-        phi = m.phi
-        return phi[0] if phi.ndim == 3 else phi
-
-    cols = n_classes + 1
+    cols = len(maps) + 1
     grid = np.full((n_probes * h + (n_probes - 1), cols * w + (cols - 1)),
                    255, dtype=np.uint8)
     for p in range(n_probes):
-        tiles = [inputs[p, 0]] + [map_2d(m) for m in maps[p]]
-        for t, tile in enumerate(tiles):
+        for t, tile in enumerate([inputs[p, 0], *maps[:, p]]):
             grid[p * (h + 1):p * (h + 1) + h, t * (w + 1):t * (w + 1) + w] = _tile_u8(
                 tile, float(tile.min()), float(tile.max()))
 
@@ -343,8 +345,7 @@ def _run_single_seed(cfg: dict, seed: int, outdir: str) -> list:
         log.save_json(seed_dir / f"trainlog_{strategy}.json")
         written.append(f"seed_{seed}/trainlog_{strategy}.json")
     for strategy, (inputs, maps) in report.saliency.items():
-        grid_path = seed_dir / f"saliency_{strategy}.pgm"
-        emit_saliency_grid(inputs, maps, grid_path)
+        emit_saliency_grid(inputs, maps, seed_dir / f"saliency_{strategy}.pgm")
         written.append(f"seed_{seed}/saliency_{strategy}.pgm")
     emit_curves(report, seed_dir / "curves.svg")
     written.append(f"seed_{seed}/curves.svg")

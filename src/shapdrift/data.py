@@ -271,9 +271,14 @@ def build_stream(
 
     Experience i holds classes class_order[i*k .. (i+1)*k) where
     k = num_classes / experiences. The per-class split is deterministic
-    (first 5/6 of each class's examples in dataset order go to train).
+    (first 5/6 of each class's examples in dataset order go to train). Every
+    class needs examples and every experience a nonempty train and test split.
     """
     c = data.num_classes
+    # not np.unique: its first call imports numpy.ma, 1.3 MB of resident memory
+    missing = c - len(set(data.labels.tolist()))
+    if missing:
+        raise ValueError(f"{missing} of {c} classes have no examples")
     if c % experiences != 0:
         raise ValueError(f"{c} classes not divisible into {experiences} experiences")
     if class_order is None:
@@ -292,13 +297,11 @@ def build_stream(
             cut = int(round(len(idx) * TRAIN_FRACTION))
             train_idx.append(idx[:cut])
             test_idx.append(idx[cut:])
-        out.append(
-            Experience(
-                train=data.take(np.concatenate(train_idx)),
-                test=data.take(np.concatenate(test_idx)),
-                classes=exp_classes,
-            )
-        )
+        train, test = np.concatenate(train_idx), np.concatenate(test_idx)
+        if len(train) == 0 or len(test) == 0:
+            raise ValueError(f"experience {i + 1} of {experiences} (classes {exp_classes}) "
+                             f"has an empty {'test' if len(train) else 'train'} split")
+        out.append(Experience(data.take(train), data.take(test), exp_classes))
     return ExperienceStream(out, c)
 
 

@@ -19,6 +19,8 @@ import numpy as np
 from .models import CHUNK_SIZE, Model, require_numbers
 from .tensor import Tensor
 
+EXACT_MAX_FEATURES = 20  # exact enumeration evaluates 2^K coalitions of K features
+
 
 @dataclass
 class AttributionMap:
@@ -119,7 +121,6 @@ def exact_shapley(
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     baseline: np.ndarray,
-    max_features: int = 20,
     eval_batch: int = 8192,
 ) -> AttributionMap:
     """Exact Shapley values of the game v(S) = f(x with features outside S
@@ -133,10 +134,10 @@ def exact_shapley(
     if baseline.shape != x.shape:
         raise ValueError(f"baseline shape {baseline.shape} != input shape {x.shape}")
     k = x.size
-    if k > max_features:
+    if k > EXACT_MAX_FEATURES:
         raise ValueError(
             f"{k} features require 2^{k} coalition evaluations; "
-            f"limit is {max_features} — use sampling_shapley instead"
+            f"limit is {EXACT_MAX_FEATURES} — use sampling_shapley instead"
         )
     flat_x, flat_b = x.ravel(), baseline.ravel()
     n_masks = 1 << k

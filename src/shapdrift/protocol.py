@@ -17,12 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import EvaluationSlice, ExperienceStream
-from .explainers import (
-    AttributionMap,
-    ShapConfig,
-    explain_all_classes,
-    per_example_config,
-)
+from .explainers import ShapConfig, explain_all_classes, per_example_config
 from .models import ModelSpec, build_model, reservoir_checksum
 from .strategies import (
     STRATEGIES,
@@ -133,7 +128,8 @@ class DriftReport:
     """Grid of drift values: every (strategy, experience, class, metric) cell.
 
     ``train_logs`` and ``saliency`` are in-memory extras for plotting and are
-    not part of the CSV contract.
+    not part of the CSV contract. ``saliency[strategy]`` pairs the first probes'
+    inputs with their final maps, clamped at zero, as a (classes, probes, H, W) stack.
     """
 
     rows: list
@@ -306,9 +302,8 @@ def run_protocol(
     joint_model, joint_log = _train_strategy(
         "joint", spec, stream, opt, train_seed,
         buffer_capacity, gss_n_sim, gss_tau, gss_candidates)
-    joint_maps, joint_phi0 = _snapshot_maps(joint_model, probes, background, shap)
-    n_probes = len(probes.inputs)
-    joint_mass = np.maximum(joint_maps, 0.0).reshape(num_classes, n_probes, -1)
+    joint_maps = _snapshot_maps(joint_model, probes, background, shap)[0]
+    joint_mass = np.maximum(joint_maps, 0.0).reshape(num_classes, len(probes.inputs), -1)
     if spatial:
         joint_pooled = _pooled(joint_maps[:, :, 0], pool_order)
 
@@ -328,10 +323,10 @@ def run_protocol(
 
         for e in range(num_experiences):
             if strategy == "joint":
-                maps, phi0 = joint_maps, joint_phi0
+                maps = joint_maps
             else:
                 model.load_state_dict(log.snapshots[e])
-                maps, phi0 = _snapshot_maps(model, probes, background, shap)
+                maps = _snapshot_maps(model, probes, background, shap)[0]
             # probes are the contiguous last axis, so each probe mean sums in the
             # same order as a mean over a list of per-probe values
 
@@ -346,12 +341,8 @@ def run_protocol(
                     rows.append(MetricRow(strategy, e + 1, class_id, metric,
                                           float(values[class_id]), is_target))
             if e == num_experiences - 1 and saliency_probes > 0 and spatial:
-                keep = min(saliency_probes, n_probes)
-                saliency[strategy] = (
-                    probes.inputs[:keep].copy(),
-                    [[AttributionMap(np.maximum(maps[c, p], 0.0), float(phi0[c]), c)
-                      for c in range(num_classes)] for p in range(keep)],
-                )
+                saliency[strategy] = (probes.inputs[:saliency_probes].copy(),
+                                      np.maximum(maps[:, :saliency_probes, 0], 0.0))
 
         for i in range(log.accuracy.shape[0]):
             trained = num_experiences if strategy == "joint" else i + 1

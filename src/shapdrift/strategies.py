@@ -9,6 +9,7 @@ memory policy and nothing else.
 from __future__ import annotations
 
 import json
+import mmap
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -89,16 +90,16 @@ class ReplayBuffer:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if np.isnan(self.gss_tau):
             raise ValueError("gss_tau must be a number, got nan")
-        self._inputs: list[np.ndarray] = []
-        self._labels: list[int] = []
-        self._scores: list[float] = []
+        # entries are rows [0, _n); _inputs and (GSS only) _scores appear at the first store
+        self._inputs = self._scores = None
+        self._labels, self._n = np.empty(0, dtype=np.int64), 0
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return self._n
 
     @property
     def labels(self) -> np.ndarray:
-        return np.asarray(self._labels, dtype=np.int64)
+        return self._labels[:self._n].copy()
 
     def _check_capacity(self) -> None:
         if len(self) > self.capacity:
@@ -111,29 +112,28 @@ class ReplayBuffer:
         if len(self) == 0:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.choice(len(self), size=n, replace=n > len(self))
-        inputs = np.stack([self._inputs[i] for i in idx])
-        labels = np.asarray([self._labels[i] for i in idx], dtype=np.int64)
-        return inputs, labels
+        return self._inputs[idx], self._labels[idx]
 
     def rebalance(self, dataset: LabeledDataset, rng: np.random.Generator) -> None:
         """Experience-boundary refill for the class-balanced policy."""
         if self.policy != "class_balanced":
             raise RuntimeError(f"rebalance is undefined for policy {self.policy!r}")
-        pools: dict[int, list[np.ndarray]] = {}
-        for x, y in zip(self._inputs, self._labels):
-            pools.setdefault(int(y), []).append(x)
-        for class_id in np.unique(dataset.labels):
-            pools.setdefault(int(class_id), []).extend(
-                dataset.inputs[dataset.class_indices(int(class_id))]
-            )
-        slots = self.capacity // len(pools)
-        self._inputs, self._labels = [], []
-        for class_id in sorted(pools):
-            pool = pools[class_id]
+        # each class's pool: its held rows, then its rows of the new experience
+        held = self._inputs[:self._n] if self._n else dataset.inputs[:0]
+        labels = np.concatenate([self.labels, dataset.labels])
+        classes = np.unique(labels)
+        slots = self.capacity // len(classes)
+        kept = []
+        for class_id in classes:
+            pool = np.flatnonzero(labels == class_id)
             keep = rng.choice(len(pool), size=min(slots, len(pool)), replace=False)
-            for i in sorted(keep):
-                self._inputs.append(np.array(pool[i]))
-                self._labels.append(class_id)
+            kept.append(pool[np.sort(keep)])
+        rows = np.concatenate(kept)
+        # gathered straight from both sources: a joined copy would add to the peak RSS
+        inputs = np.empty((len(rows),) + dataset.inputs.shape[1:])
+        old = rows < len(held)
+        inputs[old], inputs[~old] = held[rows[old]], dataset.inputs[rows[~old] - len(held)]
+        self._inputs, self._labels, self._n = inputs, labels[rows], len(rows)
         self._check_capacity()
 
     def consider(self, x: np.ndarray, y: int, model: Model,
@@ -144,6 +144,12 @@ class ReplayBuffer:
         admitted = gss_admit(self, x, y, model, rng)
         self._check_capacity()
         return admitted
+
+
+def _untouched_block(shape: tuple) -> np.ndarray:
+    """float64 array on fresh pages that become resident only when written. A heap
+    block would take over memory that freed training temporaries left resident."""
+    return np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), np.float64).reshape(shape)
 
 
 def _cosine(a: np.ndarray, norm_a: float, b: np.ndarray) -> float:
@@ -161,30 +167,30 @@ def gss_admit(buffer: ReplayBuffer, x: np.ndarray, y: int, model: Model,
     ``model.example_gradients`` call: one batched pass for an MLP, one
     batch-1 pass per row for the other architectures. A non-full buffer
     always admits; a full one admits only scores below ``gss_tau`` and
-    evicts the stored entry with the highest score.
+    evicts the stored entry with the highest score. Entries are written in
+    place into (capacity, ...) arrays allocated at the first admission.
     """
-    if len(buffer) == 0:
+    n = len(buffer)
+    if n == 0:
         score = 0.0
+        buffer._inputs = _untouched_block((buffer.capacity,) + np.shape(x))
+        buffer._labels = np.empty(buffer.capacity, dtype=np.int64)
+        buffer._scores = np.empty(buffer.capacity)
     else:
-        sample = rng.choice(len(buffer), size=min(buffer.gss_n_sim, len(buffer)),
-                            replace=False)
+        sample = rng.choice(n, size=min(buffer.gss_n_sim, n), replace=False)
         grads = model.example_gradients(
-            np.stack([x] + [buffer._inputs[i] for i in sample]),
-            np.asarray([y] + [buffer._labels[i] for i in sample], dtype=np.int64))
+            np.concatenate([np.asarray(x)[None], buffer._inputs[sample]]),
+            np.concatenate([[y], buffer._labels[sample]]))
         norm_c = np.linalg.norm(grads[0])
         score = max(_cosine(grads[0], norm_c, g) for g in grads[1:])
-    if len(buffer) < buffer.capacity:
-        buffer._inputs.append(np.array(x))
-        buffer._labels.append(int(y))
-        buffer._scores.append(score)
-        return True
-    if score < buffer.gss_tau:
-        victim = int(np.argmax(buffer._scores))
-        buffer._inputs[victim] = np.array(x)
-        buffer._labels[victim] = int(y)
-        buffer._scores[victim] = score
-        return True
-    return False
+    if n < buffer.capacity:
+        slot, buffer._n = n, n + 1
+    elif score < buffer.gss_tau:
+        slot = int(np.argmax(buffer._scores))
+    else:
+        return False
+    buffer._inputs[slot], buffer._labels[slot], buffer._scores[slot] = x, y, score
+    return True
 
 
 # -- the shared SGD loop and the strategies built on it ------------------------------------

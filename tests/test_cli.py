@@ -21,8 +21,7 @@ from shapdrift.cli import (
     main,
     validate_config,
 )
-from shapdrift.data import save_sequences, synth_sequences
-from shapdrift.explainers import AttributionMap
+from shapdrift.data import LabeledDataset, save_sequences, synth_sequences
 from shapdrift.models import build_model
 
 
@@ -93,6 +92,8 @@ def test_config_hash_semantics():
     c = validate_config(tiny_config(buffer_capacity=17))
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
+    # the defaults read from OptConfig, ShapConfig and ModelSpec hash as they always have
+    assert config_hash(validate_config({}))[:12] == "aa851e03a56b"
 
 
 def test_load_config_errors(tmp_path):
@@ -107,24 +108,23 @@ def test_load_config_errors(tmp_path):
 # -- saliency grids ----------------------------------------------------------------
 
 
-def make_maps(n_classes, side=8, seed=0):
-    rng = np.random.default_rng(seed)
-    return [AttributionMap(rng.uniform(size=(1, side, side)), 0.0, class_id=c)
-            for c in range(n_classes)]
+def make_maps(n_classes, n_probes=1, side=8, seed=0):
+    """A (classes, probes, H, W) stack of random maps."""
+    return np.random.default_rng(seed).uniform(size=(n_classes, n_probes, side, side))
 
 
 def test_saliency_grid_geometry(tmp_path):
     x = np.random.default_rng(1).uniform(size=(1, 1, 8, 8))
     path = tmp_path / "grid.pgm"
-    emit_saliency_grid(x, [make_maps(10)], path)
+    emit_saliency_grid(x, make_maps(10), path)
     grid = load_pgm(path)
     assert grid.shape == (8, 11 * 8 + 10)  # 11 tiles + 10 one-pixel separators
 
 
 def test_saliency_grid_multiprobe_and_zero_map(tmp_path):
     inputs = np.random.default_rng(2).uniform(size=(2, 1, 8, 8))
-    maps = [make_maps(3, seed=3), make_maps(3, seed=4)]
-    maps[0][1] = AttributionMap(np.zeros((1, 8, 8)), 0.0, class_id=1)
+    maps = make_maps(3, n_probes=2, seed=3)
+    maps[1, 0] = 0.0  # class 1 of probe 0
     path = tmp_path / "grid.pgm"
     emit_saliency_grid(inputs, maps, path)
     grid = load_pgm(path)
@@ -135,7 +135,7 @@ def test_saliency_grid_multiprobe_and_zero_map(tmp_path):
 
 def test_saliency_grid_rejects_sequences(tmp_path):
     with pytest.raises(ValueError, match="image-only"):
-        emit_saliency_grid(np.zeros((2, 10, 6)), [make_maps(2)] * 2,
+        emit_saliency_grid(np.zeros((2, 10, 6)), make_maps(2, n_probes=2),
                            tmp_path / "x.pgm")
 
 
@@ -198,11 +198,35 @@ def test_validate_verb(tmp_path, capsys):
                              (dict(seqs, model={"architecture": "cnn2d"}), "architecture"),
                              ({"data": {"classes": 4, "per_class": 12, "side": 0}}, "side"),
                              ({"output_dir": 5}, "output_dir"),
-                             ({"seeds": [-1]}, "seeds")):
+                             ({"seeds": [-1]}, "seeds"),
+                             ({"data": {"per_class": 12, "side": 10},
+                               "shap": dict(shap, engine="exact")}, "shap")):
         capsys.readouterr()
         bad = write_config(tmp_path, tiny_config(**overrides))
         assert main(["validate", str(bad)]) == 2
         assert field in capsys.readouterr().err
+
+
+def test_validate_rejects_what_run_cannot_execute(tmp_path, capsys):
+    # exact enumeration takes at most 20 features: 20 validates, 21 does not
+    shap = dict(tiny_config()["shap"], engine="exact", background_n=8, probes_per_class=1)
+    for steps, features, code in ((5, 4, 0), (7, 3, 2)):
+        seqs = {"benchmark": "synth-sequences", "shap": shap,
+                "data": {"classes": 4, "per_class": 6, "steps": steps,
+                         "features": features, "seed": 0}}
+        assert main(["validate", str(write_config(tmp_path, tiny_config(**seqs)))]) == code
+    assert "shap: the exact engine takes at most 20 input features, got 21" in (
+        capsys.readouterr().err)
+    # a sequence file whose last two classes have one example each: no test split
+    data = synth_sequences(8, 12, steps=6, features=4, seed=0)
+    save_sequences(tmp_path / "seqs.bin", LabeledDataset(
+        np.concatenate([data.inputs, data.inputs[:2]]),
+        np.concatenate([data.labels, [8, 9]]), 10))
+    cfg = tiny_config(benchmark="user-sequences", data={"path": str(tmp_path / "seqs.bin")},
+                      experiences=5, model={"architecture": "conv1d"})
+    assert main(["validate", str(write_config(tmp_path, cfg))]) == 2
+    assert "stream: experience 5 of 5 (classes (8, 9)) has an empty test split" in (
+        capsys.readouterr().err)
 
 
 def config_leaves(node, path=()):

@@ -1,4 +1,7 @@
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +171,46 @@ def test_build_stream_divisibility():
     ds = dt.synth_images(10, 6, 10, seed=5)
     with pytest.raises(ValueError, match="not divisible"):
         dt.build_stream(ds, 3)
+
+
+def test_build_stream_rejects_classes_without_examples():
+    ds = dt.synth_images(4, 6, 8, seed=5)
+    with pytest.raises(ValueError, match="^2 of 6 classes have no examples$"):
+        dt.build_stream(dt.LabeledDataset(ds.inputs, ds.labels, 6), 2)
+
+
+HUGE_LABEL = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+import numpy as np
+from shapdrift.data import LabeledDataset, build_stream
+data = LabeledDataset(np.zeros((3, 2, 2)), np.array([0, 1, 2**32 - 2]), 2**32 - 1)
+try:
+    build_stream(data, 5)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_build_stream_rejects_a_huge_label_in_bounded_memory():
+    # one label of 2**32 - 2 declares 4.29e9 classes, and a list of them would not fit
+    # in the 1.5 GB address space the child process is limited to
+    src = os.path.dirname(os.path.dirname(dt.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", HUGE_LABEL], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "4294967292 of 4294967295 classes have no examples\n"
+
+
+def test_build_stream_names_an_experience_with_an_empty_split():
+    ds = dt.synth_sequences(8, 12, steps=6, features=4, seed=0)
+    inputs = np.concatenate([ds.inputs, ds.inputs[:2]])
+    labels = np.concatenate([ds.labels, [8, 9]])  # classes 8 and 9: one example each
+    with pytest.raises(ValueError, match=r"^experience 5 of 5 \(classes \(8, 9\)\) "
+                                         r"has an empty test split$"):
+        dt.build_stream(dt.LabeledDataset(inputs, labels, 10), 5)
 
 
 def test_build_stream_split_ratio_and_purity():

@@ -93,6 +93,54 @@ def test_rebalance_keeps_classes_balanced_within_capacity():
     assert len(buf) <= buf.capacity
 
 
+class ListReplay:
+    """The class-balanced refill and the draw as Python lists of entries: the
+    reference that the array-backed buffer must reproduce draw for draw."""
+
+    def __init__(self, capacity):
+        self.capacity, self.inputs, self.labels = capacity, [], []
+
+    def rebalance(self, dataset, rng):
+        pools = {}
+        for x, y in zip(self.inputs, self.labels):
+            pools.setdefault(int(y), []).append(x)
+        for class_id in np.unique(dataset.labels):
+            pools.setdefault(int(class_id), []).extend(
+                dataset.inputs[dataset.class_indices(int(class_id))])
+        slots = self.capacity // len(pools)
+        self.inputs, self.labels = [], []
+        for class_id in sorted(pools):
+            pool = pools[class_id]
+            keep = rng.choice(len(pool), size=min(slots, len(pool)), replace=False)
+            for i in sorted(keep):
+                self.inputs.append(np.array(pool[i]))
+                self.labels.append(class_id)
+
+    def sample(self, n, rng):
+        idx = rng.choice(len(self.labels), size=n, replace=n > len(self.labels))
+        return (np.stack([self.inputs[i] for i in idx]),
+                np.asarray([self.labels[i] for i in idx], dtype=np.int64))
+
+
+def test_buffer_refills_and_draws_like_the_list_reference():
+    stream = build_stream(synth_images(10, 12, side=6, seed=0), 5)
+    buf, ref = ReplayBuffer(17), ListReplay(17)
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    for e, exp in enumerate(stream.experiences):
+        buf.rebalance(exp.train, rng)
+        ref.rebalance(exp.train, ref_rng)
+        np.testing.assert_array_equal(buf._inputs[:len(buf)], np.stack(ref.inputs))
+        np.testing.assert_array_equal(buf.labels, ref.labels)
+        # each seen class offers 10 train rows and keeps 17 // seen < 10 of them
+        seen = 2 * (e + 1)
+        assert len(buf) == 17 // seen * seen
+        # draws without replacement (up to the fill) and with it (past the fill)
+        for n in (3, len(buf), len(buf) + 7):
+            for got, want in zip(buf.sample(n, rng), ref.sample(n, ref_rng)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+
 def test_policy_method_mismatch_raises():
     rng = np.random.default_rng(0)
     stream = make_stream()
@@ -182,9 +230,9 @@ def test_gss_decisions_on_a_filling_buffer_match_the_tape_loop(
     monkeypatch.setattr(Mlp, "example_gradients", Model.example_gradients)
     loop_decisions, loop = gss_on_a_filling_buffer(activation, hidden)
     assert decisions == loop_decisions
-    np.testing.assert_array_equal(np.stack(fast._inputs), np.stack(loop._inputs))
+    np.testing.assert_array_equal(fast._inputs, loop._inputs)
     np.testing.assert_array_equal(fast.labels, loop.labels)
-    assert fast._scores == loop._scores
+    np.testing.assert_array_equal(fast._scores, loop._scores)
 
 
 # -- training strategies --------------------------------------------------------------
