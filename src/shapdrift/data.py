@@ -7,6 +7,7 @@ experiences with pairwise-disjoint class sets.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -98,11 +99,23 @@ class EvaluationSlice:
 # -- IDX ingestion -------------------------------------------------------------
 
 
-def _read_header(blob: bytes, n_fields: int, path: Path) -> tuple:
-    need = 4 * n_fields
+def _read_idx(path: Path, magic: int, kind: str) -> np.ndarray:
+    """The u8 array of one IDX file: a big-endian u32 magic whose low byte is
+    the axis count, one u32 extent per axis, then the payload in C order."""
+    blob = path.read_bytes()
+    need = 4 * (1 + (magic & 0xFF))
     if len(blob) < need:
         raise IdxFormatError(f"{path}: truncated header, {len(blob)} bytes")
-    return struct.unpack(f">{n_fields}I", blob[:need])
+    found, *extents = struct.unpack(f">{need // 4}I", blob[:need])
+    if found != magic:
+        raise IdxFormatError(
+            f"{path}: wrong magic for {kind}: got 0x{found:08x}, expected 0x{magic:08x}")
+    payload = blob[need:]
+    expected = math.prod(extents)  # exact: np.prod would wrap in int64
+    if len(payload) != expected:
+        raise IdxFormatError(f"{path}: truncated {kind} payload: header declares "
+                             f"{expected} bytes, found {len(payload)}")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(extents)
 
 
 def load_idx(images_path, labels_path) -> LabeledDataset:
@@ -111,43 +124,15 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     Pixels are scaled to [0, 1] and shaped (N, 1, H, W).
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
-
-    blob = images_path.read_bytes()
-    magic, count, rows, cols = _read_header(blob, 4, images_path)
-    if magic != IDX_IMAGES_MAGIC:
-        raise IdxFormatError(
-            f"{images_path}: wrong magic for images: got 0x{magic:08x}, "
-            f"expected 0x{IDX_IMAGES_MAGIC:08x}"
-        )
-    payload = blob[16:]
-    expected = count * rows * cols
-    if len(payload) != expected:
-        raise IdxFormatError(
-            f"{images_path}: truncated images payload: header declares {expected} "
-            f"bytes, found {len(payload)}"
-        )
-    images = np.frombuffer(payload, dtype=np.uint8).reshape(count, 1, rows, cols)
-
-    blob = labels_path.read_bytes()
-    magic, label_count = _read_header(blob, 2, labels_path)
-    if magic != IDX_LABELS_MAGIC:
-        raise IdxFormatError(
-            f"{labels_path}: wrong magic for labels: got 0x{magic:08x}, "
-            f"expected 0x{IDX_LABELS_MAGIC:08x}"
-        )
-    payload = blob[8:]
-    if len(payload) != label_count:
-        raise IdxFormatError(
-            f"{labels_path}: truncated labels payload: header declares {label_count} "
-            f"bytes, found {len(payload)}"
-        )
-    labels = np.frombuffer(payload, dtype=np.uint8)
-
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC, "images")
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "labels")
+    count, label_count = len(images), len(labels)
     if count != label_count:
         raise IdxFormatError(
             f"image count {count} ({images_path}) != label count {label_count} ({labels_path})"
         )
-    return LabeledDataset(images / 255.0, labels, int(labels.max()) + 1 if count else 10)
+    return LabeledDataset(images[:, None] / 255.0, labels,
+                          int(labels.max()) + 1 if count else 10)
 
 
 # -- sequence container ---------------------------------------------------------
@@ -180,9 +165,13 @@ def load_sequences(path) -> LabeledDataset:
             f"{path}: expected {expected} bytes for {count} sequences of "
             f"{steps}x{features}, found {len(blob)}"
         )
+    if count == 0:
+        raise ValueError(f"{path}: holds no sequences")
     inputs = np.frombuffer(blob[12:12 + values_bytes], dtype="<f8").reshape(count, steps, features)
+    if not np.isfinite(inputs).all():
+        raise ValueError(f"{path}: holds non-finite values")
     labels = np.frombuffer(blob[12 + values_bytes:], dtype="<u4").astype(np.int64)
-    return LabeledDataset(inputs.copy(), labels, int(labels.max()) + 1 if count else 0)
+    return LabeledDataset(inputs.copy(), labels, int(labels.max()) + 1)
 
 
 # -- synthetic generators --------------------------------------------------------

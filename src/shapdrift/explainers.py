@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .models import CHUNK_SIZE, Model, require_numbers
-from .tensor import Tensor
+from .tensor import Tensor, col_slice
 
 EXACT_MAX_FEATURES = 20  # exact enumeration evaluates 2^K coalitions of K features
 
@@ -78,8 +78,6 @@ class ClassLogit:
         """Return (values, d value / d input) for each row; no parameter gradient is filled."""
         values = np.empty(len(batch))
         grads = np.empty_like(batch, dtype=np.float64)
-        selector = np.zeros((self.model.spec.num_classes, 1))
-        selector[self.class_id, 0] = 1.0
         params = list(self.model.trainable_parameters().values())
         for p in params:
             p.requires_grad = False
@@ -89,7 +87,7 @@ class ClassLogit:
                 x = Tensor(chunk, requires_grad=True)
                 logits = self.model.forward(x)
                 values[lo:lo + len(chunk)] = logits.data[:, self.class_id]
-                (logits @ Tensor(selector)).sum().backward()
+                col_slice(logits, self.class_id, self.class_id + 1).sum().backward()
                 grads[lo:lo + len(chunk)] = x.grad
         finally:
             for p in params:

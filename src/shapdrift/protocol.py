@@ -105,6 +105,24 @@ def metric_m_pool(s_map, j_map, order: str = "normalize_then_clamp") -> float:
 # -- report rows and CSV schema -----------------------------------------------------
 
 
+def _write_csv(path, header: list, records) -> None:
+    """Write ``header`` and then ``records`` in the one dialect of the report CSVs."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(records)
+
+
+def _read_csv(path, header: list) -> list:
+    """The records after the first line of a report CSV, which must be ``header``."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise ValueError(f"unexpected CSV header {found}, expected {header}")
+        return list(reader)
+
+
 @dataclass(frozen=True)
 class MetricRow:
     strategy: str
@@ -140,51 +158,32 @@ class DriftReport:
     train_logs: dict = field(default_factory=dict, repr=False, compare=False)
     saliency: dict = field(default_factory=dict, repr=False, compare=False)
 
+    def _distinct(self, attr: str) -> list:
+        """Values of one row field, each once, in order of first appearance."""
+        return list(dict.fromkeys(getattr(row, attr) for row in self.rows))
+
     def strategies(self) -> list:
-        out = []
-        for row in self.rows:
-            if row.strategy not in out:
-                out.append(row.strategy)
-        return out
+        return self._distinct("strategy")
 
     def metrics(self) -> list:
-        out = []
-        for row in self.rows:
-            if row.metric not in out:
-                out.append(row.metric)
-        return out
+        return self._distinct("metric")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(METRIC_CSV_HEADER)
-            for r in self.rows:
-                writer.writerow([r.strategy, r.experience, r.class_id, r.metric,
-                                 repr(float(r.value)),
-                                 "true" if r.is_target else "false"])
+        _write_csv(path, METRIC_CSV_HEADER, (
+            [r.strategy, r.experience, r.class_id, r.metric, repr(float(r.value)),
+             "true" if r.is_target else "false"] for r in self.rows))
 
     def accuracy_to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(ACCURACY_CSV_HEADER)
-            for r in self.accuracy_rows:
-                writer.writerow([r.strategy, r.experience_trained,
-                                 r.experience_evaluated, repr(float(r.accuracy))])
+        _write_csv(path, ACCURACY_CSV_HEADER, (
+            [r.strategy, r.experience_trained, r.experience_evaluated,
+             repr(float(r.accuracy))] for r in self.accuracy_rows))
 
     @classmethod
     def from_csv(cls, path) -> "DriftReport":
-        rows = []
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != METRIC_CSV_HEADER:
-                raise ValueError(f"unexpected CSV header {header}, "
-                                 f"expected {METRIC_CSV_HEADER}")
-            for rec in reader:
-                strategy, experience, class_id, metric, value, target = rec
-                rows.append(MetricRow(strategy, int(experience), int(class_id),
-                                      metric, float(value),
-                                      target.lower() == "true"))
+        rows = [MetricRow(strategy, int(experience), int(class_id), metric, float(value),
+                          target.lower() == "true")
+                for strategy, experience, class_id, metric, value, target
+                in _read_csv(path, METRIC_CSV_HEADER)]
         if not rows:
             raise ValueError(f"no data rows in {path}")
         return cls(
@@ -197,17 +196,8 @@ class DriftReport:
 
 
 def load_accuracy_csv(path) -> list:
-    out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ACCURACY_CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header}, "
-                             f"expected {ACCURACY_CSV_HEADER}")
-        for strategy, trained, evaluated, accuracy in reader:
-            out.append(AccuracyRow(strategy, int(trained), int(evaluated),
-                                   float(accuracy)))
-    return out
+    return [AccuracyRow(strategy, int(trained), int(evaluated), float(accuracy))
+            for strategy, trained, evaluated, accuracy in _read_csv(path, ACCURACY_CSV_HEADER)]
 
 
 # -- protocol orchestration -----------------------------------------------------------
@@ -230,22 +220,16 @@ def _snapshot_maps(model, probes, background: np.ndarray,
 
 
 def _train_strategy(strategy: str, spec: ModelSpec, stream: ExperienceStream,
-                    opt: OptConfig, train_seed: int, buffer_capacity: int,
-                    gss_n_sim: int, gss_tau: float, gss_candidates: int):
+                    opt: OptConfig, train_seed: int, buffer: ReplayBuffer | None = None):
+    """A fresh model trained by ``strategy``; the replay strategies fill ``buffer``."""
     model = build_model(spec)
     frozen = reservoir_checksum(model) if spec.architecture == "esn" else None
     if strategy == "naive":
         log = train_naive(model, stream, opt, train_seed)
-    elif strategy == "er":
-        buffer = ReplayBuffer(buffer_capacity)
-        log = train_replay(model, stream, opt, buffer, train_seed)
-    elif strategy == "gss":
-        buffer = ReplayBuffer(buffer_capacity, policy="gss_greedy",
-                              gss_n_sim=gss_n_sim, gss_tau=gss_tau,
-                              gss_candidates=gss_candidates)
-        log = train_replay(model, stream, opt, buffer, train_seed)
-    else:
+    elif strategy == "joint":
         log = train_joint(model, stream, opt, train_seed)
+    else:
+        log = train_replay(model, stream, opt, buffer, train_seed)
     if frozen is not None and reservoir_checksum(model) != frozen:
         raise RuntimeError(f"frozen reservoir changed during {strategy} training")
     return model, log
@@ -287,6 +271,12 @@ def run_protocol(
     if pool_order not in POOL_ORDERS:
         raise ValueError(f"unknown pool order {pool_order!r}, expected one of {POOL_ORDERS}")
 
+    # built before any training, so a bad buffer setting fails at once
+    replay_settings = {"er": {}, "gss": {"policy": "gss_greedy", "gss_n_sim": gss_n_sim,
+                                         "gss_tau": gss_tau, "gss_candidates": gss_candidates}}
+    buffers = {s: ReplayBuffer(buffer_capacity, **replay_settings[s])
+               for s in strategies if s in replay_settings}
+
     state = np.random.SeedSequence(seed).generate_state(3)
     model_seed, train_seed, shap_seed = (int(x) for x in state)
     spec = replace(model_spec, seed=model_seed)
@@ -299,9 +289,7 @@ def run_protocol(
     target_classes = tuple(stream.experiences[0].classes)
     spatial = _is_spatial(probes.inputs)
 
-    joint_model, joint_log = _train_strategy(
-        "joint", spec, stream, opt, train_seed,
-        buffer_capacity, gss_n_sim, gss_tau, gss_candidates)
+    joint_model, joint_log = _train_strategy("joint", spec, stream, opt, train_seed)
     joint_maps = _snapshot_maps(joint_model, probes, background, shap)[0]
     joint_mass = np.maximum(joint_maps, 0.0).reshape(num_classes, len(probes.inputs), -1)
     if spatial:
@@ -316,9 +304,9 @@ def run_protocol(
         if strategy == "joint":
             model, log = joint_model, joint_log
         else:
-            model, log = _train_strategy(
-                strategy, spec, stream, opt, train_seed,
-                buffer_capacity, gss_n_sim, gss_tau, gss_candidates)
+            # popped, so no buffer outlives its strategy's training
+            model, log = _train_strategy(strategy, spec, stream, opt, train_seed,
+                                         buffers.pop(strategy, None))
         train_logs[strategy] = log
 
         for e in range(num_experiences):

@@ -4,6 +4,7 @@
 import contextlib
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -21,7 +22,14 @@ from shapdrift.cli import (
     main,
     validate_config,
 )
-from shapdrift.data import LabeledDataset, save_sequences, synth_sequences
+from shapdrift.data import (
+    IDX_IMAGES_MAGIC,
+    IDX_LABELS_MAGIC,
+    LabeledDataset,
+    save_sequences,
+    synth_images,
+    synth_sequences,
+)
 from shapdrift.models import build_model
 
 
@@ -227,6 +235,18 @@ def test_validate_rejects_what_run_cannot_execute(tmp_path, capsys):
     assert main(["validate", str(write_config(tmp_path, cfg))]) == 2
     assert "stream: experience 5 of 5 (classes (8, 9)) has an empty test split" in (
         capsys.readouterr().err)
+    # a file with no sequences and one with a NaN are data errors that name the file
+    inputs = data.inputs.copy()
+    inputs[3, 2, 1] = np.nan
+    for name, dataset, message in (
+            ("empty.bin", LabeledDataset(np.zeros((0, 6, 4)), np.zeros(0), 10),
+             "holds no sequences"),
+            ("nan.bin", LabeledDataset(inputs, data.labels, 8), "holds non-finite values")):
+        save_sequences(tmp_path / name, dataset)
+        cfg = tiny_config(benchmark="user-sequences", data={"path": str(tmp_path / name)},
+                          experiences=4, model={"architecture": "conv1d"})
+        assert main(["validate", str(write_config(tmp_path, cfg))]) == 1
+        assert f"error: {tmp_path / name}: {message}" in capsys.readouterr().err
 
 
 def config_leaves(node, path=()):
@@ -266,6 +286,72 @@ def test_validate_fuzz_exits_cleanly(tmp_path_factory, edits):
     else:
         checked = load_config(path)
         build_model(_prepare(checked, checked["seeds"][0])[-1])
+
+
+def idx_bytes(magic, array):
+    array = np.asarray(array, dtype=np.uint8)
+    return struct.pack(f">{1 + array.ndim}I", magic, *array.shape) + array.tobytes()
+
+
+_IMAGES = synth_images(4, 6, side=4, seed=0)
+_SEQUENCES = synth_sequences(4, 6, steps=3, features=2, seed=0)
+# valid tiny inputs for the loader fuzz: name -> (file bytes, header length); the
+# sequence file is written in its documented layout, little-endian u32 count, steps,
+# features, then the f64 values and the u32 labels
+FUZZ_FILES = {
+    "images": (idx_bytes(IDX_IMAGES_MAGIC, np.round(_IMAGES.inputs[:, 0] * 255)), 16),
+    "labels": (idx_bytes(IDX_LABELS_MAGIC, _IMAGES.labels), 8),
+    "sequences": (struct.pack("<3I", *_SEQUENCES.inputs.shape)
+                  + _SEQUENCES.inputs.astype("<f8").tobytes()
+                  + _SEQUENCES.labels.astype("<u4").tobytes(), 12),
+}
+
+
+@st.composite
+def damaged_files(draw):
+    """(name, bytes): one fuzz file truncated at any byte, or with 1-3 bits
+    flipped, three in four of the flips inside the header."""
+    name = draw(st.sampled_from(sorted(FUZZ_FILES)))
+    blob, header = FUZZ_FILES[name]
+    if draw(st.booleans()):
+        return name, blob[:draw(st.integers(0, len(blob) - 1))]
+    data = bytearray(blob)
+    for _ in range(draw(st.integers(1, 3))):
+        end = header if draw(st.integers(0, 3)) else len(blob)
+        bit = draw(st.integers(0, 8 * end - 1))
+        data[bit // 8] ^= 1 << (bit % 8)
+    return name, bytes(data)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(damaged_files())
+def test_damaged_data_files_exit_cleanly(tmp_path_factory, damaged):
+    name, damaged_blob = damaged
+    tmp = tmp_path_factory.mktemp("files")
+    files = {key: tmp / f"{key}.bin" for key in FUZZ_FILES}
+    for key, (blob, _) in FUZZ_FILES.items():
+        files[key].write_bytes(damaged_blob if key == name else blob)
+    if name == "sequences":
+        data = {"benchmark": "user-sequences", "data": {"path": str(files["sequences"])}}
+    else:
+        data = {"benchmark": "mnist-idx",
+                "data": {"images": str(files["images"]), "labels": str(files["labels"])}}
+    cfg = tiny_config(**data, model={"architecture": "mlp", "hidden": [4]},
+                      strategies=["naive", "joint"], saliency_probes=0,
+                      shap={"engine": "gradient", "n_samples": 2,
+                            "background_n": 4, "probes_per_class": 1},
+                      output_dir=str(tmp / "out"))
+    path = write_config(tmp, cfg)
+    codes = []
+    for verb in ("validate", "run"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            codes.append(main([verb, str(path)]))
+        assert codes[-1] in (0, 1, 2), err.getvalue()
+        prefix = {1: "error:", 2: "config error:"}.get(codes[-1], "")
+        assert err.getvalue().startswith(prefix), err.getvalue()
+    # both verbs load and check the data alike; only training can fail after that
+    assert codes[0] == 0 or codes[1] == codes[0]
 
 
 def test_run_verb_produces_all_artifacts(tmp_path):

@@ -5,6 +5,7 @@ round-trips, and aggregation."""
 import numpy as np
 import pytest
 
+from shapdrift import protocol
 from shapdrift.data import build_stream, make_slice, synth_images, synth_sequences
 from shapdrift.explainers import ShapConfig, explain_all_classes, per_example_config
 from shapdrift.models import ModelSpec, build_model
@@ -254,6 +255,16 @@ def test_protocol_validation_errors():
         run_protocol(stream, slice_, spec, ["naive", "naive"])
     with pytest.raises(ValueError, match="pool order"):
         run_protocol(stream, slice_, spec, ["naive"], pool_order="sideways")
+
+
+def test_bad_buffer_setting_fails_before_any_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("the joint model was trained before the buffers were checked")
+
+    monkeypatch.setattr(protocol, "train_joint", no_training)
+    stream, slice_, spec = image_setup()
+    with pytest.raises(ValueError, match="gss_tau"):
+        run_protocol(stream, slice_, spec, ["joint", "gss"], gss_tau=float("nan"))
 
 
 # -- aggregation ----------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Training-strategy tests: buffer policies and invariants, GSS admission
 rules, forgetting/retention behaviour, and determinism."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -139,6 +143,29 @@ def test_buffer_refills_and_draws_like_the_list_reference():
             for got, want in zip(buf.sample(n, rng), ref.sample(n, ref_rng)):
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
+
+
+ER_RUN = """
+import sys
+from shapdrift.data import build_stream, synth_images
+from shapdrift.models import ModelSpec, build_model
+from shapdrift.strategies import OptConfig, ReplayBuffer, train_replay
+stream = build_stream(synth_images(4, 12, side=6, seed=0), 2)
+model = build_model(ModelSpec("mlp", (1, 6, 6), 4, hidden=(8,)))
+train_replay(model, stream, OptConfig(epochs=1, batch_size=16), ReplayBuffer(8))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_replay_training_does_not_import_numpy_ma():
+    # numpy.ma costs 1.3 MB of resident memory, and np.unique's first call imports it
+    src = os.path.dirname(os.path.dirname(strategies.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", ER_RUN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_policy_method_mismatch_raises():
