@@ -28,15 +28,22 @@ from .data import (
     load_idx,
     load_sequences,
     make_slice,
+    require_count,
     synth_images,
     synth_sequences,
+    write_atomically,
 )
 from .explainers import EXACT_MAX_FEATURES, ShapConfig
 from .models import ModelSpec
-from .protocol import POOL_ORDERS, DriftReport, aggregate, run_protocol
-from .strategies import STRATEGIES, OptConfig, ReplayBuffer
+from .protocol import DriftReport, aggregate, check_settings, run_protocol
+from .strategies import OptConfig, ReplayBuffer
 
-BENCHMARKS = ("synth-images", "synth-sequences", "mnist-idx", "user-sequences")
+# benchmark -> the name of its loader in this module, looked up at call time so
+# that a wrapped loader (the benchmark's tracer wraps them) is the one called;
+# the data section is passed to it as keyword arguments
+_LOADERS = {"synth-images": "synth_images", "synth-sequences": "synth_sequences",
+            "mnist-idx": "load_idx", "user-sequences": "load_sequences"}
+BENCHMARKS = tuple(_LOADERS)
 
 
 class ConfigError(ValueError):
@@ -92,10 +99,6 @@ def _merge_section(raw: dict, defaults: dict, section: str) -> dict:
     return merged
 
 
-def _is_int(value, lowest: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= lowest
-
-
 def _check_section(name: str, build, *args, **kwargs):
     """Return ``build(*args, **kwargs)``; its errors become a ConfigError naming ``name``."""
     try:
@@ -126,17 +129,11 @@ def validate_config(raw: dict) -> dict:
     for key, value in cfg["data"].items():
         if value is None:
             raise ConfigError(f"data.{key}: required for benchmark {cfg['benchmark']!r}")
-        lowest = {"classes": 2, "seed": 0}.get(key, 1)
-        if synthetic and not _is_int(value, lowest):
-            raise ConfigError(f"data.{key}: must be an integer >= {lowest}, got {value!r}")
-        if not synthetic and not isinstance(value, str):
-            raise ConfigError(f"data.{key}: must be a path string, got {value!r}")
-    if cfg["benchmark"] == "mnist-idx":
-        for key in ("images", "labels"):
-            if not Path(cfg["data"][key]).exists():
-                raise ConfigError(f"data.{key}: path does not exist: {cfg['data'][key]}")
-    if cfg["benchmark"] == "user-sequences" and not Path(cfg["data"]["path"]).exists():
-        raise ConfigError(f"data.path: path does not exist: {cfg['data']['path']}")
+        if synthetic:
+            lowest = {"classes": 2, "seed": 0}.get(key, 1)
+            _check_section("data", require_count, key, value, lowest)
+        elif not (isinstance(value, str) and Path(value).exists()):
+            raise ConfigError(f"data.{key}: must be an existing path, got {value!r}")
 
     cfg["model"] = _merge_section(cfg["model"] or {}, _MODEL_DEFAULTS, "model")
     cfg["optimizer"] = _merge_section(cfg["optimizer"], _TOP_DEFAULTS["optimizer"],
@@ -144,30 +141,18 @@ def validate_config(raw: dict) -> dict:
     cfg["shap"] = _merge_section(cfg["shap"], _TOP_DEFAULTS["shap"], "shap")
     cfg["gss"] = _merge_section(cfg["gss"], _TOP_DEFAULTS["gss"], "gss")
 
+    # the checks of the code that consumes these values; experiences is checked
+    # by build_stream in _prepare
     gss = cfg["gss"]
-    _check_section("gss", ReplayBuffer, 1, policy="gss_greedy", gss_n_sim=gss["n_sim"],
-                   gss_tau=gss["tau"], gss_candidates=gss["candidates"])
-    if cfg["pool_order"] not in POOL_ORDERS:
-        raise ConfigError(
-            f"pool_order: unknown value {cfg['pool_order']!r}, expected one of {POOL_ORDERS}")
-    if not isinstance(cfg["strategies"], list) or not cfg["strategies"]:
-        raise ConfigError("strategies: must be a nonempty list")
-    for name in cfg["strategies"]:
-        if name not in STRATEGIES:
-            raise ConfigError(
-                f"strategies: unknown strategy name {name!r}, expected among {STRATEGIES}")
-    if len(set(cfg["strategies"])) != len(cfg["strategies"]):
-        raise ConfigError(f"strategies: duplicate names in {cfg['strategies']}")
+    _check_section("buffer_capacity", ReplayBuffer, cfg["buffer_capacity"])
+    _check_section("gss", ReplayBuffer, cfg["buffer_capacity"], policy="gss_greedy",
+                   gss_n_sim=gss["n_sim"], gss_tau=gss["tau"], gss_candidates=gss["candidates"])
+    _check_section("protocol", check_settings, cfg["strategies"], cfg["pool_order"],
+                   cfg["saliency_probes"])
     if not isinstance(cfg["seeds"], list) or not cfg["seeds"]:
         raise ConfigError("seeds: must be a nonempty list of integers")
-    if not all(_is_int(s, 0) for s in cfg["seeds"]):
-        raise ConfigError("seeds: every entry must be a non-negative integer")
-    if not _is_int(cfg["experiences"], 1):
-        raise ConfigError("experiences: must be a positive integer")
-    if not _is_int(cfg["buffer_capacity"], 1):
-        raise ConfigError("buffer_capacity: must be a positive integer")
-    if not _is_int(cfg["saliency_probes"], 0):
-        raise ConfigError("saliency_probes: must be a non-negative integer")
+    for seed in cfg["seeds"]:
+        _check_section("seeds", require_count, "every seed", seed, lowest=0)
     if not isinstance(cfg["output_dir"], str):
         raise ConfigError(f"output_dir: must be a string, got {cfg['output_dir']!r}")
     return cfg
@@ -194,15 +179,7 @@ def config_hash(cfg: dict) -> str:
 
 
 def load_benchmark(cfg: dict) -> LabeledDataset:
-    d = cfg["data"]
-    if cfg["benchmark"] == "synth-images":
-        return synth_images(d["classes"], d["per_class"], side=d["side"], seed=d["seed"])
-    if cfg["benchmark"] == "synth-sequences":
-        return synth_sequences(d["classes"], d["per_class"], steps=d["steps"],
-                               features=d["features"], seed=d["seed"])
-    if cfg["benchmark"] == "mnist-idx":
-        return load_idx(d["images"], d["labels"])
-    return load_sequences(d["path"])
+    return globals()[_LOADERS[cfg["benchmark"]]](**cfg["data"])
 
 
 def _prepare(cfg: dict, seed: int) -> tuple:
@@ -254,9 +231,8 @@ def emit_saliency_grid(inputs: np.ndarray, maps: np.ndarray, path) -> None:
             grid[p * (h + 1):p * (h + 1) + h, t * (w + 1):t * (w + 1) + w] = _tile_u8(
                 tile, float(tile.min()), float(tile.max()))
 
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode("ascii"))
-        fh.write(grid.tobytes())
+    write_atomically(path, f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode("ascii")
+                     + grid.tobytes())
 
 
 def load_pgm(path) -> np.ndarray:
@@ -315,7 +291,7 @@ def emit_curves(report: DriftReport, path, metric: str = "m") -> None:
         parts.append(f'<text x="{x0}" y="{y0 + ph + 14}">class index 0..'
                      f'{agg.num_classes - 1}; one line per experience</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts), encoding="utf-8")
+    write_atomically(path, "\n".join(parts).encode("utf-8"))
 
 
 # -- run orchestration ---------------------------------------------------------------
@@ -359,8 +335,7 @@ def _write_manifest(outdir: Path, cfg: dict, status: str, files: list) -> None:
         "status": status,
         "files": sorted(files),
     }
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
+    write_atomically(outdir / "manifest.json", json.dumps(manifest, indent=2).encode("utf-8"))
 
 
 def cmd_run(args) -> int:

@@ -8,6 +8,7 @@ experiences with pairwise-disjoint class sets.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -96,6 +97,23 @@ class EvaluationSlice:
     probes: LabeledDataset
 
 
+# -- file writing -------------------------------------------------------------
+
+
+def write_atomically(path, payload: bytes) -> None:
+    """Replace ``path`` by a file holding ``payload``: written to a sibling
+    temporary file, then renamed over ``path``, so a reader finds the old file
+    or the new one and never a partial one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # -- IDX ingestion -------------------------------------------------------------
 
 
@@ -118,21 +136,20 @@ def _read_idx(path: Path, magic: int, kind: str) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(extents)
 
 
-def load_idx(images_path, labels_path) -> LabeledDataset:
+def load_idx(images, labels) -> LabeledDataset:
     """Load an IDX image/label file pair (big-endian, MNIST layout).
 
     Pixels are scaled to [0, 1] and shaped (N, 1, H, W).
     """
-    images_path, labels_path = Path(images_path), Path(labels_path)
-    images = _read_idx(images_path, IDX_IMAGES_MAGIC, "images")
-    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "labels")
-    count, label_count = len(images), len(labels)
-    if count != label_count:
-        raise IdxFormatError(
-            f"image count {count} ({images_path}) != label count {label_count} ({labels_path})"
-        )
-    return LabeledDataset(images[:, None] / 255.0, labels,
-                          int(labels.max()) + 1 if count else 10)
+    images, labels = Path(images), Path(labels)
+    pixels = _read_idx(images, IDX_IMAGES_MAGIC, "images")
+    targets = _read_idx(labels, IDX_LABELS_MAGIC, "labels")
+    if len(pixels) != len(targets):
+        raise IdxFormatError(f"image count {len(pixels)} ({images}) != "
+                             f"label count {len(targets)} ({labels})")
+    if len(pixels) == 0:
+        raise IdxFormatError(f"{images}: holds no images")
+    return LabeledDataset(pixels[:, None] / 255.0, targets, int(targets.max()) + 1)
 
 
 # -- sequence container ---------------------------------------------------------
@@ -145,11 +162,8 @@ def save_sequences(path, dataset: LabeledDataset) -> None:
     inputs = np.ascontiguousarray(dataset.inputs, dtype=np.float64)
     if inputs.ndim != 3:
         raise ValueError(f"sequence container expects (N, T, F) inputs, got {inputs.shape}")
-    count, steps, features = inputs.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<3I", count, steps, features))
-        fh.write(inputs.tobytes())
-        fh.write(np.asarray(dataset.labels, dtype="<u4").tobytes())
+    write_atomically(path, struct.pack("<3I", *inputs.shape) + inputs.tobytes()
+                     + np.asarray(dataset.labels, dtype="<u4").tobytes())
 
 
 def load_sequences(path) -> LabeledDataset:
@@ -251,6 +265,13 @@ def synth_sequences(
 # -- stream and slice construction -----------------------------------------------
 
 
+def require_count(name: str, value, lowest: int = 1) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer, not a
+    bool, of at least ``lowest``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < lowest:
+        raise ValueError(f"{name} must be an integer >= {lowest}, got {value!r}")
+
+
 def build_stream(
     data: LabeledDataset,
     experiences: int,
@@ -263,6 +284,7 @@ def build_stream(
     (first 5/6 of each class's examples in dataset order go to train). Every
     class needs examples and every experience a nonempty train and test split.
     """
+    require_count("experiences", experiences)
     c = data.num_classes
     # not np.unique: its first call imports numpy.ma, 1.3 MB of resident memory
     missing = c - len(set(data.labels.tolist()))
@@ -305,9 +327,8 @@ def make_slice(
     Background is drawn without replacement; probes are stratified per class.
     Deterministic per seed.
     """
-    for name, n in (("background_n", background_n), ("probes_per_class", probes_per_class)):
-        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-            raise ValueError(f"{name} must be a positive integer, got {n!r}")
+    require_count("background_n", background_n)
+    require_count("probes_per_class", probes_per_class)
     first = stream.experiences[0]
     rng = np.random.default_rng(np.random.SeedSequence([seed, background_n, probes_per_class]))
 

@@ -20,6 +20,8 @@ from .models import CHUNK_SIZE, Model, require_numbers
 from .tensor import Tensor, col_slice
 
 EXACT_MAX_FEATURES = 20  # exact enumeration evaluates 2^K coalitions of K features
+EXACT_EVAL_BATCH = 8192  # coalition rows per model evaluation in exact_shapley
+SAMPLING_BLOCK = 128     # permutations per model evaluation in sampling_shapley
 
 
 @dataclass
@@ -29,7 +31,6 @@ class AttributionMap:
 
     phi: np.ndarray
     phi0: float | np.ndarray
-    class_id: int = -1
     stderr: Optional[np.ndarray] = None  # per-feature MC standard error (sampling engine)
 
     def __post_init__(self):
@@ -74,9 +75,8 @@ class ClassLogit:
     def __call__(self, batch: np.ndarray) -> np.ndarray:
         return self.model.logits_np(batch)[:, self.class_id]
 
-    def gradient(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (values, d value / d input) for each row; no parameter gradient is filled."""
-        values = np.empty(len(batch))
+    def gradient(self, batch: np.ndarray) -> np.ndarray:
+        """Return d value / d input for each row; no parameter gradient is filled."""
         grads = np.empty_like(batch, dtype=np.float64)
         params = list(self.model.trainable_parameters().values())
         for p in params:
@@ -86,13 +86,12 @@ class ClassLogit:
                 chunk = batch[lo:lo + CHUNK_SIZE]
                 x = Tensor(chunk, requires_grad=True)
                 logits = self.model.forward(x)
-                values[lo:lo + len(chunk)] = logits.data[:, self.class_id]
                 col_slice(logits, self.class_id, self.class_id + 1).sum().backward()
                 grads[lo:lo + len(chunk)] = x.grad
         finally:
             for p in params:
                 p.requires_grad = True
-        return values, grads
+        return grads
 
 
 def _background_inputs(background, item_shape: tuple) -> np.ndarray:
@@ -104,11 +103,10 @@ def _background_inputs(background, item_shape: tuple) -> np.ndarray:
     return background
 
 
-def _game_map(f, phi, phi0, shape: tuple, multi: bool, stderr=None) -> AttributionMap:
+def _game_map(phi, phi0, shape: tuple, multi: bool, stderr=None) -> AttributionMap:
     """Package per-game (games, features) results; a single-output f drops the games axis."""
     shape = (phi.shape[:1] if multi else ()) + shape
     return AttributionMap(phi.reshape(shape), phi0 if multi else float(phi0[0]),
-                          class_id=getattr(f, "class_id", -1),
                           stderr=None if stderr is None else stderr.reshape(shape))
 
 
@@ -119,7 +117,6 @@ def exact_shapley(
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     baseline: np.ndarray,
-    eval_batch: int = 8192,
 ) -> AttributionMap:
     """Exact Shapley values of the game v(S) = f(x with features outside S
     replaced by the baseline), by enumerating all 2^K coalitions.
@@ -143,8 +140,8 @@ def exact_shapley(
 
     chunks = []
     sizes = np.empty(n_masks, dtype=np.int64)  # coalition size of each mask
-    for lo in range(0, n_masks, eval_batch):
-        masks = np.arange(lo, min(lo + eval_batch, n_masks), dtype=np.int64)
+    for lo in range(0, n_masks, EXACT_EVAL_BATCH):
+        masks = np.arange(lo, min(lo + EXACT_EVAL_BATCH, n_masks), dtype=np.int64)
         bits = ((masks[:, None] >> feature_bits[None, :]) & 1).astype(bool)
         sizes[lo:lo + len(masks)] = bits.sum(axis=1)
         rows = np.where(bits, flat_x[None, :], flat_b[None, :])
@@ -164,7 +161,7 @@ def exact_shapley(
         terms = weights[sizes[without]] * (v[:, without | (1 << j)] - v[:, without])
         # contiguous rows keep the sum pairwise, as for a single game
         phi[:, j] = np.ascontiguousarray(terms).sum(axis=-1)
-    return _game_map(f, phi, v[:, 0], x.shape, multi)
+    return _game_map(phi, v[:, 0], x.shape, multi)
 
 
 # -- permutation-sampling engine ----------------------------------------------------
@@ -175,7 +172,6 @@ def sampling_shapley(
     x: np.ndarray,
     background,
     config: ShapConfig,
-    block: int = 128,
 ) -> AttributionMap:
     """Monte-Carlo permutation estimate of Shapley values.
 
@@ -201,8 +197,8 @@ def sampling_shapley(
     m2 = np.zeros_like(mean)  # Welford accumulation over per-permutation contributions
     seen = 0
     steps = np.arange(k + 1)[:, None]
-    for lo in range(0, n, block):
-        count = min(block, n - lo)
+    for lo in range(0, n, SAMPLING_BLOCK):
+        count = min(SAMPLING_BLOCK, n - lo)
         rows = np.empty((count, k + 1, k))
         pos = np.empty((count, k), dtype=np.int64)  # step at which each feature joins
         for s in range(count):
@@ -219,7 +215,7 @@ def sampling_shapley(
             m2 += delta * (sample - mean)
 
     stderr = np.sqrt(m2 / max(seen - 1, 1) / seen)
-    return _game_map(f, mean, phi0, x.shape, multi, stderr)
+    return _game_map(mean, phi0, x.shape, multi, stderr)
 
 
 # -- expected-gradients engine ---------------------------------------------------------
@@ -257,7 +253,7 @@ def expected_gradients(model: Model, xs: np.ndarray, background, config: ShapCon
     class_ids = list(class_ids)
     phi = np.empty((len(class_ids), len(xs)) + xs.shape[1:])
     for i, class_id in enumerate(class_ids):
-        _, grads = ClassLogit(model, class_id).gradient(points)
+        grads = ClassLogit(model, class_id).gradient(points)
         if not np.all(np.isfinite(grads)):
             raise RuntimeError(
                 f"non-finite gradient while attributing class {class_id}: check model weights")
@@ -271,7 +267,7 @@ def gradient_shap(f: ClassLogit, x: np.ndarray, background, config: ShapConfig) 
     """Expected-gradients SHAP of one class logit at one input, seeded by ``config.seed``."""
     phi, phi0 = expected_gradients(f.model, np.asarray(x)[None], background, config,
                                    [config.seed], [f.class_id])
-    return AttributionMap(phi[0, 0], float(phi0[0]), class_id=f.class_id)
+    return AttributionMap(phi[0, 0], float(phi0[0]))
 
 
 # -- per-class dispatch -----------------------------------------------------------------

@@ -12,11 +12,12 @@ the maps of a jointly trained reference model:
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import EvaluationSlice, ExperienceStream
+from .data import EvaluationSlice, ExperienceStream, require_count, write_atomically
 from .explainers import ShapConfig, explain_all_classes, per_example_config
 from .models import ModelSpec, build_model, reservoir_checksum
 from .strategies import (
@@ -107,10 +108,11 @@ def metric_m_pool(s_map, j_map, order: str = "normalize_then_clamp") -> float:
 
 def _write_csv(path, header: list, records) -> None:
     """Write ``header`` and then ``records`` in the one dialect of the report CSVs."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(records)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(records)
+    write_atomically(path, text.getvalue().encode("utf-8"))
 
 
 def _read_csv(path, header: list) -> list:
@@ -203,6 +205,22 @@ def load_accuracy_csv(path) -> list:
 # -- protocol orchestration -----------------------------------------------------------
 
 
+def check_settings(strategies, pool_order: str, saliency_probes: int) -> None:
+    """Raise ValueError naming the first of run_protocol's own settings that
+    it cannot run; run_protocol calls this before any training."""
+    if not isinstance(strategies, (list, tuple)) or not strategies:
+        raise ValueError(f"strategies: must be a nonempty list, got {strategies!r}")
+    unknown = [s for s in strategies if s not in STRATEGIES]
+    if unknown:
+        raise ValueError(f"strategies: unknown strategies {unknown}, expected among {STRATEGIES}")
+    if len(set(strategies)) != len(strategies):
+        raise ValueError(f"strategies: duplicate names in {list(strategies)}")
+    if pool_order not in POOL_ORDERS:
+        raise ValueError(f"pool_order: unknown pool order {pool_order!r}, "
+                         f"expected one of {POOL_ORDERS}")
+    require_count("saliency_probes", saliency_probes, lowest=0)
+
+
 def _is_spatial(inputs: np.ndarray) -> bool:
     return (inputs.ndim == 4 and inputs.shape[1] == 1
             and min(inputs.shape[2:]) >= POOL_KERNEL)
@@ -259,17 +277,9 @@ def run_protocol(
     are compared against joint maps computed once from the joint snapshot, so
     joint-vs-joint rows are exactly zero.
     """
+    check_settings(strategies, pool_order, saliency_probes)
     opt = opt or OptConfig()
     shap = shap or ShapConfig()
-    if not strategies:
-        raise ValueError("strategy list is empty")
-    unknown = [s for s in strategies if s not in STRATEGIES]
-    if unknown:
-        raise ValueError(f"unknown strategies {unknown}, expected among {STRATEGIES}")
-    if len(set(strategies)) != len(strategies):
-        raise ValueError(f"duplicate strategies in {strategies}")
-    if pool_order not in POOL_ORDERS:
-        raise ValueError(f"unknown pool order {pool_order!r}, expected one of {POOL_ORDERS}")
 
     # built before any training, so a bad buffer setting fails at once
     replay_settings = {"er": {}, "gss": {"policy": "gss_greedy", "gss_n_sim": gss_n_sim,

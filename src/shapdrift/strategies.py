@@ -15,7 +15,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .data import ExperienceStream, LabeledDataset
+from .data import ExperienceStream, LabeledDataset, write_atomically
 from .models import Model, require_numbers
 from .tensor import Tensor, softmax_cross_entropy
 
@@ -75,8 +75,6 @@ class ReplayBuffer:
 
     def __init__(self, capacity: int, policy: str = "class_balanced",
                  gss_n_sim: int = 10, gss_tau: float = 0.95, gss_candidates: int = 2):
-        if capacity <= 0:
-            raise ValueError(f"buffer capacity must be positive, got {capacity}")
         if policy not in ("class_balanced", "gss_greedy"):
             raise ValueError(f"unknown buffer policy {policy!r}")
         self.capacity = capacity
@@ -84,8 +82,9 @@ class ReplayBuffer:
         self.gss_n_sim = gss_n_sim
         self.gss_tau = gss_tau
         self.gss_candidates = gss_candidates
-        require_numbers(self, gss_n_sim=Integral, gss_tau=Real, gss_candidates=Integral)
-        for name, low in (("gss_n_sim", 1), ("gss_candidates", 0)):
+        require_numbers(self, capacity=Integral, gss_n_sim=Integral, gss_tau=Real,
+                        gss_candidates=Integral)
+        for name, low in (("capacity", 1), ("gss_n_sim", 1), ("gss_candidates", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if np.isnan(self.gss_tau):
@@ -256,8 +255,7 @@ class TrainLog:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
+        write_atomically(path, json.dumps(self.to_json(), indent=2).encode("utf-8"))
 
 
 def _snapshot(model: Model, log: TrainLog, stream: ExperienceStream) -> None:

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-Arrayish = Union["Tensor", np.ndarray, float, int, Sequence]
+Arrayish = Union[np.ndarray, float, int, Sequence]
 
 _state = threading.local()
 
@@ -43,8 +43,6 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "_op")
 
     def __init__(self, data: Arrayish, requires_grad: bool = False):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
@@ -123,14 +121,11 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
     def sum(self, axis=None):
         return tsum(self, axis)
 
 
-def _wrap(x: Arrayish) -> Tensor:
+def _wrap(x: Tensor | Arrayish) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
@@ -387,7 +382,7 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
 # -- convolution and pooling --------------------------------------------------
 
 
-def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Valid 2D convolution, stride 1.
 
     x: (batch, in_ch, H, W); w: (out_ch, in_ch, kh, kw); b: (out_ch,).
@@ -406,11 +401,9 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * oh * ow, in_ch * kh * kw)
     wmat = w.data.reshape(out_ch, in_ch * kh * kw)
     res = (cols @ wmat.T).reshape(batch, oh, ow, out_ch).transpose(0, 3, 1, 2)
-    if b is not None:
-        res = res + b.data.reshape(1, out_ch, 1, 1)
+    res = res + b.data.reshape(1, out_ch, 1, 1)
 
-    parents = (x, w) if b is None else (x, w, b)
-    out = _make(res, parents, "conv2d")
+    out = _make(res, (x, w, b), "conv2d")
     if out.requires_grad:
         def _bw(g):
             g2 = g.transpose(0, 2, 3, 1).reshape(batch * oh * ow, out_ch)
@@ -423,13 +416,13 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
                     for j in range(kw):
                         dx[:, :, i:i + oh, j:j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
                 x._accumulate(dx)
-            if b is not None and b.requires_grad:
+            if b.requires_grad:
                 b._accumulate(g.sum(axis=(0, 2, 3)))
         out._backward = _bw
     return out
 
 
-def conv1d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Valid 1D convolution, stride 1: conv2d over a unit-height view.
 
     x: (batch, in_ch, T); w: (out_ch, in_ch, k); b: (out_ch,).

@@ -2,6 +2,7 @@
 (PGM grids, SVG curves, CSVs, manifest), verbs, and reproducibility."""
 
 import contextlib
+import inspect
 import io
 import json
 import struct
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shapdrift import cli
 from shapdrift.cli import (
     ConfigError,
     _prepare,
@@ -71,7 +73,7 @@ def test_unknown_keys_are_named():
 
 
 def test_unknown_strategy_name_is_reported():
-    with pytest.raises(ConfigError, match="unknown strategy name 'cumulative'"):
+    with pytest.raises(ConfigError, match=r"unknown strategies \['cumulative'\]"):
         validate_config(tiny_config(strategies=["naive", "cumulative"]))
 
 
@@ -207,12 +209,47 @@ def test_validate_verb(tmp_path, capsys):
                              ({"data": {"classes": 4, "per_class": 12, "side": 0}}, "side"),
                              ({"output_dir": 5}, "output_dir"),
                              ({"seeds": [-1]}, "seeds"),
+                             ({"buffer_capacity": 2.5}, "buffer_capacity"),
+                             ({"experiences": "x"}, "experiences"),
+                             ({"saliency_probes": 2.5}, "saliency_probes"),
                              ({"data": {"per_class": 12, "side": 10},
                                "shap": dict(shap, engine="exact")}, "shap")):
         capsys.readouterr()
         bad = write_config(tmp_path, tiny_config(**overrides))
         assert main(["validate", str(bad)]) == 2
         assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"buffer_capacity": 2.5}, "buffer_capacity"),
+    ({"experiences": "x"}, "experiences"),
+    ({"experiences": 0}, "experiences"),
+    ({"saliency_probes": 2.5}, "saliency_probes"),
+    ({"saliency_probes": -1}, "saliency_probes"),
+    ({"strategies": ["naive", "naive"]}, "strategies"),
+    ({"pool_order": "x"}, "pool_order"),
+])
+def test_both_verbs_reject_a_bad_setting_by_name(tmp_path, capsys, overrides, field):
+    path = write_config(tmp_path, tiny_config(output_dir=str(tmp_path / "out"), **overrides))
+    for verb in ("validate", "run"):
+        assert main([verb, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err, err
+    # experiences is checked when the stream is built, after run has begun its
+    # manifest; every other setting is checked before run writes anything
+    out = tmp_path / "out"
+    if field == "experiences":
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["status"] == "incomplete: ConfigError"
+    else:
+        assert not out.exists()
+
+
+def test_every_loader_takes_the_keys_of_its_data_section():
+    assert set(cli.BENCHMARKS) == set(cli._DATA_DEFAULTS)
+    for benchmark in cli.BENCHMARKS:
+        loader = getattr(cli, cli._LOADERS[benchmark])
+        assert set(inspect.signature(loader).parameters) == set(cli._DATA_DEFAULTS[benchmark])
 
 
 def test_validate_rejects_what_run_cannot_execute(tmp_path, capsys):
@@ -247,6 +284,15 @@ def test_validate_rejects_what_run_cannot_execute(tmp_path, capsys):
                           experiences=4, model={"architecture": "conv1d"})
         assert main(["validate", str(write_config(tmp_path, cfg))]) == 1
         assert f"error: {tmp_path / name}: {message}" in capsys.readouterr().err
+    # an IDX pair that holds no images is a data error that names the images file
+    (tmp_path / "images.idx").write_bytes(idx_bytes(IDX_IMAGES_MAGIC, np.zeros((0, 4, 4))))
+    (tmp_path / "labels.idx").write_bytes(idx_bytes(IDX_LABELS_MAGIC, np.zeros(0)))
+    cfg = tiny_config(benchmark="mnist-idx", output_dir=str(tmp_path / "out"),
+                      data={"images": str(tmp_path / "images.idx"),
+                            "labels": str(tmp_path / "labels.idx")})
+    for verb in ("validate", "run"):
+        assert main([verb, str(write_config(tmp_path, cfg))]) == 1
+        assert f"error: {tmp_path / 'images.idx'}: holds no images" in capsys.readouterr().err
 
 
 def config_leaves(node, path=()):

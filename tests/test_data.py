@@ -173,6 +173,13 @@ def test_build_stream_divisibility():
         dt.build_stream(ds, 3)
 
 
+@pytest.mark.parametrize("experiences", [0, -1, "x", 2.0, True])
+def test_build_stream_rejects_an_experience_count_that_is_no_positive_integer(experiences):
+    ds = dt.synth_images(4, 6, 8, seed=5)
+    with pytest.raises(ValueError, match="experiences must be an integer >= 1"):
+        dt.build_stream(ds, experiences)
+
+
 def test_build_stream_rejects_classes_without_examples():
     ds = dt.synth_images(4, 6, 8, seed=5)
     with pytest.raises(ValueError, match="^2 of 6 classes have no examples$"):

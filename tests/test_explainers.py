@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from shapdrift import explainers
 from shapdrift.explainers import (
     AttributionMap,
     ClassLogit,
@@ -69,15 +70,15 @@ def test_efficiency_on_network_probe():
     x, b = rng.normal(size=8), rng.normal(size=8)
     out = exact_shapley(f, x, b)
     assert out.phi0 + out.phi.sum() == pytest.approx(f(x[None])[0], abs=1e-9)
-    assert out.class_id == 1
 
 
-def test_exact_chunked_evaluation_matches_single_pass():
+def test_exact_chunked_evaluation_matches_single_pass(monkeypatch):
     model = mlp(k=6, seed=9)
     f = ClassLogit(model, 0)
     x, b = np.linspace(0, 1, 6), np.zeros(6)
-    chunked = exact_shapley(f, x, b, eval_batch=7)
     whole = exact_shapley(f, x, b)
+    monkeypatch.setattr(explainers, "EXACT_EVAL_BATCH", 7)
+    chunked = exact_shapley(f, x, b)
     np.testing.assert_allclose(chunked.phi, whole.phi, atol=1e-12)
 
 
@@ -128,13 +129,14 @@ def test_sampling_is_deterministic_per_seed():
     assert not np.array_equal(a.phi, c.phi)
 
 
-def test_sampling_block_boundary_independence():
+def test_sampling_block_boundary_independence(monkeypatch):
     f = lambda z: (z ** 2).sum(axis=1)
     x = np.arange(4.0)
     bg = np.random.default_rng(1).normal(size=(3, 4))
     cfg = ShapConfig("sampling", n_samples=50, seed=5)
-    a = sampling_shapley(f, x, bg, cfg, block=128)
-    b = sampling_shapley(f, x, bg, cfg, block=7)
+    a = sampling_shapley(f, x, bg, cfg)
+    monkeypatch.setattr(explainers, "SAMPLING_BLOCK", 7)
+    b = sampling_shapley(f, x, bg, cfg)
     np.testing.assert_allclose(a.phi, b.phi, atol=1e-12)
 
 
@@ -268,7 +270,6 @@ def test_multi_output_game_equals_one_game_per_class(engine, spec):
         assert joint.phi.shape == (spec.num_classes,) + spec.input_shape
         for c in range(spec.num_classes):
             direct = engine_call(ClassLogit(model, c))
-            assert direct.class_id == c
             np.testing.assert_array_equal(phi[c, p], direct.phi)
             np.testing.assert_array_equal(joint.phi[c], direct.phi)
             assert phi0[c] == direct.phi0 and joint.phi0[c] == direct.phi0

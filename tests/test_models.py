@@ -4,7 +4,7 @@ import pytest
 from shapdrift import models as md
 from shapdrift.explainers import ClassLogit
 from shapdrift.models import ModelSpec, build_model
-from shapdrift.tensor import Tensor, no_grad, softmax_cross_entropy
+from shapdrift.tensor import Tensor, matmul, no_grad, softmax_cross_entropy
 
 IMAGE_SPEC = ModelSpec("mlp", (1, 8, 8), num_classes=10, seed=0, hidden=(16,))
 SEQ_SHAPE = (12, 5)
@@ -217,7 +217,7 @@ def test_input_gradient_matches_finite_differences(arch):
     x = Tensor(x_data, requires_grad=True)
     sel = np.zeros((spec.num_classes, 1))
     sel[1, 0] = 1.0
-    scalar = (model.forward(x) @ Tensor(sel)).sum()
+    scalar = matmul(model.forward(x), Tensor(sel)).sum()
     scalar.backward()
     grad = x.grad.copy()
 

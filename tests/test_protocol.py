@@ -189,6 +189,25 @@ def test_accuracy_csv_roundtrip(image_report, tmp_path):
     assert load_accuracy_csv(path) == image_report.accuracy_rows
 
 
+class Unprintable(float):
+    def __float__(self):
+        raise ArithmeticError("this value cannot be written")
+
+
+def test_csv_that_fails_midway_leaves_the_old_file(image_report, tmp_path):
+    path = tmp_path / "drift.csv"
+    image_report.to_csv(path)
+    before = path.read_bytes()
+    rows = list(image_report.rows)
+    rows[len(rows) // 2] = MetricRow("naive", 1, 0, "m", Unprintable(0.5), True)
+    broken = DriftReport(rows, [], image_report.num_classes, image_report.num_experiences,
+                         image_report.target_classes)
+    with pytest.raises(ArithmeticError):
+        broken.to_csv(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["drift.csv"]
+
+
 def test_from_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
@@ -265,6 +284,11 @@ def test_bad_buffer_setting_fails_before_any_training(monkeypatch):
     stream, slice_, spec = image_setup()
     with pytest.raises(ValueError, match="gss_tau"):
         run_protocol(stream, slice_, spec, ["joint", "gss"], gss_tau=float("nan"))
+    with pytest.raises(TypeError, match="capacity"):
+        run_protocol(stream, slice_, spec, ["joint", "er"], buffer_capacity=2.5)
+    for probes in (2.5, -1):
+        with pytest.raises(ValueError, match="saliency_probes"):
+            run_protocol(stream, slice_, spec, ["joint", "naive"], saliency_probes=probes)
 
 
 # -- aggregation ----------------------------------------------------------------------

@@ -68,6 +68,9 @@ def test_buffer_rejects_bad_construction():
         ReplayBuffer(0)
     with pytest.raises(ValueError, match="policy"):
         ReplayBuffer(10, policy="fifo")
+    for capacity in (2.5, True, "10"):
+        with pytest.raises(TypeError, match="capacity must be an integer"):
+            ReplayBuffer(capacity)
 
 
 def test_buffer_sample_semantics():
@@ -389,3 +392,16 @@ def test_trainlog_json_roundtrip(tmp_path):
     assert [tuple(c) for c in payload["experience_classes"]] == log.experience_classes
     assert payload["final_losses"] == log.final_losses
     np.testing.assert_array_equal(np.asarray(payload["accuracy"]), log.accuracy)
+
+
+def test_trainlog_json_that_fails_to_render_leaves_the_old_file(tmp_path):
+    stream = make_stream()
+    log = train_naive(make_model(stream), stream, OptConfig(epochs=1), seed=0)
+    path = tmp_path / "log.json"
+    log.save_json(path)
+    before = path.read_bytes()
+    log.final_losses.append(object())  # not JSON-serializable
+    with pytest.raises(TypeError):
+        log.save_json(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["log.json"]

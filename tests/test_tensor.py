@@ -37,7 +37,7 @@ def fd_check(make_loss, leaves, rng, coords_per_leaf=4, step=1e-5, rel_tol=1e-4)
 def test_matmul_hand_example():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = Tensor([[1.0], [1.0]])
-    assert np.array_equal((a @ b).data, [[3.0], [7.0]])
+    assert np.array_equal(tn.matmul(a, b).data, [[3.0], [7.0]])
 
 
 def test_matmul_shape_error_names_both_shapes():
@@ -323,7 +323,7 @@ def test_two_layer_net_matches_finite_differences():
     x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
 
     def make_loss():
-        y = tn.tanh(x @ w1 + b1) @ w2
+        y = tn.matmul(tn.tanh(tn.matmul(x, w1) + b1), w2)
         return (y * y).sum()
 
     fd_check(make_loss, [w1, b1, w2, x], rng, coords_per_leaf=5)
@@ -345,12 +345,13 @@ def test_primitive_gradients_match_finite_differences(seed):
 
     seq = Tensor(rng.normal(size=(2, 3, 9)), requires_grad=True)
     k1 = Tensor(rng.normal(size=(4, 3, 3)) * 0.3, requires_grad=True)
+    k1b = Tensor(rng.normal(size=4) * 0.1, requires_grad=True)
 
     def conv1d_loss():
-        h = tn.conv1d(seq, k1)
+        h = tn.conv1d(seq, k1, k1b)
         return tn.tmean(tn.tanh(h * 0.5) + tn.sigmoid(h * h))
 
-    fd_check(conv1d_loss, [seq, k1], rng)
+    fd_check(conv1d_loss, [seq, k1, k1b], rng)
 
     z = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     stack = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)  # two 3x4 maps
@@ -393,7 +394,7 @@ def test_determinism_bit_identical():
     def run(rng):
         a = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
         b = Tensor(rng.normal(size=(6, 6)))
-        loss = (tn.tanh(a @ b)).sum()
+        loss = (tn.tanh(tn.matmul(a, b))).sum()
         loss.backward()
         return float(loss.data), a.grad.copy()
 
