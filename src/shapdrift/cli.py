@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import BLAS_THREADS
 from .data import (
     LabeledDataset,
     build_stream,
@@ -329,11 +330,13 @@ def _run_single_seed(cfg: dict, seed: int, outdir: str) -> list:
 
 
 def _write_manifest(outdir: Path, cfg: dict, status: str, files: list) -> None:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "config_hash": config_hash(cfg),
         "seeds": cfg["seeds"],
         "status": status,
         "files": sorted(files),
+        "blas": {"name": blas["name"], "version": blas["version"], "threads": BLAS_THREADS},
     }
     write_atomically(outdir / "manifest.json", json.dumps(manifest, indent=2).encode("utf-8"))
 
@@ -342,8 +345,8 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.output_dir:
         cfg["output_dir"] = args.output_dir
-    if args.seed is not None:
-        cfg["seeds"] = [args.seed]
+    if args.seed is not None:  # checked as the config's own seeds are
+        cfg = validate_config(dict(cfg, seeds=[args.seed]))
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     _write_manifest(outdir, cfg, "incomplete", [])
@@ -384,6 +387,14 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    try:
+        require_count("the worker count", int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="shapdrift",
@@ -395,7 +406,7 @@ def main(argv=None) -> int:
     p_run.add_argument("config", help="path to a JSON run config")
     p_run.add_argument("--output-dir", help="override the config's output directory")
     p_run.add_argument("--seed", type=int, help="run only this seed")
-    p_run.add_argument("--workers", type=int, default=1,
+    p_run.add_argument("--workers", type=_worker_count, default=1,
                        help="parallel worker processes over seeds")
     p_run.set_defaults(func=cmd_run)
 

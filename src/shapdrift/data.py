@@ -11,7 +11,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -266,10 +266,22 @@ def synth_sequences(
 
 
 def require_count(name: str, value, lowest: int = 1) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is an integer, not a
-    bool, of at least ``lowest``."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < lowest:
-        raise ValueError(f"{name} must be an integer >= {lowest}, got {value!r}")
+    """Check that ``value`` is an integer >= ``lowest``; the error names ``name``:
+    TypeError for another type (bool included), ValueError for a smaller value."""
+    message = f"{name} must be an integer >= {lowest}, got {value!r}"
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(message)
+    if value < lowest:
+        raise ValueError(message)
+
+
+def require_real(name: str, value) -> None:
+    """Check that ``value`` is a finite real number; errors as in require_count."""
+    message = f"{name} must be a finite real number, got {value!r}"
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(message)
+    if not -math.inf < value < math.inf:  # also rejects NaN; takes any int
+        raise ValueError(message)
 
 
 def build_stream(

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
 from typing import Callable, Optional
 
 import numpy as np
 
-from .models import CHUNK_SIZE, Model, require_numbers
+from .data import require_count, require_real
+from .models import CHUNK_SIZE, Model
 from .tensor import Tensor, col_slice
 
 EXACT_MAX_FEATURES = 20  # exact enumeration evaluates 2^K coalitions of K features
@@ -52,11 +52,11 @@ class ShapConfig:
     def __post_init__(self):
         if self.engine not in ("exact", "sampling", "gradient"):
             raise ValueError(f"unknown engine {self.engine!r}")
-        require_numbers(self, n_samples=Integral, seed=Integral, noise_std=Real)
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        if not 0 <= self.noise_std < np.inf:  # also rejects NaN
-            raise ValueError(f"noise_std must be >= 0 and finite, got {self.noise_std}")
+        require_count("n_samples", self.n_samples)
+        require_count("seed", self.seed, lowest=0)
+        require_real("noise_std", self.noise_std)
+        if self.noise_std < 0:
+            raise ValueError(f"noise_std must be >= 0, got {self.noise_std!r}")
         if self.noise_std > 0 and self.engine != "gradient":
             raise ValueError(f"noise_std applies only to the gradient engine, not {self.engine!r}")
 

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
+from .data import require_count, require_real
 from .tensor import (
     Tensor,
     conv1d,
@@ -34,26 +34,6 @@ ARCHITECTURES = ("mlp", "cnn2d", "conv1d", "lstm", "esn")
 ACTIVATIONS = {"tanh": tanh, "relu": relu}
 _INPUT_RANKS = {"cnn2d": 3, "conv1d": 2, "lstm": 2, "esn": 2}  # mlp takes any rank
 CHUNK_SIZE = 256  # rows per model pass; bounds tape memory on recurrent models
-
-
-def require_numbers(owner, **kinds) -> None:
-    """Raise TypeError naming the first field of ``owner`` that is not an
-    instance of its ``numbers`` type (Integral or Real); bool is rejected."""
-    for name, kind in kinds.items():
-        value = getattr(owner, name)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            noun = "an integer" if kind is Integral else "a real number"
-            raise TypeError(f"{name} must be {noun}, got {value!r}")
-
-
-def _widths(name: str, widths) -> tuple:
-    """Layer widths as a tuple of positive ints; the error names the field."""
-    if not isinstance(widths, (tuple, list)) or any(
-            isinstance(w, bool) or not isinstance(w, Integral) for w in widths):
-        raise TypeError(f"{name} must be a list of integers, got {widths!r}")
-    if any(w <= 0 for w in widths):
-        raise ValueError(f"zero-width layer in {name}: {widths}")
-    return tuple(int(w) for w in widths)
 
 
 @dataclass
@@ -89,31 +69,26 @@ class ModelSpec:
         if self.activation not in ACTIVATIONS:
             raise ValueError(
                 f"unknown activation {self.activation!r}, expected one of {tuple(ACTIVATIONS)}")
-        self.input_shape = tuple(int(x) for x in self.input_shape)
-        self.hidden = _widths("hidden", self.hidden)
-        self.conv_channels = _widths("conv_channels", self.conv_channels)
-        require_numbers(self, num_classes=Integral, seed=Integral, conv_kernel=Integral,
-                        dense_width=Integral, conv1d_channels=Integral,
-                        conv1d_kernel=Integral, hidden_size=Integral, esn_leak=Real,
-                        esn_spectral_radius=Real, esn_input_scale=Real)
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        for name in ("conv_kernel", "dense_width", "conv1d_channels", "conv1d_kernel",
-                     "hidden_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 < self.esn_leak <= 1.0:  # also rejects NaN
-            raise ValueError(f"esn_leak must be in (0, 1], got {self.esn_leak}")
-        for name in ("esn_spectral_radius", "esn_input_scale"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("input_shape", "hidden", "conv_channels"):
+            values = getattr(self, name)
+            if not isinstance(values, (tuple, list)):
+                raise TypeError(f"{name} must be a list of integers, got {values!r}")
+            for i, value in enumerate(values):
+                require_count(f"{name}[{i}]", value)
+            setattr(self, name, tuple(int(v) for v in values))
+        for name, lowest in (("num_classes", 2), ("seed", 0), ("conv_kernel", 1),
+                             ("dense_width", 1), ("conv1d_channels", 1),
+                             ("conv1d_kernel", 1), ("hidden_size", 1)):
+            require_count(name, getattr(self, name), lowest)
+        for name in ("esn_leak", "esn_spectral_radius", "esn_input_scale"):
+            require_real(name, getattr(self, name))
+        if not 0.0 < self.esn_leak <= 1.0:
+            raise ValueError(f"esn_leak must be in (0, 1], got {self.esn_leak!r}")
         # what each architecture needs from its input
         shape, rank = self.input_shape, _INPUT_RANKS.get(self.architecture)
         if rank is not None and len(shape) != rank:
             raise ValueError(f"architecture {self.architecture!r} needs a {rank}-axis "
                              f"input, got input shape {shape}")
-        if any(n < 1 for n in shape):
-            raise ValueError(f"input shape {shape} has an empty axis")
         if self.architecture == "cnn2d":
             if len(self.conv_channels) != 2:
                 raise ValueError(

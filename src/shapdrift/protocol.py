@@ -206,8 +206,8 @@ def load_accuracy_csv(path) -> list:
 
 
 def check_settings(strategies, pool_order: str, saliency_probes: int) -> None:
-    """Raise ValueError naming the first of run_protocol's own settings that
-    it cannot run; run_protocol calls this before any training."""
+    """Raise an error naming the first of run_protocol's own settings that it
+    cannot run; run_protocol calls this before any training."""
     if not isinstance(strategies, (list, tuple)) or not strategies:
         raise ValueError(f"strategies: must be a nonempty list, got {strategies!r}")
     unknown = [s for s in strategies if s not in STRATEGIES]

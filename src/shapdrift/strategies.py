@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 import mmap
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
-from .data import ExperienceStream, LabeledDataset, write_atomically
-from .models import Model, require_numbers
+from .data import ExperienceStream, LabeledDataset, require_count, require_real, write_atomically
+from .models import Model
 from .tensor import Tensor, softmax_cross_entropy
 
 STRATEGIES = ("naive", "er", "gss", "joint")
@@ -33,11 +32,11 @@ class OptConfig:
     epochs: int = 4
 
     def __post_init__(self):
-        require_numbers(self, lr=Real, batch_size=Integral, epochs=Integral)
-        if not 0 < self.lr < np.inf:  # also rejects NaN
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
+        require_real("lr", self.lr)
+        if self.lr <= 0:
+            raise ValueError(f"lr must be > 0, got {self.lr!r}")
+        require_count("batch_size", self.batch_size)
+        require_count("epochs", self.epochs)
 
 
 def sgd_step(model: Model, lr: float) -> None:
@@ -82,13 +81,9 @@ class ReplayBuffer:
         self.gss_n_sim = gss_n_sim
         self.gss_tau = gss_tau
         self.gss_candidates = gss_candidates
-        require_numbers(self, capacity=Integral, gss_n_sim=Integral, gss_tau=Real,
-                        gss_candidates=Integral)
-        for name, low in (("capacity", 1), ("gss_n_sim", 1), ("gss_candidates", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if np.isnan(self.gss_tau):
-            raise ValueError("gss_tau must be a number, got nan")
+        for name, lowest in (("capacity", 1), ("gss_n_sim", 1), ("gss_candidates", 0)):
+            require_count(name, getattr(self, name), lowest)
+        require_real("gss_tau", gss_tau)
         # entries are rows [0, _n); _inputs and (GSS only) _scores appear at the first store
         self._inputs = self._scores = None
         self._labels, self._n = np.empty(0, dtype=np.int64), 0

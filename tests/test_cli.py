@@ -5,7 +5,11 @@ import contextlib
 import inspect
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,6 +453,21 @@ def test_run_seed_override(tmp_path):
         assert json.load(fh)["seeds"] == [5]
 
 
+@pytest.mark.parametrize("flags, named", [(["--seed", "-1"], "seeds"),
+                                          (["--workers", "0"], "--workers"),
+                                          (["--workers", "-1"], "--workers")])
+def test_run_rejects_a_bad_override_before_writing(tmp_path, capsys, flags, named):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, tiny_config(output_dir=str(out)))
+    try:
+        code = main(["run", str(path), *flags])
+    except SystemExit as exc:  # argparse rejects a bad flag value
+        code = exc.code
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parallel_workers_match_serial(tmp_path):
     serial_out = tmp_path / "serial"
     par_out = tmp_path / "par"
@@ -461,6 +480,38 @@ def test_parallel_workers_match_serial(tmp_path):
         a = (serial_out / f"seed_{seed}" / "drift.csv").read_bytes()
         b = (par_out / f"seed_{seed}" / "drift.csv").read_bytes()
         assert a == b
+
+
+# the smallest config found whose drift.csv depended on the BLAS thread count
+BLAS_SENSITIVE = {
+    "benchmark": "synth-images", "data": {"classes": 10, "per_class": 60, "side": 12, "seed": 0},
+    "experiences": 5, "model": {"architecture": "cnn2d"}, "strategies": ["naive", "joint"],
+    "optimizer": {"lr": 0.1, "batch_size": 100, "epochs": 1},
+    "shap": {"engine": "sampling", "n_samples": 2, "background_n": 8, "probes_per_class": 1},
+    "saliency_probes": 0, "output_dir": "out"}
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """OpenBLAS caps its threads at the core count, so on a 1-core machine both
+    runs use one thread and this test cannot fail."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    trees = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads_{threads}"
+        cwd.mkdir()
+        write_config(cwd, BLAS_SENSITIVE)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "shapdrift.cli", "run", "config.json"],
+                              cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out = cwd / "out"
+        trees.append({str(f.relative_to(out)): f.read_bytes()
+                      for f in sorted(out.rglob("*")) if f.is_file()})
+    assert "seed_0/drift.csv" in trees[0]
+    assert trees[0].keys() == trees[1].keys()
+    for name in trees[0]:
+        assert trees[0][name] == trees[1][name], name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,13 +1,21 @@
+import dataclasses
+import inspect
 import os
+import random
+import signal
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from shapdrift import data as dt
 from shapdrift.data import IdxFormatError
+from shapdrift.explainers import ShapConfig
+from shapdrift.models import ModelSpec
+from shapdrift.strategies import OptConfig, ReplayBuffer
 
 
 def write_idx_pair(tmp_path, images, labels, image_magic=dt.IDX_IMAGES_MAGIC,
@@ -93,6 +101,47 @@ def test_sequence_container_rejects_short_file(tmp_path):
         dt.load_sequences(path)
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(dt.__file__))
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+REWRITE_FOREVER = """
+import sys
+from shapdrift.data import write_atomically
+payloads = [bytes([65]) * (8 << 20), bytes([66]) * (8 << 20)]
+write_atomically(sys.argv[1], payloads[0])
+print("ready", flush=True)
+i = 0
+while True:
+    i ^= 1
+    write_atomically(sys.argv[1], payloads[i])
+"""
+
+
+def test_write_atomically_survives_a_kill_mid_write(tmp_path):
+    path = tmp_path / "artifact.bin"
+    payloads = (b"A" * (8 << 20), b"B" * (8 << 20))
+    for _ in range(3):
+        proc = subprocess.Popen([sys.executable, "-c", REWRITE_FOREVER, str(path)],
+                                env=child_env(), stdout=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() == b"ready\n"
+            time.sleep(random.uniform(0.0, 0.3))
+            proc.send_signal(signal.SIGKILL)
+            assert proc.wait(timeout=30) == -signal.SIGKILL
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+        # a kill between write and rename may leave the writer's temporary sibling
+        assert set(os.listdir(tmp_path)) <= {"artifact.bin", f".artifact.bin.{proc.pid}.tmp"}
+        assert path.read_bytes() in payloads
+        (tmp_path / f".artifact.bin.{proc.pid}.tmp").unlink(missing_ok=True)
+
+
 # -- synthetic generators ---------------------------------------------------------
 
 
@@ -176,7 +225,9 @@ def test_build_stream_divisibility():
 @pytest.mark.parametrize("experiences", [0, -1, "x", 2.0, True])
 def test_build_stream_rejects_an_experience_count_that_is_no_positive_integer(experiences):
     ds = dt.synth_images(4, 6, 8, seed=5)
-    with pytest.raises(ValueError, match="experiences must be an integer >= 1"):
+    # an integer below 1 is a ValueError; any other type (bool too) a TypeError
+    error = ValueError if type(experiences) is int else TypeError
+    with pytest.raises(error, match="experiences must be an integer >= 1"):
         dt.build_stream(ds, experiences)
 
 
@@ -202,10 +253,7 @@ except ValueError as exc:
 def test_build_stream_rejects_a_huge_label_in_bounded_memory():
     # one label of 2**32 - 2 declares 4.29e9 classes, and a list of them would not fit
     # in the 1.5 GB address space the child process is limited to
-    src = os.path.dirname(os.path.dirname(dt.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", HUGE_LABEL], env=env,
+    proc = subprocess.run([sys.executable, "-c", HUGE_LABEL], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "4294967292 of 4294967295 classes have no examples\n"
@@ -240,6 +288,50 @@ def test_stream_disjoint_and_covering():
         assert not (seen & set(exp.classes))
         seen |= set(exp.classes)
     assert seen == set(range(6))
+
+
+# -- numeric settings -----------------------------------------------------------------
+
+# every int and float setting of the settings objects, with a value just out of its
+# range (None: every finite real number is in range)
+OUT_OF_RANGE = {
+    ModelSpec: {"num_classes": 1, "seed": -1, "conv_kernel": 0, "dense_width": 0,
+                "conv1d_channels": 0, "conv1d_kernel": 0, "hidden_size": 0,
+                "esn_leak": 0.0, "esn_spectral_radius": None, "esn_input_scale": None},
+    ShapConfig: {"n_samples": 0, "seed": -1, "noise_std": -0.5},
+    OptConfig: {"lr": 0.0, "batch_size": 0, "epochs": 0},
+    ReplayBuffer: {"capacity": 0, "gss_n_sim": 0, "gss_tau": None, "gss_candidates": -1},
+}
+VALID = {ModelSpec: {"architecture": "mlp", "input_shape": (1, 4, 4), "num_classes": 3},
+         ShapConfig: {}, OptConfig: {}, ReplayBuffer: {"capacity": 4}}
+
+
+def numeric_settings(cls) -> dict:
+    """Name -> annotation of each int or float field (or constructor parameter)."""
+    if dataclasses.is_dataclass(cls):
+        pairs = [(f.name, f.type) for f in dataclasses.fields(cls)]
+    else:
+        pairs = [(p.name, p.annotation) for p in inspect.signature(cls).parameters.values()]
+    kinds = {name: getattr(kind, "__name__", kind) for name, kind in pairs}  # str or type
+    return {name: kind for name, kind in kinds.items() if kind in ("int", "float")}
+
+
+def test_every_numeric_setting_is_checked_by_name():
+    for cls, out_of_range in OUT_OF_RANGE.items():
+        settings = numeric_settings(cls)
+        assert set(settings) == set(out_of_range), cls.__name__
+        for name, kind in settings.items():
+            bad = [(True, TypeError), ("1", TypeError)]
+            if out_of_range[name] is not None:
+                bad.append((out_of_range[name], ValueError))
+            if kind == "float":
+                bad += [(float("nan"), ValueError), (float("inf"), ValueError),
+                        (-float("inf"), ValueError)]
+            for value, error in bad:
+                with pytest.raises(error) as info:
+                    cls(**dict(VALID[cls], **{name: value}))
+                message = str(info.value)
+                assert name in message and repr(value) in message, (cls.__name__, message)
 
 
 # -- evaluation slice ----------------------------------------------------------------

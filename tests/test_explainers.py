@@ -305,3 +305,5 @@ def test_config_validation():
         ShapConfig("kernel")
     with pytest.raises(ValueError, match="n_samples"):
         ShapConfig("gradient", n_samples=0)
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -1$"):
+        ShapConfig("sampling", seed=-1)

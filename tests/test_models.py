@@ -82,8 +82,17 @@ def test_forward_shape_mismatch_rejected():
 
 
 def test_zero_width_layer_rejected():
-    with pytest.raises(ValueError, match="zero-width"):
+    with pytest.raises(ValueError, match=r"^hidden\[0\] must be an integer >= 1, got 0$"):
         make_spec("mlp", hidden=(0,))
+
+
+def test_spec_rejects_a_negative_seed_and_a_fractional_axis():
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -1$"):
+        make_spec("mlp", seed=-1)
+    with pytest.raises(TypeError, match=r"^input_shape\[1\] must be an integer >= 1, got 4\.5$"):
+        make_spec("mlp", input_shape=(1, 4.5, 4))
+    with pytest.raises(TypeError, match="^input_shape must be a list of integers, got 16$"):
+        make_spec("mlp", input_shape=16)
 
 
 # -- ESN specifics ------------------------------------------------------------------

@@ -286,8 +286,8 @@ def test_bad_buffer_setting_fails_before_any_training(monkeypatch):
         run_protocol(stream, slice_, spec, ["joint", "gss"], gss_tau=float("nan"))
     with pytest.raises(TypeError, match="capacity"):
         run_protocol(stream, slice_, spec, ["joint", "er"], buffer_capacity=2.5)
-    for probes in (2.5, -1):
-        with pytest.raises(ValueError, match="saliency_probes"):
+    for probes, error in ((2.5, TypeError), (-1, ValueError)):
+        with pytest.raises(error, match="saliency_probes"):
             run_protocol(stream, slice_, spec, ["joint", "naive"], saliency_probes=probes)
 
 

@@ -42,6 +42,9 @@ def test_opt_config_validation():
         OptConfig(lr=0.0)
     with pytest.raises(ValueError, match="batch_size"):
         OptConfig(batch_size=0)
+    for name in ("epochs", "batch_size"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got 0$"):
+            OptConfig(**{name: 0})
 
 
 def test_evaluate_zero_model_predicts_class_zero():
