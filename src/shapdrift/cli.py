@@ -142,8 +142,8 @@ def validate_config(raw: dict) -> dict:
     cfg["shap"] = _merge_section(cfg["shap"], _TOP_DEFAULTS["shap"], "shap")
     cfg["gss"] = _merge_section(cfg["gss"], _TOP_DEFAULTS["gss"], "gss")
 
-    # the checks of the code that consumes these values; experiences is checked
-    # by build_stream in _prepare
+    # the checks of the code that consumes these values; experiences, the
+    # optimizer, shap and model sections are checked in _prepare
     gss = cfg["gss"]
     _check_section("buffer_capacity", ReplayBuffer, cfg["buffer_capacity"])
     _check_section("gss", ReplayBuffer, cfg["buffer_capacity"], policy="gss_greedy",
@@ -154,6 +154,8 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError("seeds: must be a nonempty list of integers")
     for seed in cfg["seeds"]:
         _check_section("seeds", require_count, "every seed", seed, lowest=0)
+    if len(set(cfg["seeds"])) != len(cfg["seeds"]):
+        raise ConfigError(f"seeds: duplicate seeds in {cfg['seeds']}")
     if not isinstance(cfg["output_dir"], str):
         raise ConfigError(f"output_dir: must be a string, got {cfg['output_dir']!r}")
     return cfg
@@ -347,6 +349,7 @@ def cmd_run(args) -> int:
         cfg["output_dir"] = args.output_dir
     if args.seed is not None:  # checked as the config's own seeds are
         cfg = validate_config(dict(cfg, seeds=[args.seed]))
+    _prepare(cfg, cfg["seeds"][0])  # every check validate makes, before anything is written
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     _write_manifest(outdir, cfg, "incomplete", [])

@@ -84,6 +84,9 @@ class ModelSpec:
             require_real(name, getattr(self, name))
         if not 0.0 < self.esn_leak <= 1.0:
             raise ValueError(f"esn_leak must be in (0, 1], got {self.esn_leak!r}")
+        for name in ("esn_spectral_radius", "esn_input_scale"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         # what each architecture needs from its input
         shape, rank = self.input_shape, _INPUT_RANKS.get(self.architecture)
         if rank is not None and len(shape) != rank:

@@ -191,42 +191,6 @@ def gss_admit(buffer: ReplayBuffer, x: np.ndarray, y: int, model: Model,
 # -- the shared SGD loop and the strategies built on it ------------------------------------
 
 
-def _run_epochs(model: Model, inputs: np.ndarray, labels: np.ndarray,
-                opt: OptConfig, rng: np.random.Generator, stage: str,
-                replay: ReplayBuffer | None = None) -> float:
-    """Mini-batch SGD for opt.epochs passes; returns the last epoch's mean loss.
-
-    With a replay buffer attached, every batch is extended 1:1 with memory
-    samples, and a gss_greedy buffer additionally screens a few candidates
-    from each fresh batch after the step. ``stage`` names the strategy and
-    experience in the ``TrainingDiverged`` message.
-    """
-    final_loss = float("nan")
-    for epoch in range(opt.epochs):
-        order = rng.permutation(len(inputs))
-        losses = []
-        for lo in range(0, len(order), opt.batch_size):
-            idx = order[lo:lo + opt.batch_size]
-            bx, by = inputs[idx], labels[idx]
-            if replay is not None and len(replay) > 0:
-                mx, my = replay.sample(len(idx), rng)
-                bx = np.concatenate([bx, mx])
-                by = np.concatenate([by, my])
-            loss = softmax_cross_entropy(model.forward(Tensor(bx)), by)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingDiverged(f"loss became {value} during training "
-                                       f"({stage}, epoch {epoch + 1} of {opt.epochs})")
-            loss.backward()
-            sgd_step(model, opt.lr)
-            losses.append(value)
-            if replay is not None and replay.policy == "gss_greedy":
-                for i in idx[:replay.gss_candidates]:
-                    replay.consider(inputs[i], int(labels[i]), model, rng)
-        final_loss = float(np.mean(losses))
-    return final_loss
-
-
 @dataclass
 class TrainLog:
     """Per-experience record of one training run.
@@ -237,8 +201,8 @@ class TrainLog:
 
     strategy: str
     experience_classes: list[tuple]
+    accuracy: np.ndarray
     final_losses: list[float] = field(default_factory=list)
-    accuracy: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     snapshots: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -253,39 +217,64 @@ class TrainLog:
         write_atomically(path, json.dumps(self.to_json(), indent=2).encode("utf-8"))
 
 
-def _snapshot(model: Model, log: TrainLog, stream: ExperienceStream) -> None:
-    log.snapshots.append(model.state_dict())
-    row = [evaluate(model, exp.test) for exp in stream.experiences]
-    log.accuracy = np.vstack([log.accuracy.reshape(-1, len(stream)), [row]])
+def _train(model: Model, stream: ExperienceStream, opt: OptConfig, seed: int,
+           strategy: str, buffer: ReplayBuffer | None = None,
+           stages: list | None = None) -> TrainLog:
+    """The SGD loop of every strategy, over ``stages``: (training set, its name in
+    a ``TrainingDiverged`` message) pairs, one per experience by default.
+
+    Stage i draws from ``SeedSequence([seed, i])``. A replay buffer extends each
+    batch 1:1 with memory samples; a gss_greedy one then screens a few of the
+    batch's rows, and a class_balanced one is refilled from the stage's set after
+    its epochs. Each stage ends with a loss, a weight snapshot and an accuracy row.
+    """
+    if stages is None:
+        stages = [(exp.train, f"experience {e + 1} of {len(stream)}")
+                  for e, exp in enumerate(stream.experiences)]
+    log = TrainLog(strategy, [exp.classes for exp in stream.experiences],
+                   np.empty((len(stages), len(stream))))
+    for i, (train, where) in enumerate(stages):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        for epoch in range(opt.epochs):
+            order = rng.permutation(len(train))
+            losses = []
+            for lo in range(0, len(order), opt.batch_size):
+                idx = order[lo:lo + opt.batch_size]
+                bx, by = train.inputs[idx], train.labels[idx]
+                if buffer is not None and len(buffer) > 0:
+                    mx, my = buffer.sample(len(idx), rng)
+                    bx, by = np.concatenate([bx, mx]), np.concatenate([by, my])
+                loss = softmax_cross_entropy(model.forward(Tensor(bx)), by)
+                value = float(loss.data)
+                if not np.isfinite(value):
+                    raise TrainingDiverged(f"loss became {value} during training ({strategy}, "
+                                           f"{where}, epoch {epoch + 1} of {opt.epochs})")
+                loss.backward()
+                sgd_step(model, opt.lr)
+                losses.append(value)
+                if buffer is not None and buffer.policy == "gss_greedy":
+                    for j in idx[:buffer.gss_candidates]:
+                        buffer.consider(train.inputs[j], int(train.labels[j]), model, rng)
+        del bx, by  # the last batch would otherwise add to the refill's peak RSS
+        log.final_losses.append(float(np.mean(losses)))
+        if buffer is not None and buffer.policy == "class_balanced":
+            buffer.rebalance(train, rng)
+        log.snapshots.append(model.state_dict())
+        log.accuracy[i] = [evaluate(model, exp.test) for exp in stream.experiences]
+    return log
 
 
 def train_naive(model: Model, stream: ExperienceStream, opt: OptConfig,
                 seed: int = 0) -> TrainLog:
     """Sequential fine-tuning with no memory: the forgetting baseline."""
-    log = TrainLog("naive", [exp.classes for exp in stream.experiences])
-    for e, exp in enumerate(stream.experiences):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, e]))
-        log.final_losses.append(_run_epochs(
-            model, exp.train.inputs, exp.train.labels, opt, rng,
-            f"naive, experience {e + 1} of {len(stream)}"))
-        _snapshot(model, log, stream)
-    return log
+    return _train(model, stream, opt, seed, "naive")
 
 
 def train_replay(model: Model, stream: ExperienceStream, opt: OptConfig,
                  buffer: ReplayBuffer, seed: int = 0) -> TrainLog:
     """Replay training; the buffer policy selects plain ER or GSS-greedy."""
     strategy = "er" if buffer.policy == "class_balanced" else "gss"
-    log = TrainLog(strategy, [exp.classes for exp in stream.experiences])
-    for e, exp in enumerate(stream.experiences):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, e]))
-        log.final_losses.append(_run_epochs(
-            model, exp.train.inputs, exp.train.labels, opt, rng,
-            f"{strategy}, experience {e + 1} of {len(stream)}", replay=buffer))
-        if buffer.policy == "class_balanced":
-            buffer.rebalance(exp.train, rng)
-        _snapshot(model, log, stream)
-    return log
+    return _train(model, stream, opt, seed, strategy, buffer)
 
 
 def train_joint(model: Model, stream: ExperienceStream, opt: OptConfig,
@@ -295,11 +284,8 @@ def train_joint(model: Model, stream: ExperienceStream, opt: OptConfig,
     On a single-experience stream this is the same computation as
     train_naive, batch for batch.
     """
-    log = TrainLog("joint", [exp.classes for exp in stream.experiences])
-    inputs = np.concatenate([exp.train.inputs for exp in stream.experiences])
-    labels = np.concatenate([exp.train.labels for exp in stream.experiences])
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    log.final_losses.append(_run_epochs(model, inputs, labels, opt, rng,
-                                        f"joint, all {len(stream)} experiences"))
-    _snapshot(model, log, stream)
-    return log
+    union = LabeledDataset(np.concatenate([exp.train.inputs for exp in stream.experiences]),
+                           np.concatenate([exp.train.labels for exp in stream.experiences]),
+                           stream.num_classes)
+    return _train(model, stream, opt, seed, "joint",
+                  stages=[(union, f"all {len(stream)} experiences")])

@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -110,6 +111,14 @@ def test_config_hash_semantics():
     assert config_hash(validate_config({}))[:12] == "aa851e03a56b"
 
 
+def test_readme_config_block_shows_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    documented = json.loads(re.sub(r"//.*", "", block))
+    # hashes, not dicts: ModelSpec's defaults are tuples, the README's are lists
+    assert config_hash(validate_config(documented)) == config_hash(validate_config({}))
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "missing.json")
@@ -188,6 +197,8 @@ def test_validate_verb(tmp_path, capsys):
                              ({"shap": dict(shap, engine="sampling", noise_std=0.5)},
                               "noise_std"),
                              ({"model": {"esn_leak": "x"}}, "esn_leak"),
+                             ({"model": {"esn_spectral_radius": -0.5}}, "esn_spectral_radius"),
+                             ({"model": {"esn_input_scale": -0.5}}, "esn_input_scale"),
                              ({"model": {"hidden_size": 0}}, "hidden_size"),
                              ({"model": {"hidden_size": 2.5}}, "hidden_size"),
                              ({"model": {"hidden": [2.5]}}, "hidden"),
@@ -213,6 +224,7 @@ def test_validate_verb(tmp_path, capsys):
                              ({"data": {"classes": 4, "per_class": 12, "side": 0}}, "side"),
                              ({"output_dir": 5}, "output_dir"),
                              ({"seeds": [-1]}, "seeds"),
+                             ({"seeds": [0, 0]}, "seeds"),
                              ({"buffer_capacity": 2.5}, "buffer_capacity"),
                              ({"experiences": "x"}, "experiences"),
                              ({"saliency_probes": 2.5}, "saliency_probes"),
@@ -232,6 +244,10 @@ def test_validate_verb(tmp_path, capsys):
     ({"saliency_probes": -1}, "saliency_probes"),
     ({"strategies": ["naive", "naive"]}, "strategies"),
     ({"pool_order": "x"}, "pool_order"),
+    ({"experiences": 3}, "experiences"),
+    ({"optimizer": {"lr": -1}}, "lr"),
+    ({"model": {"hidden": [0]}}, "hidden"),
+    ({"shap": dict(tiny_config()["shap"], background_n=1000)}, "background_n"),
 ])
 def test_both_verbs_reject_a_bad_setting_by_name(tmp_path, capsys, overrides, field):
     path = write_config(tmp_path, tiny_config(output_dir=str(tmp_path / "out"), **overrides))
@@ -239,14 +255,7 @@ def test_both_verbs_reject_a_bad_setting_by_name(tmp_path, capsys, overrides, fi
         assert main([verb, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err, err
-    # experiences is checked when the stream is built, after run has begun its
-    # manifest; every other setting is checked before run writes anything
-    out = tmp_path / "out"
-    if field == "experiences":
-        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["status"] == "incomplete: ConfigError"
-    else:
-        assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_loader_takes_the_keys_of_its_data_section():

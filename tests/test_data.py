@@ -297,7 +297,7 @@ def test_stream_disjoint_and_covering():
 OUT_OF_RANGE = {
     ModelSpec: {"num_classes": 1, "seed": -1, "conv_kernel": 0, "dense_width": 0,
                 "conv1d_channels": 0, "conv1d_kernel": 0, "hidden_size": 0,
-                "esn_leak": 0.0, "esn_spectral_radius": None, "esn_input_scale": None},
+                "esn_leak": 0.0, "esn_spectral_radius": -0.5, "esn_input_scale": -0.5},
     ShapConfig: {"n_samples": 0, "seed": -1, "noise_std": -0.5},
     OptConfig: {"lr": 0.0, "batch_size": 0, "epochs": 0},
     ReplayBuffer: {"capacity": 0, "gss_n_sim": 0, "gss_tau": None, "gss_candidates": -1},
