@@ -300,9 +300,10 @@ def emit_curves(report: DriftReport, path, metric: str = "m") -> None:
 # -- run orchestration ---------------------------------------------------------------
 
 
-def _run_single_seed(cfg: dict, seed: int, outdir: str) -> list:
-    """Full protocol for one seed; returns the relative paths written."""
-    opt, shap, stream, slice_, spec = _prepare(cfg, seed)
+def _run_single_seed(cfg: dict, seed: int, outdir: str, prepared: tuple | None = None) -> list:
+    """Full protocol for one seed; returns the relative paths written.
+    ``prepared`` is ``_prepare(cfg, seed)`` when the caller already has it."""
+    opt, shap, stream, slice_, spec = prepared or _prepare(cfg, seed)
     report = run_protocol(
         stream, slice_, spec, list(cfg["strategies"]), opt=opt, shap=shap,
         buffer_capacity=cfg["buffer_capacity"],
@@ -349,7 +350,8 @@ def cmd_run(args) -> int:
         cfg["output_dir"] = args.output_dir
     if args.seed is not None:  # checked as the config's own seeds are
         cfg = validate_config(dict(cfg, seeds=[args.seed]))
-    _prepare(cfg, cfg["seeds"][0])  # every check validate makes, before anything is written
+    # every check validate makes, before anything is written; a sequential run reuses it
+    first = _prepare(cfg, cfg["seeds"][0])
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     _write_manifest(outdir, cfg, "incomplete", [])
@@ -364,7 +366,8 @@ def cmd_run(args) -> int:
                     written.extend(future.result())
         else:
             for s in cfg["seeds"]:
-                written.extend(_run_single_seed(cfg, s, str(outdir)))
+                written.extend(_run_single_seed(cfg, s, str(outdir), first))
+                first = None  # later seeds prepare their own; the first seed's data can go
     except Exception as exc:
         _write_manifest(outdir, cfg, f"incomplete: {type(exc).__name__}", written)
         raise

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import require_count, require_real
 from .models import CHUNK_SIZE, Model
-from .tensor import Tensor, col_slice
+from .tensor import Tensor
 
 EXACT_MAX_FEATURES = 20  # exact enumeration evaluates 2^K coalitions of K features
 EXACT_EVAL_BATCH = 8192  # coalition rows per model evaluation in exact_shapley
@@ -64,8 +64,8 @@ class ShapConfig:
 class ClassLogit:
     """f(x) = pre-softmax logit of one output unit, callable on input batches.
 
-    Exposes ``gradient`` for the expected-gradients engine. Batches are
-    evaluated in chunks of ``CHUNK_SIZE`` rows.
+    ``gradient`` runs the same chunked backward passes as the
+    expected-gradients engine, for this one class.
     """
 
     def __init__(self, model: Model, class_id: int):
@@ -78,20 +78,38 @@ class ClassLogit:
     def gradient(self, batch: np.ndarray) -> np.ndarray:
         """Return d value / d input for each row; no parameter gradient is filled."""
         grads = np.empty_like(batch, dtype=np.float64)
-        params = list(self.model.trainable_parameters().values())
-        for p in params:
-            p.requires_grad = False
-        try:
-            for lo in range(0, len(batch), CHUNK_SIZE):
-                chunk = batch[lo:lo + CHUNK_SIZE]
-                x = Tensor(chunk, requires_grad=True)
-                logits = self.model.forward(x)
-                col_slice(logits, self.class_id, self.class_id + 1).sum().backward()
-                grads[lo:lo + len(chunk)] = x.grad
-        finally:
-            for p in params:
-                p.requires_grad = True
+
+        def keep(i, lo, chunk_grads):
+            grads[lo:lo + len(chunk_grads)] = chunk_grads
+
+        _input_gradients(self.model, batch, [self.class_id], keep)
         return grads
+
+
+def _input_gradients(model: Model, points: np.ndarray, class_ids, consume) -> None:
+    """Call ``consume(i, lo, grads)`` with the gradient of logit ``class_ids[i]``
+    with respect to rows ``lo:lo + len(grads)`` of ``points``.
+
+    Each ``CHUNK_SIZE``-row chunk runs one taped forward, and every class
+    backpropagates its own logit column from that graph, which is dropped
+    before the next chunk. No parameter gradient is filled.
+    """
+    params = list(model.trainable_parameters().values())
+    for p in params:
+        p.requires_grad = False
+    try:
+        for lo in range(0, len(points), CHUNK_SIZE):
+            x = Tensor(points[lo:lo + CHUNK_SIZE], requires_grad=True)
+            logits = model.forward(x)
+            for i, class_id in enumerate(class_ids):
+                seed = np.zeros(logits.shape)
+                seed[:, class_id] = 1.0
+                x.grad = None
+                logits.backward(seed, keep_graph=True)
+                consume(i, lo, x.grad)
+    finally:
+        for p in params:
+            p.requires_grad = True
 
 
 def _background_inputs(background, item_shape: tuple) -> np.ndarray:
@@ -230,7 +248,8 @@ def expected_gradients(model: Model, xs: np.ndarray, background, config: ShapCon
     alpha uniform on (0, 1); phi0 is the mean of f over the background.
     Probe p draws its samples from ``seeds[p]`` alone, so batching probes
     does not change any probe's map, and every class sees the same points,
-    so one chunked gradient pass per class covers all probes.
+    so one taped forward per chunk serves every class's backward pass. Each
+    class folds a probe into phi as soon as the probe's last chunk is done.
 
     Returns phi shaped (classes, probes, *input shape), with classes in
     ``class_ids`` order, and phi0 shaped (classes,).
@@ -251,13 +270,22 @@ def expected_gradients(model: Model, xs: np.ndarray, background, config: ShapCon
         diffs[p * n:(p + 1) * n] = x[None] - base
 
     class_ids = list(class_ids)
-    phi = np.empty((len(class_ids), len(xs)) + xs.shape[1:])
-    for i, class_id in enumerate(class_ids):
-        grads = ClassLogit(model, class_id).gradient(points)
+    shape = xs.shape[1:]
+    phi = np.empty((len(class_ids), len(xs)) + shape)
+    tails = [points[:0]] * len(class_ids)  # each class's rows of its unfinished probe
+
+    def reduce(i, lo, grads):
         if not np.all(np.isfinite(grads)):
-            raise RuntimeError(
-                f"non-finite gradient while attributing class {class_id}: check model weights")
-        phi[i] = (diffs * grads).reshape((len(xs), n) + xs.shape[1:]).mean(axis=1)
+            raise RuntimeError(f"non-finite gradient while attributing class "
+                               f"{class_ids[i]}: check model weights")
+        first, done = lo // n, (lo + len(grads)) // n  # probes [first, done) finish here
+        rows = np.concatenate([tails[i], grads]) if len(tails[i]) else grads
+        split = (done - first) * n
+        phi[i, first:done] = (diffs[first * n:done * n] * rows[:split]).reshape(
+            (done - first, n) + shape).mean(axis=1)
+        tails[i] = rows[split:].copy()  # a copy, so the chunk's gradient is freed
+
+    _input_gradients(model, points, class_ids, reduce)
     if not np.all(np.isfinite(phi)):
         raise ValueError("attribution map contains non-finite values")
     return phi, model.logits_np(bg).mean(axis=0)[class_ids]

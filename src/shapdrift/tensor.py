@@ -5,7 +5,8 @@ The substrate for every other module: matrix multiply, 1D/2D convolution,
 (``lstm``: one tape node per sequence, hand-written backprop through time)
 and a fused softmax cross-entropy. Operations whose inputs require
 gradients are recorded on an implicit tape (the operation graph);
-``backward`` replays it once in reverse topological order and releases it.
+``backward`` replays it in reverse topological order from a seed gradient
+and releases it, or keeps it for a further pass from another seed.
 """
 
 from __future__ import annotations
@@ -75,14 +76,20 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self) -> None:
-        """Backpropagate from a scalar; each tape node is visited exactly once.
+    def backward(self, grad: Optional[np.ndarray] = None, keep_graph: bool = False) -> None:
+        """Backpropagate ``grad`` (ones for a scalar) from this tensor; each
+        tape node is visited exactly once, and leaf gradients accumulate.
 
-        The tape is consumed: closures and parent links of visited interior
-        nodes are dropped afterwards.
+        By default the tape is consumed: closures and parent links of visited
+        interior nodes are dropped afterwards. With ``keep_graph`` they are
+        kept and every interior node's ``grad`` is cleared first, so each
+        further pass over the same graph starts from its own seed alone.
         """
-        if self.size != 1:
-            raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
+        if grad is None:
+            if self.size != 1:
+                raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
+        elif np.shape(grad) != self.shape:
+            raise ValueError(f"backward seed shape {np.shape(grad)} != tensor shape {self.shape}")
         if not self.requires_grad:
             raise ValueError("backward on a tensor with requires_grad=False (empty tape)")
 
@@ -97,17 +104,21 @@ class Tensor:
             if id(node) in visited:
                 continue
             visited.add(id(node))
+            if keep_graph and node._prev:
+                node.grad = None
             stack.append((node, True))
             for parent in node._prev:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        self.grad = np.ones_like(self.data)
+        self.grad = (np.ones_like(self.data) if grad is None
+                     else np.array(grad, dtype=np.float64, copy=True))
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
-                node._backward = None
-                node._prev = ()
+                if not keep_graph:
+                    node._backward = None
+                    node._prev = ()
 
     # -- arithmetic ----------------------------------------------------------
 

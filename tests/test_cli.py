@@ -462,6 +462,21 @@ def test_run_seed_override(tmp_path):
         assert json.load(fh)["seeds"] == [5]
 
 
+def test_sequential_run_prepares_each_seed_once(tmp_path, monkeypatch):
+    # the pre-write check's _prepare result serves the first seed
+    calls = []
+    prepare = cli._prepare
+
+    def counting(cfg, seed):
+        calls.append(seed)
+        return prepare(cfg, seed)
+
+    monkeypatch.setattr(cli, "_prepare", counting)
+    path = write_config(tmp_path, tiny_config(output_dir=str(tmp_path / "out"), seeds=[3, 1]))
+    assert main(["run", str(path)]) == 0
+    assert calls == [3, 1]
+
+
 @pytest.mark.parametrize("flags, named", [(["--seed", "-1"], "seeds"),
                                           (["--workers", "0"], "--workers"),
                                           (["--workers", "-1"], "--workers")])

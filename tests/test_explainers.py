@@ -12,12 +12,14 @@ from shapdrift.explainers import (
     ClassLogit,
     ShapConfig,
     exact_shapley,
+    expected_gradients,
     explain_all_classes,
     gradient_shap,
     per_example_config,
     sampling_shapley,
 )
-from shapdrift.models import ModelSpec, build_model
+from shapdrift.models import CHUNK_SIZE, ModelSpec, build_model
+from shapdrift.tensor import Tensor, col_slice
 
 
 def mlp(k=8, classes=3, hidden=(6,), seed=0):
@@ -185,6 +187,74 @@ def test_gradient_aborts_on_nonfinite_gradient():
     f = ClassLogit(model, 0)
     with pytest.raises(RuntimeError, match="non-finite gradient"):
         gradient_shap(f, np.ones(4), np.zeros((1, 4)), ShapConfig("gradient", n_samples=4))
+
+
+def per_class_expected_gradients(model, xs, bg, cfg, seeds, class_ids):
+    """The expected-gradients oracle: per class and chunk, a fresh taped
+    forward seeded through a ``col_slice`` node, then every probe reduced
+    from the class's full gradient array. Returns phi, the points and each
+    class's gradients."""
+    n, shape = cfg.n_samples, xs.shape[1:]
+    points, diffs = [], []
+    for x, seed in zip(xs, seeds):
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        base = bg[rng.integers(len(bg), size=n)]
+        block = base + rng.uniform(size=n).reshape((-1,) + (1,) * x.ndim) * (x[None] - base)
+        if cfg.noise_std > 0.0:
+            block = block + rng.normal(0.0, cfg.noise_std, size=block.shape)
+        points.append(block)
+        diffs.append(x[None] - base)
+    points, diffs = np.concatenate(points), np.concatenate(diffs)
+    params = list(model.trainable_parameters().values())
+    for p in params:
+        p.requires_grad = False
+    phi = np.empty((len(class_ids), len(xs)) + shape)
+    grads = np.empty((len(class_ids),) + points.shape)
+    for i, c in enumerate(class_ids):
+        for lo in range(0, len(points), CHUNK_SIZE):
+            x = Tensor(points[lo:lo + CHUNK_SIZE], requires_grad=True)
+            col_slice(model.forward(x), c, c + 1).sum().backward()
+            grads[i, lo:lo + CHUNK_SIZE] = x.grad
+        phi[i] = (diffs * grads[i]).reshape((len(xs), n) + shape).mean(axis=1)
+    for p in params:
+        p.requires_grad = True
+    return phi, points, grads
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("mlp", (1, 6, 6), 4, seed=1, hidden=(5,)),
+    ModelSpec("cnn2d", (1, 10, 10), 4, seed=2, conv_channels=(2, 3), dense_width=6),
+    ModelSpec("conv1d", (8, 3), 4, seed=3, conv1d_channels=4, conv1d_kernel=3),
+    ModelSpec("lstm", (6, 3), 4, seed=4, hidden_size=5),
+    ModelSpec("esn", (6, 3), 4, seed=5, hidden_size=8),
+], ids=lambda spec: spec.architecture)
+@pytest.mark.parametrize("n, probes, noise_std", [
+    (7, 40, 0.3),   # 280 rows: two chunks, and a probe straddles the boundary
+    (16, 17, 0.0),  # 272 rows: probes end on the chunk boundary
+    (300, 2, 0.0),  # a probe longer than a chunk
+    (1, 3, 0.0),
+])
+def test_expected_gradients_equals_per_class_passes(spec, n, probes, noise_std):
+    model = build_model(spec)
+    rng = np.random.default_rng(17)
+    xs = rng.normal(size=(probes,) + spec.input_shape)
+    bg = rng.normal(size=(9,) + spec.input_shape)
+    cfg = ShapConfig("gradient", n_samples=n, noise_std=noise_std)
+    seeds = [per_example_config(cfg, p).seed for p in range(probes)]
+    class_ids = [3, 0, 2, 1]
+    phi, _ = expected_gradients(model, xs, bg, cfg, seeds, class_ids)
+    expected, points, grads = per_class_expected_gradients(model, xs, bg, cfg, seeds, class_ids)
+    np.testing.assert_array_equal(phi, expected)
+    np.testing.assert_array_equal(ClassLogit(model, class_ids[0]).gradient(points), grads[0])
+
+
+def test_expected_gradients_names_the_class_with_a_nonfinite_gradient():
+    model = mlp(k=4, classes=3, seed=0)
+    model.params["w0"].data[0, 0] = np.nan
+    with pytest.raises(RuntimeError, match="non-finite gradient while attributing class 2"):
+        expected_gradients(model, np.ones((1, 4)), np.zeros((1, 4)),
+                           ShapConfig("gradient", n_samples=4), [0], [2, 0])
+    assert all(p.requires_grad for p in model.params.values())
 
 
 def test_all_engines_agree_on_linear_model():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shapdrift import tensor as tn
+from shapdrift.models import ModelSpec, build_model
 from shapdrift.tensor import Tensor
 
 
@@ -306,6 +307,48 @@ def test_backward_diamond_visits_each_node_once():
     loss = (y * y + y).sum()  # d/dx = (2*y)*3 + 3 = 39 at x=2
     loss.backward()
     assert np.allclose(x.grad, [39.0])
+
+
+@pytest.mark.parametrize("spec", [ModelSpec("esn", (5, 3), 4, seed=1, hidden_size=6),
+                                  ModelSpec("lstm", (5, 3), 4, seed=2, hidden_size=6)],
+                         ids=lambda spec: spec.architecture)
+def test_kept_graph_passes_equal_fresh_graphs(spec):
+    # each keep_graph pass gives the leaf gradients of a fresh graph with its seed
+    model = build_model(spec)
+    rng = np.random.default_rng(5)
+    inputs = rng.normal(size=(7,) + spec.input_shape)
+    seeds = rng.normal(size=(2, 7, 4))
+    leaves = list(model.trainable_parameters().values())
+
+    def grads_of(logits, seed, x, keep_graph):
+        for leaf in [x] + leaves:
+            leaf.grad = None
+        logits.backward(seed, keep_graph=keep_graph)
+        return [leaf.grad for leaf in [x] + leaves]
+
+    x = Tensor(inputs, requires_grad=True)
+    logits = model.forward(x)
+    kept = [grads_of(logits, seed, x, True) for seed in seeds]
+    for seed, got in zip(seeds, kept):
+        fresh_x = Tensor(inputs, requires_grad=True)
+        want = grads_of(model.forward(fresh_x), seed, fresh_x, False)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_backward_seed_must_match_the_tensor_shape():
+    y = Tensor(np.ones((2, 3)), requires_grad=True) * 2.0
+    with pytest.raises(ValueError, match=r"\(3, 2\).*\(2, 3\)"):
+        y.backward(np.ones((3, 2)))
+
+
+def test_default_backward_consumes_the_tape():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = x * 3.0
+    y.backward(np.ones(2), keep_graph=True)
+    assert y._prev and y._backward is not None
+    (y * y).sum().backward()
+    assert y._prev == () and y._backward is None
 
 
 def test_no_grad_blocks_tape():
