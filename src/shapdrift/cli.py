@@ -13,6 +13,7 @@ rerunning the same config byte-reproduces the CSV outputs.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -344,7 +345,30 @@ def _write_manifest(outdir: Path, cfg: dict, status: str, files: list) -> None:
     write_atomically(outdir / "manifest.json", json.dumps(manifest, indent=2).encode("utf-8"))
 
 
+def _libc():
+    return ctypes.CDLL(None)
+
+
+def _steady_allocator() -> None:
+    """Fix glibc malloc's mmap and trim thresholds for this process.
+
+    With glibc's dynamic thresholds, whether a temporary above 128 KiB (im2col
+    windows, sampling row blocks) reuses heap pages or is mapped and faulted in
+    afresh depends on allocation history, which makes run times swing. Output
+    bytes do not depend on it. Nothing happens without glibc's ``mallopt``.
+    """
+    try:
+        mallopt = _libc().mallopt
+    except (OSError, AttributeError):
+        return
+    # M_MMAP_THRESHOLD at 32 MiB, the highest value glibc's own dynamic
+    # adjustment reaches on 64-bit systems, and M_TRIM_THRESHOLD at 64 MiB
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 64 << 20)
+
+
 def cmd_run(args) -> int:
+    _steady_allocator()  # here, not at import: a library leaves its host's allocator alone
     cfg = load_config(args.config)
     if args.output_dir:
         cfg["output_dir"] = args.output_dir
@@ -359,7 +383,8 @@ def cmd_run(args) -> int:
     written: list = []
     try:
         if args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            with ProcessPoolExecutor(max_workers=args.workers,
+                                     initializer=_steady_allocator) as pool:
                 futures = [pool.submit(_run_single_seed, cfg, s, str(outdir))
                            for s in cfg["seeds"]]
                 for future in futures:

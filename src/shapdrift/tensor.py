@@ -341,7 +341,8 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
     x_data, w_ih_data, w_hh_data = x.data, w_ih.data, w_hh.data
     h = np.zeros((batch, hs))
     c = np.zeros((batch, hs))
-    # one block per call: fresh arrays each step, freed at once, made malloc trim the heap
+    # one block per call: fresh arrays each step, freed at once, made malloc trim the heap;
+    # `shapdrift run` fixes malloc's thresholds, but library callers run without that
     cache = np.empty((steps if track else 1, 7, batch, hs))
     for t in range(steps):
         s = cache[t if track else 0]
@@ -393,6 +394,28 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
 # -- convolution and pooling --------------------------------------------------
 
 
+def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The kh x kw windows of a (batch, C, H, W) array as a (batch, oh*ow, C*kh*kw)
+    array: one row per output position, ordered like a flattened (C, kh, kw) kernel."""
+    batch, in_ch, h, wd = x.shape
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(
+        batch, (h - kh + 1) * (wd - kw + 1), in_ch * kh * kw)
+
+
+def _col2im(dcols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
+    """The input gradient of ``_im2col``: adds each window row of ``dcols`` (any
+    array of batch * oh*ow * C*kh*kw entries) back into a zero array of ``shape``."""
+    batch, in_ch, h, wd = shape
+    oh, ow = h - kh + 1, wd - kw + 1
+    dcols = dcols.reshape(batch, oh, ow, in_ch, kh, kw)
+    dx = np.zeros(shape)
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, :, i:i + oh, j:j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    return dx
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Valid 2D convolution, stride 1.
 
@@ -408,8 +431,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"conv2d: kernel {(kh, kw)} larger than input {(h, wd)}")
     oh, ow = h - kh + 1, wd - kw + 1
 
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(2, 3))
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * oh * ow, in_ch * kh * kw)
+    cols = _im2col(x.data, kh, kw).reshape(batch * oh * ow, in_ch * kh * kw)
     wmat = w.data.reshape(out_ch, in_ch * kh * kw)
     res = (cols @ wmat.T).reshape(batch, oh, ow, out_ch).transpose(0, 3, 1, 2)
     res = res + b.data.reshape(1, out_ch, 1, 1)
@@ -421,12 +443,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             if w.requires_grad:
                 w._accumulate((g2.T @ cols).reshape(out_ch, in_ch, kh, kw))
             if x.requires_grad:
-                dcols = (g2 @ wmat).reshape(batch, oh, ow, in_ch, kh, kw)
-                dx = np.zeros((batch, in_ch, h, wd))
-                for i in range(kh):
-                    for j in range(kw):
-                        dx[:, :, i:i + oh, j:j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-                x._accumulate(dx)
+                x._accumulate(_col2im(g2 @ wmat, x.shape, kh, kw))
             if b.requires_grad:
                 b._accumulate(g.sum(axis=(0, 2, 3)))
         out._backward = _bw
@@ -464,21 +481,25 @@ def avgpool2d(x: Tensor, kernel: int) -> Tensor:
     h, w = x.shape[-2], x.shape[-1]
     if kernel > h or kernel > w:
         raise ValueError(f"avgpool2d: kernel {kernel} larger than input extents {(h, w)}")
-    oh, ow = h // kernel, w // kernel
 
     windows = np.lib.stride_tricks.sliding_window_view(x.data, (kernel, kernel), axis=(-2, -1))
     windows = windows[..., ::kernel, ::kernel, :, :]
     out = _make(windows.mean(axis=(-2, -1)), (x,), "avgpool2d")
     if out.requires_grad:
-        shape = x.shape
-        scale = 1.0 / (kernel * kernel)
         def _bw(g):
-            dx = np.zeros(shape)
-            dx[..., :oh * kernel, :ow * kernel] += np.repeat(
-                np.repeat(g * scale, kernel, axis=-2), kernel, axis=-1)
-            x._accumulate(dx)
+            x._accumulate(_avgpool_grad(g, x.shape, kernel))
         out._backward = _bw
     return out
+
+
+def _avgpool_grad(g: np.ndarray, shape: tuple, kernel: int) -> np.ndarray:
+    """The input gradient of ``avgpool2d`` over an input of ``shape``, from the
+    output gradient ``g``."""
+    oh, ow = g.shape[-2], g.shape[-1]
+    dx = np.zeros(shape)
+    dx[..., :oh * kernel, :ow * kernel] += np.repeat(
+        np.repeat(g * (1.0 / (kernel * kernel)), kernel, axis=-2), kernel, axis=-1)
+    return dx
 
 
 # -- normalization and loss ---------------------------------------------------

@@ -506,6 +506,38 @@ def test_parallel_workers_match_serial(tmp_path):
         assert a == b
 
 
+def _no_libc():
+    raise OSError("no C library")
+
+
+class _LibcWithoutMallopt:
+    """A C library without glibc's ``mallopt``."""
+
+
+@pytest.mark.parametrize("libc", [_no_libc, _LibcWithoutMallopt],
+                         ids=["no-libc", "no-mallopt"])
+def test_the_allocator_hint_is_optional(tmp_path, monkeypatch, libc):
+    cfg = tiny_config(data={"classes": 4, "per_class": 12, "side": 10, "seed": 0},
+                      model={"architecture": "cnn2d", "conv_channels": [2, 3]},
+                      strategies=["naive", "gss", "joint"])
+    real_mallopt, calls = cli._libc().mallopt, []
+
+    class Recorded:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return real_mallopt(param, value)
+
+    outputs = []
+    for stub in (Recorded, libc):
+        monkeypatch.setattr(cli, "_libc", stub)
+        out = tmp_path / stub.__name__
+        assert main(["run", str(write_config(tmp_path, dict(cfg, output_dir=str(out))))]) == 0
+        outputs.append([(out / "seed_0" / name).read_bytes()
+                        for name in ("drift.csv", "accuracy.csv")])
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    assert outputs[0] == outputs[1]
+
+
 # the smallest config found whose drift.csv depended on the BLAS thread count
 BLAS_SENSITIVE = {
     "benchmark": "synth-images", "data": {"classes": 10, "per_class": 60, "side": 12, "seed": 0},

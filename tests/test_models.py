@@ -300,6 +300,26 @@ def test_mlp_example_gradients_equal_the_tape_loop(activation, hidden, rows):
     np.testing.assert_array_equal(fast, loop)
 
 
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("input_shape", [(1, 12, 12), (2, 10, 11)])
+@pytest.mark.parametrize("conv_kernel", [3, 2])
+@pytest.mark.parametrize("rows", [1, 2, 11, 40])
+def test_cnn2d_example_gradients_equal_the_tape_loop(activation, input_shape, conv_kernel, rows):
+    model = build_model(make_spec("cnn2d", input_shape=input_shape, num_classes=10,
+                                  conv_kernel=conv_kernel, activation=activation))
+    rng = np.random.default_rng(rows)
+    xs = rng.uniform(size=(rows,) + input_shape)
+    ys = rng.integers(0, 10, size=rows)
+    if rows > 2:  # one duplicated row
+        xs[-1], ys[-1] = xs[0], ys[0]
+    before = parameter_snapshot(model)
+    fast = model.example_gradients(xs, ys)
+    assert_parameters_untouched(model, before)
+    loop = md.Model.example_gradients(model, xs, ys)
+    assert_parameters_untouched(model, before)
+    np.testing.assert_array_equal(fast, loop)
+
+
 # -- state dicts -----------------------------------------------------------------------
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from shapdrift import strategies
 from shapdrift.data import build_stream, synth_images
-from shapdrift.models import Mlp, Model, ModelSpec, build_model
+from shapdrift.models import Cnn2d, Mlp, Model, ModelSpec, build_model
 from shapdrift.strategies import (
     OptConfig,
     ReplayBuffer,
@@ -231,13 +231,12 @@ def test_gss_determinism():
     assert results[0] == results[1]
 
 
-def gss_on_a_filling_buffer(activation, hidden):
+def gss_on_a_filling_buffer(architecture, **model):
     """A GSS run whose 120-slot buffer fills, so tau and eviction both act;
     returns every admission decision and the final buffer."""
     data = synth_images(10, 60, side=12, seed=0)
     stream = build_stream(data, 5)
-    model = build_model(ModelSpec("mlp", data.inputs.shape[1:], 10,
-                                  hidden=hidden, activation=activation))
+    model = build_model(ModelSpec(architecture, data.inputs.shape[1:], 10, **model))
     buf = ReplayBuffer(120, policy="gss_greedy")
     decisions = []
     admit = strategies.gss_admit
@@ -252,20 +251,32 @@ def gss_on_a_filling_buffer(activation, hidden):
     return decisions, buf
 
 
-@pytest.mark.parametrize("activation, hidden, admitted",
-                         [("tanh", (32,), 170), ("relu", (16, 8), 172)])
-def test_gss_decisions_on_a_filling_buffer_match_the_tape_loop(
-        activation, hidden, admitted, monkeypatch):
-    decisions, fast = gss_on_a_filling_buffer(activation, hidden)
+def assert_gss_matches_the_tape_loop(model_class, admitted, monkeypatch, **model):
+    decisions, fast = gss_on_a_filling_buffer(**model)
     # 200 candidates; the rejections and the evictions past slot 120 both happen
     assert len(decisions) == 200 and sum(decisions) == admitted
     assert len(fast) == fast.capacity
-    monkeypatch.setattr(Mlp, "example_gradients", Model.example_gradients)
-    loop_decisions, loop = gss_on_a_filling_buffer(activation, hidden)
+    monkeypatch.setattr(model_class, "example_gradients", Model.example_gradients)
+    loop_decisions, loop = gss_on_a_filling_buffer(**model)
     assert decisions == loop_decisions
     np.testing.assert_array_equal(fast._inputs, loop._inputs)
     np.testing.assert_array_equal(fast.labels, loop.labels)
     np.testing.assert_array_equal(fast._scores, loop._scores)
+
+
+@pytest.mark.parametrize("activation, hidden, admitted",
+                         [("tanh", (32,), 170), ("relu", (16, 8), 172)])
+def test_gss_decisions_on_a_filling_buffer_match_the_tape_loop(
+        activation, hidden, admitted, monkeypatch):
+    assert_gss_matches_the_tape_loop(Mlp, admitted, monkeypatch, architecture="mlp",
+                                     hidden=hidden, activation=activation)
+
+
+@pytest.mark.parametrize("activation, admitted", [("tanh", 178), ("relu", 175)])
+def test_cnn2d_gss_decisions_on_a_filling_buffer_match_the_tape_loop(
+        activation, admitted, monkeypatch):
+    assert_gss_matches_the_tape_loop(Cnn2d, admitted, monkeypatch, architecture="cnn2d",
+                                     activation=activation)
 
 
 # -- training strategies --------------------------------------------------------------
