@@ -18,7 +18,6 @@ import dataclasses
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +382,8 @@ def cmd_run(args) -> int:
     written: list = []
     try:
         if args.workers > 1:
+            # imported here: the import costs every single-process run about 20 ms
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.workers,
                                      initializer=_steady_allocator) as pool:
                 futures = [pool.submit(_run_single_seed, cfg, s, str(outdir))

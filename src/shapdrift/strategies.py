@@ -257,7 +257,9 @@ def _train(model: Model, stream: ExperienceStream, opt: OptConfig, seed: int,
                 if buffer is not None and buffer.policy == "gss_greedy":
                     for j in idx[:buffer.gss_candidates]:
                         buffer.consider(train.inputs[j], int(train.labels[j]), model, rng)
-        del bx, by  # the last batch would otherwise add to the refill's peak RSS
+        # the last batch, its memory sample and its loss would otherwise stay
+        # alive through the refill and add to its peak RSS
+        bx = by = mx = my = idx = order = loss = None
         log.final_losses.append(float(np.mean(losses)))
         if buffer is not None and buffer.policy == "class_balanced":
             buffer.rebalance(train, rng)

@@ -405,15 +405,17 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
 
 def _col2im(dcols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
     """The input gradient of ``_im2col``: adds each window row of ``dcols`` (any
-    array of batch * oh*ow * C*kh*kw entries) back into a zero array of ``shape``."""
+    array of batch * oh*ow * C*kh*kw entries) back into a zero array of ``shape``.
+    The adds run in channel-last memory, the order of ``dcols``'s rows; the
+    result is a (batch, C, H, W) view of it."""
     batch, in_ch, h, wd = shape
     oh, ow = h - kh + 1, wd - kw + 1
     dcols = dcols.reshape(batch, oh, ow, in_ch, kh, kw)
-    dx = np.zeros(shape)
+    dx = np.zeros((batch, h, wd, in_ch))
     for i in range(kh):
         for j in range(kw):
-            dx[:, :, i:i + oh, j:j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    return dx
+            dx[:, i:i + oh, j:j + ow] += dcols[:, :, :, :, i, j]
+    return dx.transpose(0, 3, 1, 2)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -473,6 +475,15 @@ def avgpool2d(x: Tensor, kernel: int) -> Tensor:
 
     Output extent per pooled axis is floor(extent / kernel); trailing
     remainder cells are dropped and get a zero gradient.
+
+    Each window sum starts from 0.0 and is divided by kernel * kernel, as
+    numpy's mean does, adding in numpy's order for the operand's memory layout.
+    A 4D operand with more than one channel in channel-last memory (conv2d's
+    output and any elementwise function of it) adds the window cells in
+    row-major order, one strided add per cell over all windows, and the result
+    stays channel-last. Any other operand, such as C-ordered or single-channel
+    maps, takes numpy's mean over each window, which on C-ordered memory sums
+    each window row first.
     """
     if kernel < 1:
         raise ValueError(f"avgpool2d: kernel must be >= 1, got {kernel}")
@@ -482,9 +493,20 @@ def avgpool2d(x: Tensor, kernel: int) -> Tensor:
     if kernel > h or kernel > w:
         raise ValueError(f"avgpool2d: kernel {kernel} larger than input extents {(h, w)}")
 
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, (kernel, kernel), axis=(-2, -1))
-    windows = windows[..., ::kernel, ::kernel, :, :]
-    out = _make(windows.mean(axis=(-2, -1)), (x,), "avgpool2d")
+    d = x.data
+    if d.ndim == 4 and d.shape[1] > 1 and d.strides[1] == d.itemsize:
+        # the sums numpy's mean makes on this layout, without its inner loop of
+        # only C elements per window cell
+        hk, wk = h // kernel * kernel, w // kernel * kernel  # the extents windows cover
+        cells = [d[..., i:hk:kernel, j:wk:kernel] for i in range(kernel) for j in range(kernel)]
+        total = np.add(0.0, cells[0])
+        for cell in cells[1:]:
+            total += cell
+        total /= kernel * kernel
+    else:
+        windows = np.lib.stride_tricks.sliding_window_view(d, (kernel, kernel), axis=(-2, -1))
+        total = windows[..., ::kernel, ::kernel, :, :].mean(axis=(-2, -1))
+    out = _make(total, (x,), "avgpool2d")
     if out.requires_grad:
         def _bw(g):
             x._accumulate(_avgpool_grad(g, x.shape, kernel))

@@ -106,7 +106,42 @@ def test_avgpool_batched_matches_2d():
     out = tn.avgpool2d(Tensor(x), 2).data
     assert out.shape == (2, 3, 3, 3)
     ref = tn.avgpool2d(Tensor(x[1, 2]), 2).data
-    assert np.allclose(out[1, 2], ref)
+    assert np.array_equal(out[1, 2], ref)
+
+
+def _window_mean(x, kernel):
+    """avgpool2d as one numpy mean over each window's two axes."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(-2, -1))
+    return windows[..., ::kernel, ::kernel, :, :].mean(axis=(-2, -1))
+
+
+def _channel_last(x):
+    """``x`` with its (batch, C, H, W) shape kept and channels innermost in memory,
+    the layout conv2d returns."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 11, 256])
+@pytest.mark.parametrize("channels", [2, 3, 8, 16])
+def test_avgpool_channel_last_matches_window_mean(batch, channels):
+    rng = np.random.default_rng(batch * channels)
+    for h, w in [(6, 6), (7, 9), (5, 4), (3, 8)]:  # (5, 4) and (3, 8) pool to height 1 at k=3
+        for kernel in (1, 2, 3):
+            x = _channel_last(rng.normal(size=(batch, channels, h, w)))
+            x[-1, :, :kernel, :kernel] = -0.0  # numpy's mean of this window is +0.0
+            assert x.strides[1] == x.itemsize
+            out = tn.avgpool2d(Tensor(x), kernel).data
+            ref = _window_mean(x, kernel)
+            assert np.array_equal(out, ref)
+            assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+
+def test_avgpool_c_order_and_single_channel_match_window_mean():
+    rng = np.random.default_rng(9)
+    for x in (rng.normal(size=(10, 4, 12, 12)), rng.normal(size=(10, 1, 12, 12)),
+              _channel_last(rng.normal(size=(10, 1, 12, 12))), rng.normal(size=(12, 12))):
+        for kernel in (2, 4):
+            assert np.array_equal(tn.avgpool2d(Tensor(x), kernel).data, _window_mean(x, kernel))
 
 
 def _avgpool_backward_loop(g, shape, kernel):
@@ -166,6 +201,51 @@ def test_zscore_moments_and_idempotence():
 
 
 # -- conv1d and slices -------------------------------------------------------------
+
+
+def _col2im_nchw_loop(dcols, shape, kh, kw):
+    """The window scatter of ``_col2im`` into a C-ordered (batch, C, H, W) array."""
+    batch, in_ch, h, wd = shape
+    oh, ow = h - kh + 1, wd - kw + 1
+    dcols = dcols.reshape(batch, oh, ow, in_ch, kh, kw)
+    dx = np.zeros(shape)
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, :, i:i + oh, j:j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    return dx
+
+
+# cnn2d's conv2 input at side 12, a 2-row conv1 input, and conv1d's unit-height inputs
+@pytest.mark.parametrize("shape, kh, kw", [((200, 8, 5, 5), 3, 3), ((2, 2, 10, 11), 2, 2),
+                                           ((3, 12, 1, 30), 1, 5), ((1, 3, 1, 9), 1, 3)])
+def test_col2im_matches_nchw_loop(shape, kh, kw):
+    batch, in_ch, h, wd = shape
+    rng = np.random.default_rng(in_ch)
+    dcols = rng.normal(size=(batch * (h - kh + 1) * (wd - kw + 1), in_ch * kh * kw))
+    out = tn._col2im(dcols, shape, kh, kw)
+    assert out.shape == shape
+    assert np.array_equal(out, _col2im_nchw_loop(dcols, shape, kh, kw))
+
+
+def _cnn2d_logits_window_mean(model, xs):
+    """``Cnn2d.forward`` with every pooling done by ``_window_mean``; returns the
+    logits and the two conv activations."""
+    p, h, acts = model.params, xs, []
+    for name in ("conv1", "conv2"):
+        acts.append(model.act(tn.conv2d(Tensor(h), p[f"{name}_w"], p[f"{name}_b"])).data)
+        h = _window_mean(acts[-1], 2)
+    h = model.act(tn.matmul(Tensor(h.reshape(len(h), -1)), p["dense_w"]) + p["dense_b"])
+    return (tn.matmul(h, p["head_w"]) + p["head_b"]).data, acts
+
+
+@pytest.mark.parametrize("conv_channels", [(8, 16), (1, 2), (2, 1)])
+def test_cnn2d_pools_channel_last_and_matches_window_mean(conv_channels):
+    model = build_model(ModelSpec("cnn2d", (1, 12, 12), 10, conv_channels=conv_channels))
+    xs = np.random.default_rng(2).uniform(size=(37, 1, 12, 12))
+    logits, acts = _cnn2d_logits_window_mean(model, xs)
+    for h in acts:  # a multi-channel activation keeps conv2d's channel-last memory
+        assert h.shape[1] == 1 or h.strides[1] == h.itemsize
+    assert np.array_equal(model.logits_np(xs), logits)
 
 
 def test_conv1d_matches_windowed_sum():
