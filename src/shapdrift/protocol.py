@@ -21,6 +21,7 @@ from .data import EvaluationSlice, ExperienceStream, require_count, write_atomic
 from .explainers import ShapConfig, explain_all_classes, per_example_config
 from .models import ModelSpec, build_model, reservoir_checksum
 from .strategies import (
+    SHARED_FIRST_STAGE,
     STRATEGIES,
     OptConfig,
     ReplayBuffer,
@@ -238,16 +239,18 @@ def _snapshot_maps(model, probes, background: np.ndarray,
 
 
 def _train_strategy(strategy: str, spec: ModelSpec, stream: ExperienceStream,
-                    opt: OptConfig, train_seed: int, buffer: ReplayBuffer | None = None):
-    """A fresh model trained by ``strategy``; the replay strategies fill ``buffer``."""
+                    opt: OptConfig, train_seed: int, buffer: ReplayBuffer | None = None,
+                    first=None):
+    """A fresh model trained by ``strategy``; the replay strategies fill ``buffer``.
+    ``first`` is the log whose first stage a naive or ER run shares."""
     model = build_model(spec)
     frozen = reservoir_checksum(model) if spec.architecture == "esn" else None
     if strategy == "naive":
-        log = train_naive(model, stream, opt, train_seed)
+        log = train_naive(model, stream, opt, train_seed, first=first)
     elif strategy == "joint":
         log = train_joint(model, stream, opt, train_seed)
     else:
-        log = train_replay(model, stream, opt, buffer, train_seed)
+        log = train_replay(model, stream, opt, buffer, train_seed, first=first)
     if frozen is not None and reservoir_checksum(model) != frozen:
         raise RuntimeError(f"frozen reservoir changed during {strategy} training")
     return model, log
@@ -276,6 +279,11 @@ def run_protocol(
     ``seed``; identical arguments reproduce the report bit for bit. Strategies
     are compared against joint maps computed once from the joint snapshot, so
     joint-vs-joint rows are exactly zero.
+
+    When both naive and ER run, their first stages are the same computation
+    (see ``strategies``): whichever of the two comes first is trained in full,
+    and the other starts from its first-stage log and reuses its
+    experience-1 maps. The report is the one each would give on its own.
     """
     check_settings(strategies, pool_order, saliency_probes)
     opt = opt or OptConfig()
@@ -309,22 +317,29 @@ def run_protocol(
     accuracy_rows: list = []
     train_logs: dict = {}
     saliency: dict = {}
+    sharing = set(SHARED_FIRST_STAGE) <= set(strategies)
+    first = first_maps = None   # the first stage and experience-1 maps of naive or ER
 
     for strategy in strategies:
+        shares = sharing and strategy in SHARED_FIRST_STAGE
         if strategy == "joint":
             model, log = joint_model, joint_log
         else:
             # popped, so no buffer outlives its strategy's training
             model, log = _train_strategy(strategy, spec, stream, opt, train_seed,
-                                         buffers.pop(strategy, None))
+                                         buffers.pop(strategy, None), first if shares else None)
         train_logs[strategy] = log
 
         for e in range(num_experiences):
             if strategy == "joint":
                 maps = joint_maps
+            elif e == 0 and shares and first is not None:
+                maps = first_maps
             else:
                 model.load_state_dict(log.snapshots[e])
                 maps = _snapshot_maps(model, probes, background, shap)[0]
+                if e == 0 and shares:
+                    first, first_maps = log, maps
             # probes are the contiguous last axis, so each probe mean sums in the
             # same order as a mean over a list of per-probe values
 

@@ -4,6 +4,12 @@ Naive fine-tuning, experience replay with a class-balanced buffer,
 gradient-similarity (GSS-greedy) replay, and a jointly trained reference.
 All strategies share one SGD loop so that differences between them are the
 memory policy and nothing else.
+
+Naive and ER run the same first stage bit for bit: ER's class-balanced
+buffer stays empty until the refill that ends the stage, so both start from
+the same weights, draw the same batch orders and take the same steps. A run
+of one can therefore start from the other's first stage (``first=``). GSS
+cannot: it admits and replays from its first batch.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .models import Model
 from .tensor import Tensor, softmax_cross_entropy
 
 STRATEGIES = ("naive", "er", "gss", "joint")
+SHARED_FIRST_STAGE = ("naive", "er")   # strategies whose first stages are identical
 
 
 class TrainingDiverged(RuntimeError):
@@ -148,9 +155,16 @@ def _untouched_block(shape: tuple) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), np.float64).reshape(shape)
 
 
-def _cosine(a: np.ndarray, norm_a: float, b: np.ndarray) -> float:
-    denom = norm_a * np.linalg.norm(b)
-    return float(a @ b / denom) if denom > 0 else 0.0
+def _similarities(grads: np.ndarray) -> np.ndarray:
+    """Cosine similarity of row 0 of ``grads`` with each later row; 0.0 where
+    either norm is zero. Each dot product is a (1, P) @ (P, 1) product, which
+    gives the bits of ``a @ b`` on two vectors, and each norm is the sqrt of
+    that self product, as in ``np.linalg.norm``; so every value equals the
+    one-pair formula bit for bit."""
+    dots = np.matmul(grads[1:, None, :], grads[0][:, None])[:, 0, 0]
+    norms = np.sqrt(np.matmul(grads[:, None, :], grads[:, :, None])[:, 0, 0])
+    denom = norms[0] * norms[1:]
+    return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
 
 
 def gss_admit(buffer: ReplayBuffer, x: np.ndarray, y: int, model: Model,
@@ -158,7 +172,8 @@ def gss_admit(buffer: ReplayBuffer, x: np.ndarray, y: int, model: Model,
     """Gradient-similarity admission.
 
     The candidate's score is its maximum cosine similarity against the
-    gradients (at current weights) of up to ``gss_n_sim`` stored entries.
+    gradients (at current weights) of up to ``gss_n_sim`` stored entries,
+    all scored in one stacked product.
     The candidate's and the sampled entries' gradients come from one
     ``model.example_gradients`` call: one batched numpy pass for an MLP or a
     cnn2d model, one batch-1 tape pass per row for conv1d, LSTM and ESN
@@ -178,8 +193,7 @@ def gss_admit(buffer: ReplayBuffer, x: np.ndarray, y: int, model: Model,
         grads = model.example_gradients(
             np.concatenate([np.asarray(x)[None], buffer._inputs[sample]]),
             np.concatenate([[y], buffer._labels[sample]]))
-        norm_c = np.linalg.norm(grads[0])
-        score = max(_cosine(grads[0], norm_c, g) for g in grads[1:])
+        score = max(_similarities(grads).tolist())
     if n < buffer.capacity:
         slot, buffer._n = n, n + 1
     elif score < buffer.gss_tau:
@@ -221,7 +235,7 @@ class TrainLog:
 
 def _train(model: Model, stream: ExperienceStream, opt: OptConfig, seed: int,
            strategy: str, buffer: ReplayBuffer | None = None,
-           stages: list | None = None) -> TrainLog:
+           stages: list | None = None, first: TrainLog | None = None) -> TrainLog:
     """The SGD loop of every strategy, over ``stages``: (training set, its name in
     a ``TrainingDiverged`` message) pairs, one per experience by default.
 
@@ -229,16 +243,31 @@ def _train(model: Model, stream: ExperienceStream, opt: OptConfig, seed: int,
     batch 1:1 with memory samples; a gss_greedy one then screens a few of the
     batch's rows, and a class_balanced one is refilled from the stage's set after
     its epochs. Each stage ends with a loss, a weight snapshot and an accuracy row.
+
+    ``first`` is the log of a naive or ER run on the same model spec, stream,
+    ``opt`` and ``seed``. Its first stage is this run's first stage, so that
+    stage is not trained again: its loss, snapshot and accuracy row are copied,
+    and the model loads the snapshot. The stage's generator still draws the
+    epoch orders, the only draws of a stage with an empty buffer, so an ER
+    refill draws what it would draw after training.
     """
+    if first is not None and not (
+            stages is None and strategy in SHARED_FIRST_STAGE
+            and first.strategy in SHARED_FIRST_STAGE and (buffer is None or len(buffer) == 0)):
+        raise ValueError(f"a {strategy} run cannot share the first stage of a "
+                         f"{first.strategy} run")
     if stages is None:
         stages = [(exp.train, f"experience {e + 1} of {len(stream)}")
                   for e, exp in enumerate(stream.experiences)]
     log = TrainLog(strategy, [exp.classes for exp in stream.experiences],
                    np.empty((len(stages), len(stream))))
     for i, (train, where) in enumerate(stages):
+        shared = i == 0 and first is not None
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         for epoch in range(opt.epochs):
             order = rng.permutation(len(train))
+            if shared:
+                continue
             losses = []
             for lo in range(0, len(order), opt.batch_size):
                 idx = order[lo:lo + opt.batch_size]
@@ -260,25 +289,33 @@ def _train(model: Model, stream: ExperienceStream, opt: OptConfig, seed: int,
         # the last batch, its memory sample and its loss would otherwise stay
         # alive through the refill and add to its peak RSS
         bx = by = mx = my = idx = order = loss = None
-        log.final_losses.append(float(np.mean(losses)))
+        if shared:
+            model.load_state_dict(first.snapshots[0])
+            log.final_losses.append(first.final_losses[0])
+        else:
+            log.final_losses.append(float(np.mean(losses)))
         if buffer is not None and buffer.policy == "class_balanced":
             buffer.rebalance(train, rng)
         log.snapshots.append(model.state_dict())
-        log.accuracy[i] = [evaluate(model, exp.test) for exp in stream.experiences]
+        log.accuracy[i] = (first.accuracy[0] if shared else
+                           [evaluate(model, exp.test) for exp in stream.experiences])
     return log
 
 
 def train_naive(model: Model, stream: ExperienceStream, opt: OptConfig,
-                seed: int = 0) -> TrainLog:
-    """Sequential fine-tuning with no memory: the forgetting baseline."""
-    return _train(model, stream, opt, seed, "naive")
+                seed: int = 0, first: TrainLog | None = None) -> TrainLog:
+    """Sequential fine-tuning with no memory: the forgetting baseline.
+    ``first``: a log whose first stage this run shares (see ``_train``)."""
+    return _train(model, stream, opt, seed, "naive", first=first)
 
 
 def train_replay(model: Model, stream: ExperienceStream, opt: OptConfig,
-                 buffer: ReplayBuffer, seed: int = 0) -> TrainLog:
-    """Replay training; the buffer policy selects plain ER or GSS-greedy."""
+                 buffer: ReplayBuffer, seed: int = 0,
+                 first: TrainLog | None = None) -> TrainLog:
+    """Replay training; the buffer policy selects plain ER or GSS-greedy.
+    ``first``: a log whose first stage an ER run shares (see ``_train``)."""
     strategy = "er" if buffer.policy == "class_balanced" else "gss"
-    return _train(model, stream, opt, seed, strategy, buffer)
+    return _train(model, stream, opt, seed, strategy, buffer, first=first)
 
 
 def train_joint(model: Model, stream: ExperienceStream, opt: OptConfig,

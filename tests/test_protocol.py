@@ -5,7 +5,7 @@ round-trips, and aggregation."""
 import numpy as np
 import pytest
 
-from shapdrift import protocol
+from shapdrift import protocol, strategies
 from shapdrift.data import build_stream, make_slice, synth_images, synth_sequences
 from shapdrift.explainers import ShapConfig, explain_all_classes, per_example_config
 from shapdrift.models import ModelSpec, build_model
@@ -259,6 +259,64 @@ def test_batched_maps_match_per_probe_engine_calls(engine):
                                                   shap, [per_example_config(shap, p).seed])
         np.testing.assert_array_equal(batched[:, p], direct[:, 0])
         np.testing.assert_array_equal(phi0, direct_phi0)
+
+
+def lstm_setup():
+    data = synth_sequences(4, 12, steps=6, features=4, seed=0)
+    stream = build_stream(data, 2)
+    slice_ = make_slice(stream, background_n=8, probes_per_class=2, seed=0)
+    return stream, slice_, ModelSpec("lstm", (6, 4), 4, hidden_size=4)
+
+
+@pytest.mark.parametrize("setup", [image_setup, lstm_setup])
+def test_naive_and_er_share_their_first_stage(setup, monkeypatch):
+    stream, slice_, spec = setup()
+    opt = OptConfig(epochs=2, batch_size=8)
+    step, maps = strategies.sgd_step, protocol._snapshot_maps
+    calls = {"steps": 0, "maps": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(strategies, "sgd_step", counted("steps", step))
+    monkeypatch.setattr(protocol, "_snapshot_maps", counted("maps", maps))
+
+    def run(names):
+        calls.update(steps=0, maps=0)
+        report = run_protocol(stream, slice_, spec, names, opt=opt,
+                              shap=ShapConfig("gradient", n_samples=4),
+                              buffer_capacity=8, seed=5)
+        return report, dict(calls)
+
+    def rows_of(report, strategy):
+        log = report.train_logs[strategy]
+        return ([r for r in report.rows if r.strategy == strategy],
+                [r for r in report.accuracy_rows if r.strategy == strategy],
+                log.to_json(), log.snapshots)
+
+    def assert_same(a, b):
+        assert a[:3] == b[:3]
+        for x, y in zip(a[3], b[3], strict=True):
+            assert x.keys() == y.keys()
+            for name in x:
+                np.testing.assert_array_equal(x[name], y[name])
+
+    apart = {s: run([s, "joint"]) for s in ("naive", "er")}
+    together = {tuple(names): run(names)
+                for names in (["naive", "er", "joint"], ["er", "naive", "joint"])}
+    stage_steps = opt.epochs * -(-len(stream.experiences[0].train) // opt.batch_size)
+    joint_steps = opt.epochs * -(-sum(len(e.train) for e in stream.experiences)
+                                 // opt.batch_size)
+    for report, counts in together.values():
+        for strategy in ("naive", "er"):
+            assert_same(rows_of(report, strategy), rows_of(apart[strategy][0], strategy))
+        # the shared stage trained and was attributed once
+        assert counts["steps"] == (apart["naive"][1]["steps"] + apart["er"][1]["steps"]
+                                   - joint_steps - stage_steps)
+        assert counts["maps"] == 2 * len(stream) - 1 + 1
 
 
 def test_protocol_validation_errors():

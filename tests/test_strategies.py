@@ -231,6 +231,30 @@ def test_gss_determinism():
     assert results[0] == results[1]
 
 
+def pairwise_similarities(grads):
+    """The one-pair cosine formula, pair by pair: 0.0 where either norm is zero."""
+    norm_c, out = np.linalg.norm(grads[0]), []
+    for g in grads[1:]:
+        denom = norm_c * np.linalg.norm(g)
+        out.append(float(grads[0] @ g / denom) if denom > 0 else 0.0)
+    return out
+
+
+def test_stacked_gss_scores_equal_the_pairwise_loop():
+    rng = np.random.default_rng(0)
+    for trial in range(60):
+        rows, width = int(rng.integers(2, 12)), int(rng.integers(1, 5000))
+        grads = rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(-6, 2)
+        if trial % 3:
+            grads[trial % rows] = 0.0   # the candidate's row or a sampled entry's
+        scores = strategies._similarities(grads)
+        assert scores.tolist() == pairwise_similarities(grads)
+        if trial % 3 and trial % rows:
+            assert scores[trial % rows - 1] == 0.0
+    zero_candidate = np.vstack([np.zeros(5), rng.standard_normal((3, 5))])
+    assert strategies._similarities(zero_candidate).tolist() == [0.0, 0.0, 0.0]
+
+
 def gss_on_a_filling_buffer(architecture, **model):
     """A GSS run whose 120-slot buffer fills, so tau and eviction both act;
     returns every admission decision and the final buffer."""
@@ -329,6 +353,37 @@ def build_stream_prefix(stream, n):
     exps = [Experience(relabel(e.train), relabel(e.test),
                        tuple(remap[c] for c in e.classes)) for e in kept]
     return ExperienceStream(exps, len(classes))
+
+
+def test_er_started_from_a_naive_first_stage_equals_er_alone():
+    stream = make_stream(classes=6, per_class=12, per_experience=2)
+    opt = OptConfig(epochs=2, batch_size=16)
+    naive = train_naive(make_model(stream), stream, opt, seed=4)
+    alone, shared = ReplayBuffer(12), ReplayBuffer(12)
+    er = train_replay(make_model(stream), stream, opt, alone, seed=4)
+    model = make_model(stream, seed=9)   # weights the shared stage replaces
+    er_shared = train_replay(model, stream, opt, shared, seed=4, first=naive)
+    assert er_shared.to_json() == er.to_json()
+    for a, b in zip(er.snapshots, er_shared.snapshots):
+        for name in a:
+            np.testing.assert_array_equal(a[name], b[name])
+    # the refill after the shared stage drew what it draws after training
+    np.testing.assert_array_equal(shared.labels, alone.labels)
+    np.testing.assert_array_equal(shared._inputs, alone._inputs)
+    naive_shared = train_naive(make_model(stream), stream, opt, seed=4, first=er)
+    assert naive_shared.to_json() == naive.to_json()
+
+
+def test_only_naive_and_er_share_a_first_stage():
+    stream = make_stream()
+    opt = OptConfig(epochs=1)
+    naive = train_naive(make_model(stream), stream, opt, seed=0)
+    with pytest.raises(ValueError, match="gss run cannot share the first stage"):
+        train_replay(make_model(stream), stream, opt, ReplayBuffer(8, policy="gss_greedy"),
+                     first=naive)
+    gss = train_replay(make_model(stream), stream, opt, ReplayBuffer(8, policy="gss_greedy"))
+    with pytest.raises(ValueError, match="naive run cannot share the first stage of a gss"):
+        train_naive(make_model(stream), stream, opt, first=gss)
 
 
 def test_gss_training_runs_and_respects_capacity():
