@@ -173,8 +173,10 @@ def load_config(path) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
-    """Digest of the normalized config; stable under key order and formatting."""
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    """Digest of the normalized config; stable under key order and formatting.
+    ``output_dir`` says where a run goes, not what it computes, so it is left out."""
+    canon = json.dumps({k: v for k, v in cfg.items() if k != "output_dir"},
+                       sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 

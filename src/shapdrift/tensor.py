@@ -11,6 +11,7 @@ and releases it, or keeps it for a further pass from another seed.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Iterable, Optional, Sequence, Union
 
@@ -396,11 +397,29 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """The kh x kw windows of a (batch, C, H, W) array as a (batch, oh*ow, C*kh*kw)
-    array: one row per output position, ordered like a flattened (C, kh, kw) kernel."""
-    batch, in_ch, h, wd = x.shape
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-        batch, (h - kh + 1) * (wd - kw + 1), in_ch * kh * kw)
+    array: one row per output position, ordered like a flattened (C, kh, kw) kernel.
+
+    Each item is read as one flat row in its memory order (a view for C-ordered
+    input and for conv2d's channel-last output; other layouts are copied first),
+    and one ``np.take`` gathers every window entry through ``_window_index``."""
+    batch = x.shape[0]
+    order = tuple(sorted((1, 2, 3), key=lambda a: -x.strides[a]))  # falling stride
+    flat = np.ascontiguousarray(x.transpose(0, *order)).reshape(batch, -1)
+    index = _window_index(x.shape[1:], order, kh, kw)
+    return np.take(flat, index, axis=1).reshape(batch, -1, x.shape[1] * kh * kw)
+
+
+@functools.lru_cache
+def _window_index(item: tuple, order: tuple, kh: int, kw: int) -> np.ndarray:
+    """The flat position of every (oh, ow, C, kh, kw) window entry within one
+    (C, H, W) item whose axes lie in memory in ``order`` (axis numbers 1-3);
+    read-only, as the cache shares it."""
+    pos = np.arange(np.prod(item)).reshape([item[a - 1] for a in order])
+    pos = pos.transpose(np.argsort(order))  # back to (C, H, W), holding memory positions
+    windows = np.lib.stride_tricks.sliding_window_view(pos, (kh, kw), axis=(1, 2))
+    index = windows.transpose(1, 2, 0, 3, 4).ravel()
+    index.setflags(write=False)
+    return index
 
 
 def _col2im(dcols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
@@ -436,7 +455,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     cols = _im2col(x.data, kh, kw).reshape(batch * oh * ow, in_ch * kh * kw)
     wmat = w.data.reshape(out_ch, in_ch * kh * kw)
     res = (cols @ wmat.T).reshape(batch, oh, ow, out_ch).transpose(0, 3, 1, 2)
-    res = res + b.data.reshape(1, out_ch, 1, 1)
+    res += b.data.reshape(1, out_ch, 1, 1)  # in the fresh product, still channel-last
 
     out = _make(res, (x, w, b), "conv2d")
     if out.requires_grad:
@@ -516,11 +535,19 @@ def avgpool2d(x: Tensor, kernel: int) -> Tensor:
 
 def _avgpool_grad(g: np.ndarray, shape: tuple, kernel: int) -> np.ndarray:
     """The input gradient of ``avgpool2d`` over an input of ``shape``, from the
-    output gradient ``g``."""
+    output gradient ``g``: a C-ordered array (callers' sums over it add in its
+    memory order) whose every window cell holds its window's ``g / kernel**2``
+    and whose remainder rows and columns hold zeros. The ``+ 0.0`` gives the
+    +0.0 that adding a -0.0 into zeros gives."""
     oh, ow = g.shape[-2], g.shape[-1]
-    dx = np.zeros(shape)
-    dx[..., :oh * kernel, :ow * kernel] += np.repeat(
-        np.repeat(g * (1.0 / (kernel * kernel)), kernel, axis=-2), kernel, axis=-1)
+    hk, wk = oh * kernel, ow * kernel
+    share = g * (1.0 / (kernel * kernel)) + 0.0
+    dx = np.empty(shape)
+    for i in range(kernel):
+        for j in range(kernel):
+            dx[..., i:hk:kernel, j:wk:kernel] = share
+    dx[..., hk:, :] = 0.0
+    dx[..., :hk, wk:] = 0.0
     return dx
 
 

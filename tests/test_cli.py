@@ -107,8 +107,10 @@ def test_config_hash_semantics():
     c = validate_config(tiny_config(buffer_capacity=17))
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
-    # the defaults read from OptConfig, ShapConfig and ModelSpec hash as they always have
-    assert config_hash(validate_config({}))[:12] == "aa851e03a56b"
+    # where a run is written does not change what it computes
+    assert config_hash(a) == config_hash(validate_config(tiny_config(output_dir="elsewhere")))
+    # the defaults read from OptConfig, ShapConfig and ModelSpec, without output_dir
+    assert config_hash(validate_config({}))[:12] == "e8e16a72ffe6"
 
 
 def test_readme_config_block_shows_the_defaults():
@@ -450,6 +452,15 @@ def test_run_twice_byte_identical_csv(tmp_path):
     a = (outs[0] / "seed_0" / "drift.csv").read_bytes()
     b = (outs[1] / "seed_0" / "drift.csv").read_bytes()
     assert a == b
+
+
+def test_output_dir_does_not_change_the_manifest(tmp_path):
+    path = write_config(tmp_path, tiny_config())
+    manifests = []
+    for name in ("a", "b"):
+        assert main(["run", str(path), "--output-dir", str(tmp_path / name)]) == 0
+        manifests.append((tmp_path / name / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
 
 
 def test_run_seed_override(tmp_path):

@@ -320,6 +320,46 @@ def test_cnn2d_example_gradients_equal_the_tape_loop(activation, input_shape, co
     np.testing.assert_array_equal(fast, loop)
 
 
+def _batch_layouts(xs):
+    """``xs`` C-ordered, Fortran-ordered and as a strided slice of a wider batch."""
+    wide = np.empty((2 * len(xs),) + xs.shape[1:])
+    wide[::2] = xs
+    return {"c-order": xs, "fortran": np.asfortranarray(xs), "batch-slice": wide[::2]}
+
+
+def _step_gradients(model, xs, ys):
+    """Each parameter's gradient after one taped loss forward and backward pass."""
+    softmax_cross_entropy(model.forward(Tensor(xs)), ys).backward()
+    params = model.trainable_parameters()
+    grads = {name: p.grad for name, p in params.items()}
+    for p in params.values():
+        p.grad = None
+    return grads
+
+
+@pytest.mark.parametrize("input_shape", [(1, 12, 12), (2, 10, 11)])
+def test_cnn2d_outputs_do_not_depend_on_the_batch_layout(input_shape):
+    model = build_model(make_spec("cnn2d", input_shape=input_shape, num_classes=10))
+    rng = np.random.default_rng(8)
+    xs = rng.uniform(size=(13,) + input_shape)
+    ys = rng.integers(0, 10, size=13)
+    ref = (model.logits_np(xs), model.example_gradients(xs, ys), _step_gradients(model, xs, ys))
+    for name, batch in _batch_layouts(xs).items():
+        assert np.array_equal(model.logits_np(batch), ref[0]), name
+        assert np.array_equal(model.example_gradients(batch, ys), ref[1]), name
+        grads = _step_gradients(model, batch, ys)
+        for param in ref[2]:
+            assert np.array_equal(grads[param], ref[2][param]), (name, param)
+
+
+def test_conv1d_logits_do_not_depend_on_the_batch_layout():
+    model = build_model(make_spec("conv1d", conv1d_channels=6, conv1d_kernel=3))
+    xs = np.random.default_rng(9).normal(size=(13,) + SEQ_SHAPE)
+    ref = model.logits_np(xs)
+    for name, batch in _batch_layouts(xs).items():
+        assert np.array_equal(model.logits_np(batch), ref), name
+
+
 # -- state dicts -----------------------------------------------------------------------
 
 

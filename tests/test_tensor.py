@@ -164,6 +164,29 @@ def test_avgpool_backward_matches_window_loop(shape):
     assert np.array_equal(x.grad, _avgpool_backward_loop(g, shape, 4))
 
 
+def _avgpool_grad_repeat(g, shape, kernel):
+    """``_avgpool_grad`` as a zero array plus the gradient repeated over each window."""
+    oh, ow = g.shape[-2], g.shape[-1]
+    dx = np.zeros(shape)
+    dx[..., :oh * kernel, :ow * kernel] += np.repeat(
+        np.repeat(g * (1.0 / (kernel * kernel)), kernel, axis=-2), kernel, axis=-1)
+    return dx
+
+
+@pytest.mark.parametrize("shape", [(7, 9), (12, 12), (3, 2, 9, 11), (5, 16, 6, 7), (4, 1, 3, 3)])
+@pytest.mark.parametrize("kernel", [1, 2, 3])
+def test_avgpool_grad_matches_zeros_plus_repeat(shape, kernel):
+    rng = np.random.default_rng(kernel)
+    g = rng.normal(size=shape[:-2] + (shape[-2] // kernel, shape[-1] // kernel))
+    g[..., 0, 0] = -0.0  # the reference's zeros turn it into +0.0
+    g[..., -1, -1] = 0.0
+    out = tn._avgpool_grad(g, shape, kernel)
+    ref = _avgpool_grad_repeat(g, shape, kernel)
+    assert np.array_equal(out, ref)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+    assert out.strides == ref.strides
+
+
 def test_zscore_batched_matches_2d():
     # a stack is normalized map by map over its trailing two axes
     rng = np.random.default_rng(4)
@@ -225,6 +248,49 @@ def test_col2im_matches_nchw_loop(shape, kh, kw):
     out = tn._col2im(dcols, shape, kh, kw)
     assert out.shape == shape
     assert np.array_equal(out, _col2im_nchw_loop(dcols, shape, kh, kw))
+
+
+def _im2col_strided_copy(x, kh, kw):
+    """``_im2col`` as one copy of the strided window view."""
+    batch, in_ch, h, wd = x.shape
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(
+        batch, (h - kh + 1) * (wd - kw + 1), in_ch * kh * kw)
+
+
+def _layouts(rng, shape):
+    """A (batch, C, H, W) array of ``shape`` in every memory layout conv2d can meet."""
+    x = rng.normal(size=shape)
+    wide = rng.normal(size=(2 * shape[0],) + shape[1:])
+    seq = rng.normal(size=(shape[0], shape[3], shape[1]))  # (batch, T, features)
+    yield "c-order", x
+    yield "channel-last", _channel_last(x)
+    yield "fortran", np.asfortranarray(x)
+    yield "batch-slice", wide[::2]
+    if shape[2] == 1:  # conv1d's unit-height view of swap_last2's output
+        yield "swap-last2", tn.reshape(tn.swap_last2(Tensor(seq)), shape).data
+
+
+# cnn2d's conv1 and conv2 inputs, odd extents, conv1d's unit-height inputs and a batch of 1
+@pytest.mark.parametrize("shape", [(6, 1, 12, 12), (5, 8, 5, 5), (3, 2, 7, 9),
+                                   (4, 6, 1, 10), (1, 3, 4, 3), (1, 1, 1, 4)])
+def test_im2col_matches_strided_copy(shape):
+    rng = np.random.default_rng(shape[1])
+    h, wd = shape[2], shape[3]
+    kernels = {(kh, kw) for kh in (1, 2, 3, h) for kw in (1, 2, 3, wd) if kh <= h and kw <= wd}
+    for (kh, kw) in sorted(kernels):
+        for name, x in _layouts(rng, shape):
+            assert x.shape == shape, name
+            out = tn._im2col(x, kh, kw)
+            assert np.array_equal(out, _im2col_strided_copy(x, kh, kw)), (name, kh, kw)
+
+
+def test_im2col_index_map_follows_the_layout():
+    # one shape in layouts after each other: none may reuse another layout's map
+    x = np.random.default_rng(12).normal(size=(3, 4, 6, 5))
+    for a in (x, _channel_last(x), np.asfortranarray(x), x):
+        assert np.array_equal(tn._im2col(a, 3, 2), _im2col_strided_copy(x, 3, 2))
+    assert not tn._window_index((4, 6, 5), (1, 2, 3), 3, 2).flags.writeable
 
 
 def _cnn2d_logits_window_mean(model, xs):
