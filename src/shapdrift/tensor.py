@@ -223,12 +223,8 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
-def _sigmoid_np(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    return np.divide(1.0, 1.0 + np.exp(-z), out=out)
-
-
 def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid_np(a.data)
+    s = np.divide(1.0, 1.0 + np.exp(-a.data))
     out = _make(s, (a,), "sigmoid")
     if out.requires_grad:
         def _bw(g):
@@ -324,10 +320,12 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
     x: (batch, steps, features); w_ih: (features, 4H); w_hh: (H, 4H);
     bias: (4H,), gate blocks in the order input, forget, cell, output. The
     state starts at zero. The sequence is one tape node whose backward is
-    hand-written backprop through time; it repeats the arithmetic, operand
-    order and array views of the per-step cell composed from ``matmul``,
-    ``col_slice``, ``sigmoid``, ``tanh``, ``mul`` and ``add``, so values and
-    gradients are bit-identical to that composition.
+    hand-written backprop through time. Its products are the full-width ones
+    of the per-step cell composed from ``matmul``, ``col_slice``, ``sigmoid``,
+    ``tanh``, ``mul`` and ``add``; its elementwise work runs on gate-major
+    cache slots, so the three sigmoid gates, and their errors, are one call
+    chain over a (3, batch, H) block. It repeats that cell's arithmetic and
+    operand order, so values and gradients are bit-identical to the composition.
     """
     if x.ndim != 3 or w_ih.ndim != 2 or w_hh.ndim != 2 or bias.ndim != 1:
         raise ValueError(f"lstm expects 3D input, 2D weights and 1D bias, got "
@@ -343,17 +341,26 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
     h = np.zeros((batch, hs))
     c = np.zeros((batch, hs))
     # one block per call: fresh arrays each step, freed at once, made malloc trim the heap;
-    # `shapdrift run` fixes malloc's thresholds, but library callers run without that
+    # `shapdrift run` fixes malloc's thresholds, but library callers run without that.
+    # Slots are gate-major: h_prev, i, f, o, g, c_prev, tanh(c), so s[1:4] holds the
+    # three sigmoid gates and s[4:7] their backward partners g, c_prev, tanh(c).
     cache = np.empty((steps if track else 1, 7, batch, hs))
     for t in range(steps):
         s = cache[t if track else 0]
         if track:
-            s[0], s[1] = h, c  # h_prev, c_prev
-        z = x_data[:, t, :] @ w_ih_data + h @ w_hh_data + bias.data
-        i = _sigmoid_np(z[:, :hs], s[2])
-        f = _sigmoid_np(z[:, hs:2 * hs], s[3])
-        g = np.tanh(z[:, 2 * hs:3 * hs], out=s[4])
-        o = _sigmoid_np(z[:, 3 * hs:], s[5])
+            s[0], s[5] = h, c
+        z = x_data[:, t, :] @ w_ih_data
+        z += h @ w_hh_data
+        z += bias.data
+        z4 = z.reshape(batch, 4, hs)
+        gates = s[1:4]  # i, f, o = 1 / (1 + exp(-z)), as in sigmoid
+        np.negative(z4[:, :2].transpose(1, 0, 2), out=gates[:2])
+        np.negative(z4[:, 3], out=gates[2])
+        np.exp(gates, out=gates)
+        gates += 1.0
+        np.divide(1.0, gates, out=gates)
+        i, f, o = gates
+        g = np.tanh(z4[:, 2], out=s[4])
         c = f * c + i * g
         tc = np.tanh(c, out=s[6])
         h = o * tc
@@ -362,17 +369,25 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
     if out.requires_grad:
         def _bw(grad):
             dx = np.empty(x.shape) if x.requires_grad else None
-            dh, dc_next = grad, None
+            dz = np.empty((batch, 4 * hs))
+            dz4 = dz.reshape(batch, 4, hs)
+            r = np.empty((3, batch, hs))  # dc, dc, dh, then the sigmoid gates' errors
+            one_minus = np.empty((3, batch, hs))
+            r[2] = grad
+            dc_next = None
             for t in range(steps - 1, -1, -1):
-                h_prev, c_prev, i, f, g, o, tc = cache[t]
-                dc = (dh * o) * (1.0 - tc * tc)
+                s = cache[t]
+                h_prev, i, f, o, g, _, tc = s
+                dc = (r[2] * o) * (1.0 - tc * tc)
                 if dc_next is not None:
                     dc += dc_next
-                dz = np.empty((batch, 4 * hs))
-                dz[:, :hs] = ((dc * g) * i) * (1.0 - i)
-                dz[:, hs:2 * hs] = ((dc * c_prev) * f) * (1.0 - f)
-                dz[:, 2 * hs:3 * hs] = (dc * i) * (1.0 - g * g)
-                dz[:, 3 * hs:] = ((dh * tc) * o) * (1.0 - o)
+                r[:2] = dc
+                r *= s[4:7]  # ((dc*g)*i)*(1-i), ((dc*c_prev)*f)*(1-f), ((dh*tc)*o)*(1-o)
+                r *= s[1:4]
+                r *= np.subtract(1.0, s[1:4], out=one_minus)
+                dz4[:, :2] = r[:2].transpose(1, 0, 2)
+                dz4[:, 3] = r[2]
+                np.multiply(dc * i, 1.0 - g * g, out=dz4[:, 2])
                 # one _accumulate per step, latest step first, as the per-step
                 # tape adds its terms into a leaf that may already hold a gradient
                 if w_ih.requires_grad:
@@ -382,9 +397,9 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
                 if bias.requires_grad:
                     bias._accumulate(dz.sum(axis=0))
                 if dx is not None:
-                    dx[:, t, :] = dz @ w_ih_data.T
+                    np.matmul(dz, w_ih_data.T, out=dx[:, t, :])
                 if t:
-                    dh = dz @ w_hh_data.T
+                    np.matmul(dz, w_hh_data.T, out=r[2])  # dh of step t - 1
                     dc_next = dc * f
             if dx is not None:
                 x._accumulate(dx)

@@ -367,11 +367,15 @@ def _lstm_leaves(rng, batch, steps, features, hs):
             rng.normal(size=4 * hs) * 0.5]
 
 
-@pytest.mark.parametrize("shape", [(1, 5, 3, 4), (4, 1, 3, 4), (3, 6, 2, 1), (32, 30, 12, 32)])
+# hidden sizes 2-7 over 33 features, at batch 1 and 2, are where per-gate
+# products and gate-permuted weight columns would round differently
+@pytest.mark.parametrize("shape", [(1, 5, 3, 4), (4, 1, 3, 4), (3, 6, 2, 1), (32, 30, 12, 32)]
+                         + [(batch, 3, 33, hs) for hs in (2, 3, 5, 7) for batch in (1, 2)])
 @pytest.mark.parametrize("case", ["all", "frozen_input", "accumulate"])
 def test_lstm_matches_cell_composition(shape, case):
-    # values and gradients are bit-identical to the per-step composition; in
-    # the accumulate case every leaf already holds a gradient from an earlier pass
+    # values and gradients are bit-identical to the per-step composition, and
+    # the untracked forward (a one-step cache) to the tracked one; in the
+    # accumulate case every leaf already holds a gradient from an earlier pass
     rng = np.random.default_rng(9)
     arrays = _lstm_leaves(rng, *shape)
     head = rng.normal(size=(shape[0], shape[3]))
@@ -388,6 +392,8 @@ def test_lstm_matches_cell_composition(shape, case):
         results.append((h.data, [leaf.grad for leaf in leaves]))
     (ref_h, ref_grads), (h, grads) = results
     assert np.array_equal(h, ref_h)
+    with tn.no_grad():
+        assert np.array_equal(tn.lstm(*leaves).data, h)
     assert (grads[0] is None) == (case == "frozen_input")
     for grad, ref in zip(grads, ref_grads):
         assert (grad is None and ref is None) or np.array_equal(grad, ref)
@@ -411,6 +417,29 @@ def test_lstm_without_tape_keeps_no_graph():
         out = tn.lstm(*leaves)
     assert not out.requires_grad and out._prev == () and out._backward is None
     assert np.array_equal(out.data, tn.lstm(*leaves).data)
+
+
+def test_lstm_kept_graph_passes_equal_fresh_forwards():
+    # attribution runs several keep_graph passes over one lstm node, so its
+    # backward must leave the cache as the forward wrote it
+    rng = np.random.default_rng(12)
+    arrays = _lstm_leaves(rng, 5, 4, 3, 6)
+    seeds = rng.normal(size=(2, 5, 6))
+
+    def forward():
+        x = Tensor(arrays[0].copy(), requires_grad=True)
+        return x, tn.lstm(x, *(Tensor(a) for a in arrays[1:]))
+
+    x, h = forward()
+    kept = []
+    for seed in seeds:
+        x.grad = None
+        h.backward(seed, keep_graph=True)
+        kept.append(x.grad)
+    for seed, got in zip(seeds, kept):
+        fresh_x, fresh_h = forward()
+        fresh_h.backward(seed)
+        assert np.array_equal(got, fresh_x.grad)
 
 
 def test_lstm_shape_errors_name_the_shapes():
