@@ -255,6 +255,8 @@ def expected_gradients(model: Model, xs: np.ndarray, background, config: ShapCon
     ``class_ids`` order, and phi0 shaped (classes,).
     """
     xs = np.asarray(xs, dtype=np.float64)
+    if len(seeds) != len(xs):
+        raise ValueError(f"{len(seeds)} seeds for {len(xs)} probes: each probe needs one seed")
     bg = _background_inputs(background, xs.shape[1:])
     n = config.n_samples
     points = np.empty((len(xs) * n,) + xs.shape[1:])
@@ -312,6 +314,8 @@ def explain_all_classes(model: Model, xs: np.ndarray, background, config: ShapCo
     Returns phi shaped (classes, probes, *input shape) and phi0 shaped (classes,).
     """
     xs = np.asarray(xs, dtype=np.float64)
+    if len(seeds) != len(xs):
+        raise ValueError(f"{len(seeds)} seeds for {len(xs)} probes: each probe needs one seed")
     bg = _background_inputs(background, xs.shape[1:])
     if config.engine == "gradient":
         return expected_gradients(model, xs, bg, config, seeds, range(model.spec.num_classes))

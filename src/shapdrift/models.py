@@ -15,15 +15,13 @@ import numpy as np
 from .data import require_count, require_real
 from .tensor import (
     Tensor,
-    _avgpool_grad,
-    _col2im,
-    _im2col,
     conv1d,
     conv2d,
     avgpool2d,
     lstm,
     matmul,
     no_grad,
+    per_example,
     relu,
     reshape,
     softmax_cross_entropy,
@@ -37,16 +35,6 @@ ARCHITECTURES = ("mlp", "cnn2d", "conv1d", "lstm", "esn")
 ACTIVATIONS = {"tanh": tanh, "relu": relu}
 _INPUT_RANKS = {"cnn2d": 3, "conv1d": 2, "lstm": 2, "esn": 2}  # mlp takes any rank
 CHUNK_SIZE = 256  # rows per model pass; bounds tape memory on recurrent models
-
-
-def _activate(z: np.ndarray, tanh_act: bool) -> np.ndarray:
-    return np.tanh(z) if tanh_act else np.maximum(z, 0.0)
-
-
-def _activation_error(g: np.ndarray, t: np.ndarray, tanh_act: bool) -> np.ndarray:
-    """``g`` carried back through the activation whose output is ``t``; relu's
-    output is positive exactly where its input is."""
-    return g * (1.0 - t * t) if tanh_act else g * (t > 0)
 
 
 @dataclass
@@ -153,75 +141,20 @@ class Model:
         """Each row's softmax cross-entropy loss gradient as a (rows, P) array.
 
         A row is flattened over ``trainable_parameters()`` in sorted-name
-        order. This is one batch-1 taped forward and backward pass per row;
-        every parameter's ``grad`` is left ``None``.
+        order. One taped forward and backward pass in the tape's per-example
+        mode computes every row, each byte-identical to a batch-1 pass of that
+        row alone; every parameter's ``grad`` is left ``None``.
         """
         params = self.trainable_parameters()
-        names = sorted(params)
-        out = np.zeros((len(xs), sum(params[name].size for name in names)))
-        for r in range(len(xs)):
-            softmax_cross_entropy(self.forward(Tensor(xs[r:r + 1])),
-                                  np.asarray(ys[r:r + 1], dtype=np.int64)).backward()
-            lo = 0
-            for name in names:
-                p = params[name]
-                if p.grad is not None:
-                    out[r, lo:lo + p.size] = p.grad.ravel()
-                    p.grad = None
-                lo += p.size
-        return out
-
-    # -- helpers of the batched ``example_gradients`` overrides ------------------------
-    #
-    # They repeat the tape's batch-1 arithmetic, so the result is equal bit for
-    # bit. Products with a weight take the rows as a stack of batch-1 operands,
-    # which ``np.matmul`` evaluates with the same kernel as one batch-1 matrix; a
-    # (rows, K) operand would use another kernel and change the last bits.
-    # Elementwise steps run on all rows at once. A weight gradient is each row's
-    # layer input times its back-propagated error (Goodfellow 2015,
-    # arXiv:1510.01799).
-
-    def _gradient_blocks(self, rows: int) -> tuple:
-        """The (rows, P) result of ``example_gradients`` and, per trainable
-        parameter, its (rows, *parameter shape) view into that result."""
-        params = self.trainable_parameters()
-        out = np.empty((rows, sum(p.size for p in params.values())))
-        block, lo = {}, 0
+        out = np.empty((len(xs), sum(p.size for p in params.values())))
+        blocks, lo = {}, 0
         for name in sorted(params):
-            block[name] = out[:, lo:lo + params[name].size].reshape(rows, *params[name].shape)
-            lo += params[name].size
-        return out, block
-
-    def _dense_forward(self, h: np.ndarray, layers: tuple, tanh_act: bool) -> tuple:
-        """(rows, 1, K) rows through the (weight, bias) names in ``layers``, the
-        activation after every layer but the last; returns the logits and each
-        layer's input."""
-        inputs = []
-        for i, (w, b) in enumerate(layers):
-            inputs.append(h)
-            h = h @ self.params[w].data + self.params[b].data
-            if i < len(layers) - 1:
-                h = _activate(h, tanh_act)
-        return h, inputs
-
-    def _dense_backward(self, logits: np.ndarray, ys: np.ndarray, inputs: list,
-                        layers: tuple, tanh_act: bool, block: dict) -> np.ndarray:
-        """Fill ``block`` for ``layers`` from each row's loss; returns the error at
-        the first layer's output."""
-        # softmax minus one-hot: the loss gradient of a batch of one
-        z = logits - logits.max(axis=2, keepdims=True)
-        ez = np.exp(z)
-        g = ez / ez.sum(axis=2, keepdims=True)
-        g[np.arange(len(g)), 0, np.asarray(ys, dtype=np.int64)] -= 1.0
-        for i in reversed(range(len(layers))):
-            w, b = layers[i]
-            block[b][:] = g[:, 0]
-            # no index is summed, so each entry is one rounded product, as in
-            # the tape's (K, 1) @ (1, N)
-            np.einsum("rk,rn->rkn", inputs[i][:, 0], g[:, 0], out=block[w])
-            if i > 0:
-                g = _activation_error(g @ self.params[w].data.T, inputs[i], tanh_act)
-        return g
+            p = params[name]
+            blocks[p] = out[:, lo:lo + p.size].reshape(len(xs), *p.shape)
+            lo += p.size
+        with per_example(blocks):
+            softmax_cross_entropy(self.forward(Tensor(xs)), ys).backward(np.ones(len(xs)))
+        return out
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.params.items()}
@@ -264,21 +197,6 @@ class Mlp(Model):
                 h = self.act(h)
         return h
 
-    def example_gradients(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """``Model.example_gradients`` in one numpy pass over all rows, equal bit
-        for bit; the weight products take (1, K) row stacks."""
-        self._check_batch(xs)
-        out, block = self._gradient_blocks(len(xs))
-        layers = tuple((f"w{i}", f"b{i}") for i in range(self.n_layers))
-        tanh_act = self.spec.activation == "tanh"
-        h = np.asarray(xs, dtype=np.float64).reshape(len(xs), 1, -1)
-        logits, inputs = self._dense_forward(h, layers, tanh_act)
-        self._dense_backward(logits, ys, inputs, layers, tanh_act, block)
-        return out
-
-
-_CNN_DENSE = (("dense_w", "dense_b"), ("head_w", "head_b"))
-
 
 class Cnn2d(Model):
     """Two valid 3x3 convolutions with 2x2 pooling, then two dense layers."""
@@ -311,42 +229,6 @@ class Cnn2d(Model):
         h = reshape(h, (h.shape[0], -1))
         h = self.act(matmul(h, self.params["dense_w"]) + self.params["dense_b"])
         return matmul(h, self.params["head_w"]) + self.params["head_b"]
-
-    def example_gradients(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """``Model.example_gradients`` in one numpy pass over all rows, equal bit
-        for bit. A convolution multiplies each row's (oh*ow, K) window matrix by
-        the kernel matrix, and its weight gradient is each row's (out, oh*ow)
-        output error times that window matrix; pooling, the activations and the
-        window scatter of the input error run on all rows at once."""
-        self._check_batch(xs)
-        rows, k = len(xs), self.spec.conv_kernel
-        out, block = self._gradient_blocks(rows)
-        tanh_act = self.spec.activation == "tanh"
-        h, convs = np.asarray(xs, dtype=np.float64), []
-        for name in ("conv1", "conv2"):
-            w = self.params[f"{name}_w"].data
-            wmat = w.reshape(len(w), -1)
-            cols = _im2col(h, k, k)
-            oh, ow = h.shape[2] - k + 1, h.shape[3] - k + 1
-            z = (cols @ wmat.T).reshape(rows, oh, ow, len(wmat)).transpose(0, 3, 1, 2)
-            t = _activate(z + self.params[f"{name}_b"].data.reshape(1, -1, 1, 1), tanh_act)
-            convs.append((name, h.shape, wmat, cols, t))
-            h = avgpool2d(Tensor(t), 2).data
-        logits, inputs = self._dense_forward(h.reshape(rows, 1, -1), _CNN_DENSE, tanh_act)
-        g = self._dense_backward(logits, ys, inputs, _CNN_DENSE, tanh_act, block)
-        g = (g @ self.params["dense_w"].data.T).reshape(h.shape)
-        for name, shape, wmat, cols, t in reversed(convs):
-            g = _activation_error(_avgpool_grad(g, t.shape, 2), t, tanh_act)
-            # in C order, as the tape's batch-1 error is; a stack of rows can come
-            # back in another order, which changes the rounding of the sums below
-            g = np.ascontiguousarray(g)
-            g2 = g.transpose(0, 2, 3, 1).reshape(rows, -1, len(wmat))
-            block[f"{name}_w"][:] = (g2.transpose(0, 2, 1) @ cols).reshape(
-                block[f"{name}_w"].shape)
-            block[f"{name}_b"][:] = g.sum(axis=(2, 3))
-            if name != "conv1":  # the input needs no error
-                g = _col2im(g2 @ wmat, shape, k, k)
-        return out
 
 
 class Conv1dNet(Model):

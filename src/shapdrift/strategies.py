@@ -76,8 +76,7 @@ class ReplayBuffer:
     between its loss gradient and those of ``gss_n_sim`` randomly chosen
     stored entries stays below ``gss_tau``, in which case it replaces the
     stored entry with the highest recorded similarity score. Scoring is one
-    ``Model.example_gradients`` call per candidate, a single numpy pass on
-    MLP and cnn2d models (see ``gss_admit``).
+    ``Model.example_gradients`` call per candidate (see ``gss_admit``).
     """
 
     def __init__(self, capacity: int, policy: str = "class_balanced",
@@ -175,12 +174,11 @@ def gss_admit(buffer: ReplayBuffer, x: np.ndarray, y: int, model: Model,
     gradients (at current weights) of up to ``gss_n_sim`` stored entries,
     all scored in one stacked product.
     The candidate's and the sampled entries' gradients come from one
-    ``model.example_gradients`` call: one batched numpy pass for an MLP or a
-    cnn2d model, one batch-1 tape pass per row for conv1d, LSTM and ESN
-    models. A non-full buffer always admits; a full one admits only scores
-    below ``gss_tau`` and evicts the stored entry with the highest score.
-    Entries are written in place into (capacity, ...) arrays allocated at
-    the first admission.
+    ``model.example_gradients`` call: one taped pass over all rows in the
+    tape's per-example mode, for every architecture. A non-full buffer always
+    admits; a full one admits only scores below ``gss_tau`` and evicts the
+    stored entry with the highest score. Entries are written in place into
+    (capacity, ...) arrays allocated at the first admission.
     """
     n = len(buffer)
     if n == 0:

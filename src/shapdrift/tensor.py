@@ -7,30 +7,70 @@ and a fused softmax cross-entropy. Operations whose inputs require
 gradients are recorded on an implicit tape (the operation graph);
 ``backward`` replays it in reverse topological order from a seed gradient
 and releases it, or keeps it for a further pass from another seed.
+
+In ``per_example`` mode each row keeps its own parameter gradient, byte for
+byte a batch-1 pass of that row (Goodfellow 2015, arXiv:1510.01799): products
+with a weight (``matmul``'s right operand) take the rows as a stack of batch-1
+operands, which ``np.matmul`` runs with the batch-1 kernel, and gradients of
+operands without rows keep a rows axis instead of a sum over it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import threading
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 Arrayish = Union[np.ndarray, float, int, Sequence]
 
-_state = threading.local()
+
+class _State(threading.local):
+    grad_enabled = True
+    blocks = None  # per-example mode: {parameter: its (rows, *shape) gradient block}
 
 
-def _grad_enabled() -> bool:
-    return getattr(_state, "grad_enabled", True)
+_state = _State()
+
+
+@contextlib.contextmanager
+def per_example(blocks: dict) -> Iterator[None]:
+    """Per-example mode for one taped pass, its loss seeded with one 1 per row.
+
+    Each parameter's gradient is written into, then added to, its (rows,
+    *shape) array in ``blocks``. On exit, also by an exception, the mode is
+    off, every ``grad`` is None, and blocks that got no gradient hold zeros.
+    """
+    for p in blocks:
+        p.grad = None
+    _state.blocks = blocks
+    try:
+        yield
+    finally:
+        _state.blocks = None
+        for p, block in blocks.items():
+            if p.grad is None:
+                block[...] = 0.0
+            p.grad = None
+
+
+def _take_block(t: Tensor) -> Optional[np.ndarray]:
+    """The per-example block that takes parameter ``t``'s first gradient, now
+    also its ``grad``, or None; call it only while ``t.grad`` is None."""
+    blocks = _state.blocks
+    block = blocks.get(t) if blocks else None
+    if block is not None:
+        t.grad = block
+    return block
 
 
 class no_grad:
     """Context manager that disables tape recording on the current thread."""
 
     def __enter__(self):
-        self._saved = _grad_enabled()
+        self._saved = _state.grad_enabled
         _state.grad_enabled = False
         return self
 
@@ -72,10 +112,12 @@ class Tensor:
     # -- tape machinery ------------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
-        else:
+        if self.grad is not None:
             self.grad += g
+        elif (block := _take_block(self)) is not None:
+            block[...] = g
+        else:
+            self.grad = np.array(g, dtype=np.float64, copy=True)
 
     def backward(self, grad: Optional[np.ndarray] = None, keep_graph: bool = False) -> None:
         """Backpropagate ``grad`` (ones for a scalar) from this tensor; each
@@ -143,7 +185,7 @@ def _wrap(x: Tensor | Arrayish) -> Tensor:
 
 def _make(data: np.ndarray, parents: Iterable[Tensor], op: str) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled() and any(p.requires_grad for p in parents):
+    if _state.grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._prev = tuple(parents)
         out._op = op
@@ -151,10 +193,17 @@ def _make(data: np.ndarray, parents: Iterable[Tensor], op: str) -> Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum gradient over axes that were broadcast in the forward pass."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, extent in enumerate(shape):
+    """Sum gradient over axes that were broadcast in the forward pass.
+
+    In per-example mode an operand without rows keeps the rows axis: each row
+    sums over its own size-1 batch axis, as a batch of one does (which turns
+    a -0.0 into +0.0)."""
+    lead = 0
+    if g.ndim > len(shape) and _state.blocks is not None:
+        g, lead = g[:, None], 1
+    while g.ndim > len(shape) + lead:
+        g = g.sum(axis=lead)
+    for axis, extent in enumerate(shape, lead):
         if extent == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
     return g
@@ -201,16 +250,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul supports 2D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: inner dimensions differ: {a.shape} @ {b.shape}")
-    out = _make(a.data @ b.data, (a, b), "matmul")
+    rows = _state.blocks is not None  # per-example: each row a (1, K) operand
+    a_data, b_data = a.data, b.data
+    out = _make((a_data[:, None] @ b_data)[:, 0] if rows else a_data @ b_data, (a, b), "matmul")
     if out.requires_grad:
-        a_data, b_data = a.data, b.data
         def _bw(g):
             if a.requires_grad:
-                a._accumulate(g @ b_data.T)
+                a._accumulate((g[:, None] @ b_data.T)[:, 0] if rows else g @ b_data.T)
             if b.requires_grad:
-                b._accumulate(a_data.T @ g)
+                _accumulate_product(b, a_data, g, rows)
         out._backward = _bw
     return out
+
+
+def _accumulate_product(p: Tensor, a: np.ndarray, g: np.ndarray, rows: bool) -> None:
+    """Add the weight gradient ``aᵀ @ g`` to p's gradient; in per-example mode,
+    each row's own outer product ``a[r]ᵀ g[r]``. No index is summed there, so
+    each entry is one rounded product, as in the batch-1 (K, 1) @ (1, N);
+    ``np.einsum`` forms it faster than a ``np.matmul`` stack."""
+    if not rows:
+        p._accumulate(a.T @ g)
+    elif p.grad is None and (block := _take_block(p)) is not None:
+        np.einsum("rk,rn->rkn", a, g, out=block)
+    else:
+        p._accumulate(np.einsum("rk,rn->rkn", a, g))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -262,11 +325,12 @@ def tmean(a: Tensor, axis=None) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = _make(a.data.reshape(shape), (a,), "reshape")
+    data = a.data.reshape(shape)
+    out = _make(data, (a,), "reshape")
     if out.requires_grad:
-        orig = a.shape
-        def _bw(g):
-            a._accumulate(g.reshape(orig))
+        orig, ndim = a.shape, data.ndim
+        def _bw(g):  # leading axes beyond the output's are per-example rows; they stay
+            a._accumulate(g.reshape(g.shape[:g.ndim - ndim] + orig))
         out._backward = _bw
     return out
 
@@ -336,9 +400,12 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"lstm: weight shapes {w_ih.shape}, {w_hh.shape}, {bias.shape} "
                          f"do not fit input {x.shape} and hidden size {hs}")
     parents = (x, w_ih, w_hh, bias)
-    track = _grad_enabled() and any(p.requires_grad for p in parents)
+    track = _state.grad_enabled and any(p.requires_grad for p in parents)
+    rows = _state.blocks is not None  # per-example: each row's products as batch-1 operands
     x_data, w_ih_data, w_hh_data = x.data, w_ih.data, w_hh.data
+    x_in = x_data[:, :, None] if rows else x_data  # step t's input operand: x_in[:, t]
     h = np.zeros((batch, hs))
+    h_in = h[:, None] if rows else h  # the recurrent product's view of h
     c = np.zeros((batch, hs))
     # one block per call: fresh arrays each step, freed at once, made malloc trim the heap;
     # `shapdrift run` fixes malloc's thresholds, but library callers run without that.
@@ -349,8 +416,8 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
         s = cache[t if track else 0]
         if track:
             s[0], s[5] = h, c
-        z = x_data[:, t, :] @ w_ih_data
-        z += h @ w_hh_data
+        z = x_in[:, t] @ w_ih_data
+        z += h_in @ w_hh_data
         z += bias.data
         z4 = z.reshape(batch, 4, hs)
         gates = s[1:4]  # i, f, o = 1 / (1 + exp(-z)), as in sigmoid
@@ -363,7 +430,7 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
         g = np.tanh(z4[:, 2], out=s[4])
         c = f * c + i * g
         tc = np.tanh(c, out=s[6])
-        h = o * tc
+        np.multiply(o, tc, out=h)
 
     out = _make(h, parents, "lstm")
     if out.requires_grad:
@@ -374,6 +441,9 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
             r = np.empty((3, batch, hs))  # dc, dc, dh, then the sigmoid gates' errors
             one_minus = np.empty((3, batch, hs))
             r[2] = grad
+            # per-example mode stacks each row's operands of the products below
+            dz_in, dh_out = (dz[:, None], r[2][:, None]) if rows else (dz, r[2])
+            dx_out = dx[:, :, None] if rows and dx is not None else dx
             dc_next = None
             for t in range(steps - 1, -1, -1):
                 s = cache[t]
@@ -391,15 +461,15 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
                 # one _accumulate per step, latest step first, as the per-step
                 # tape adds its terms into a leaf that may already hold a gradient
                 if w_ih.requires_grad:
-                    w_ih._accumulate(x_data[:, t, :].T @ dz)
+                    _accumulate_product(w_ih, x_data[:, t], dz, rows)
                 if w_hh.requires_grad:
-                    w_hh._accumulate(h_prev.T @ dz)
+                    _accumulate_product(w_hh, h_prev, dz, rows)
                 if bias.requires_grad:
-                    bias._accumulate(dz.sum(axis=0))
+                    bias._accumulate(dz_in.sum(axis=-2))
                 if dx is not None:
-                    np.matmul(dz, w_ih_data.T, out=dx[:, t, :])
+                    np.matmul(dz_in, w_ih_data.T, out=dx_out[:, t])
                 if t:
-                    np.matmul(dz, w_hh_data.T, out=r[2])  # dh of step t - 1
+                    np.matmul(dz_in, w_hh_data.T, out=dh_out)  # dh of step t - 1
                     dc_next = dc * f
             if dx is not None:
                 x._accumulate(dx)
@@ -466,8 +536,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if kh > h or kw > wd:
         raise ValueError(f"conv2d: kernel {(kh, kw)} larger than input {(h, wd)}")
     oh, ow = h - kh + 1, wd - kw + 1
+    # per-example mode multiplies each row's (oh*ow, K) window matrix on its own
+    rows = (batch,) if _state.blocks is not None else ()
 
-    cols = _im2col(x.data, kh, kw).reshape(batch * oh * ow, in_ch * kh * kw)
+    cols = _im2col(x.data, kh, kw).reshape(rows + (-1, in_ch * kh * kw))
     wmat = w.data.reshape(out_ch, in_ch * kh * kw)
     res = (cols @ wmat.T).reshape(batch, oh, ow, out_ch).transpose(0, 3, 1, 2)
     res += b.data.reshape(1, out_ch, 1, 1)  # in the fresh product, still channel-last
@@ -475,13 +547,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = _make(res, (x, w, b), "conv2d")
     if out.requires_grad:
         def _bw(g):
-            g2 = g.transpose(0, 2, 3, 1).reshape(batch * oh * ow, out_ch)
+            if rows:  # in C order, as a batch-1 error is; the sums below follow it
+                g = np.ascontiguousarray(g)
+            g2 = g.transpose(0, 2, 3, 1).reshape(rows + (-1, out_ch))
             if w.requires_grad:
-                w._accumulate((g2.T @ cols).reshape(out_ch, in_ch, kh, kw))
+                w._accumulate((np.swapaxes(g2, -1, -2) @ cols).reshape(rows + w.shape))
             if x.requires_grad:
                 x._accumulate(_col2im(g2 @ wmat, x.shape, kh, kw))
             if b.requires_grad:
-                b._accumulate(g.sum(axis=(0, 2, 3)))
+                b._accumulate(g.sum(axis=(2, 3) if rows else (0, 2, 3)))
         out._backward = _bw
     return out
 
@@ -600,26 +674,32 @@ def normalize_zscore(x: Tensor) -> Tensor:
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy between softmax(logits) and integer labels.
 
-    logits: (batch, classes); labels: (batch,) ints. Stable via max shift.
+    logits: (batch, classes); labels: (batch,) ints in [0, classes). Stable
+    via max shift. In per-example mode the loss is each row's own, shaped
+    (batch,), and a row's gradient is that of a batch of one.
     """
     if logits.ndim != 2:
         raise ValueError(f"softmax_cross_entropy expects 2D logits, got {logits.shape}")
     labels = np.asarray(labels)
-    batch = logits.shape[0]
+    batch, classes = logits.shape
     if labels.shape != (batch,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {batch}")
+    bad = (labels < 0) | (labels >= classes)
+    if bad.any():
+        raise ValueError(f"label {labels[bad][0]} is outside [0, {classes})")
 
+    rows = _state.blocks is not None
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     ez = np.exp(z)
     softm = ez / ez.sum(axis=1, keepdims=True)
     logp = z - np.log(ez.sum(axis=1, keepdims=True))
-    loss_val = -logp[np.arange(batch), labels].mean()
+    losses = -logp[np.arange(batch), labels]
 
-    out = _make(np.asarray(loss_val), (logits,), "softmax_cross_entropy")
+    out = _make(losses if rows else np.asarray(losses.mean()), (logits,), "softmax_cross_entropy")
     if out.requires_grad:
         def _bw(g):
             d = softm.copy()
             d[np.arange(batch), labels] -= 1.0
-            logits._accumulate(g * d / batch)
+            logits._accumulate(g[:, None] * d if rows else g * d / batch)
         out._backward = _bw
     return out

@@ -311,6 +311,21 @@ def test_explain_all_classes_dispatches_every_engine():
         assert phi.shape == (2, 1, 4) and phi0.shape == (2,)
 
 
+@pytest.mark.parametrize("engine", ["exact", "sampling", "gradient"])
+@pytest.mark.parametrize("n_seeds", [1, 4])
+def test_explain_all_classes_needs_one_seed_per_probe(engine, n_seeds):
+    model = mlp(k=4, classes=2, seed=3)
+    rng = np.random.default_rng(6)
+    xs, bg = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
+    with pytest.raises(ValueError, match=f"^{n_seeds} seeds for 3 probes"):
+        explain_all_classes(model, xs, bg, ShapConfig(engine, n_samples=4, seed=1),
+                            list(range(n_seeds)))
+    if engine == "gradient":
+        with pytest.raises(ValueError, match=f"^{n_seeds} seeds for 3 probes"):
+            expected_gradients(model, xs, bg, ShapConfig(engine, n_samples=4),
+                               list(range(n_seeds)), [0, 1])
+
+
 @pytest.mark.parametrize("engine,spec", [
     ("exact", ModelSpec("mlp", (1, 4, 4), 3, seed=1, hidden=(5,))),
     ("exact", ModelSpec("mlp", (3, 4), 4, seed=2, hidden=(6,))),

@@ -4,7 +4,7 @@ import pytest
 from shapdrift import models as md
 from shapdrift.explainers import ClassLogit
 from shapdrift.models import ModelSpec, build_model
-from shapdrift.tensor import Tensor, matmul, no_grad, softmax_cross_entropy
+from shapdrift.tensor import Tensor, matmul, no_grad, softmax_cross_entropy, tanh
 
 IMAGE_SPEC = ModelSpec("mlp", (1, 8, 8), num_classes=10, seed=0, hidden=(16,))
 SEQ_SHAPE = (12, 5)
@@ -281,43 +281,100 @@ def test_example_gradients_lay_out_each_rows_tape_gradient(arch):
         np.testing.assert_array_equal(grads[r], expected)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-@pytest.mark.parametrize("hidden", [(32,), (16, 8), (16, 8, 8)])
-@pytest.mark.parametrize("rows", [1, 2, 11, 40])
-def test_mlp_example_gradients_equal_the_tape_loop(activation, hidden, rows):
-    model = build_model(make_spec("mlp", input_shape=(1, 12, 12), num_classes=10,
-                                  hidden=hidden, activation=activation))
+def assert_same_bytes(a, b):
+    """Equal bit for bit, so a -0.0 does not pass for a +0.0."""
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def assert_rows_match_the_tape_loop(model, rows, tape_loop):
+    """``example_gradients`` of a C- and a Fortran-ordered batch, byte for byte
+    the batch-1 tape loop's, with every parameter left as it was."""
     rng = np.random.default_rng(rows)
-    xs = rng.uniform(size=(rows, 1, 12, 12))
-    ys = rng.integers(0, 10, size=rows)
+    xs = rng.uniform(size=(rows,) + model.spec.input_shape)
+    ys = rng.integers(0, model.spec.num_classes, size=rows)
     if rows > 2:  # one duplicated row
         xs[-1], ys[-1] = xs[0], ys[0]
     before = parameter_snapshot(model)
-    fast = model.example_gradients(xs, ys)
+    loop = tape_loop(model, xs, ys)
     assert_parameters_untouched(model, before)
-    loop = md.Model.example_gradients(model, xs, ys)
-    assert_parameters_untouched(model, before)
-    np.testing.assert_array_equal(fast, loop)
+    for batch in (xs, np.asfortranarray(xs)):
+        assert_same_bytes(model.example_gradients(batch, ys), loop)
+        assert_parameters_untouched(model, before)
+
+
+ROWS = [1, 2, 11, 40]
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(32,), (16, 8), (16, 8, 8)])
+@pytest.mark.parametrize("rows", ROWS)
+def test_mlp_example_gradients_equal_the_tape_loop(activation, hidden, rows, tape_loop):
+    model = build_model(make_spec("mlp", input_shape=(1, 12, 12), num_classes=10,
+                                  hidden=hidden, activation=activation))
+    assert_rows_match_the_tape_loop(model, rows, tape_loop)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 @pytest.mark.parametrize("input_shape", [(1, 12, 12), (2, 10, 11)])
 @pytest.mark.parametrize("conv_kernel", [3, 2])
-@pytest.mark.parametrize("rows", [1, 2, 11, 40])
-def test_cnn2d_example_gradients_equal_the_tape_loop(activation, input_shape, conv_kernel, rows):
+@pytest.mark.parametrize("rows", ROWS)
+def test_cnn2d_example_gradients_equal_the_tape_loop(activation, input_shape, conv_kernel, rows,
+                                                     tape_loop):
     model = build_model(make_spec("cnn2d", input_shape=input_shape, num_classes=10,
                                   conv_kernel=conv_kernel, activation=activation))
-    rng = np.random.default_rng(rows)
-    xs = rng.uniform(size=(rows,) + input_shape)
-    ys = rng.integers(0, 10, size=rows)
-    if rows > 2:  # one duplicated row
-        xs[-1], ys[-1] = xs[0], ys[0]
+    assert_rows_match_the_tape_loop(model, rows, tape_loop)
+
+
+@pytest.mark.parametrize("features", [12, 33])
+@pytest.mark.parametrize("hidden_size", [1, 2, 3, 5, 7, 32])
+@pytest.mark.parametrize("rows", ROWS)
+def test_lstm_example_gradients_equal_the_tape_loop(features, hidden_size, rows, tape_loop):
+    model = build_model(make_spec("lstm", input_shape=(5, features), num_classes=6,
+                                  hidden_size=hidden_size))
+    assert_rows_match_the_tape_loop(model, rows, tape_loop)
+
+
+@pytest.mark.parametrize("leak", [0.5, 1.0])
+@pytest.mark.parametrize("rows", ROWS)
+def test_esn_example_gradients_equal_the_tape_loop(leak, rows, tape_loop):
+    model = build_model(make_spec("esn", hidden_size=24, esn_leak=leak))
+    assert_rows_match_the_tape_loop(model, rows, tape_loop)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("channels, kernel", [(6, 3), (4, 12)])
+@pytest.mark.parametrize("rows", ROWS)
+def test_conv1d_example_gradients_equal_the_tape_loop(activation, channels, kernel, rows,
+                                                      tape_loop):
+    model = build_model(make_spec("conv1d", conv1d_channels=channels, conv1d_kernel=kernel,
+                                  activation=activation))
+    assert_rows_match_the_tape_loop(model, rows, tape_loop)
+
+
+def test_example_gradients_failing_mid_pass_leave_no_mode_and_no_grad():
+    model = build_model(make_spec("mlp", hidden=(6, 5)))
+    rng = np.random.default_rng(4)
+    xs, ys = rng.normal(size=(3,) + model.spec.input_shape), np.array([0, 2, 1])
     before = parameter_snapshot(model)
-    fast = model.example_gradients(xs, ys)
+
+    def failing_tanh(a):  # fails in the backward pass, after the head took its gradient
+        out = tanh(a)
+        def _bw(g):
+            assert model.params["w2"].grad is not None
+            raise RuntimeError("failed mid-pass")
+        out._backward = _bw
+        return out
+
+    model.act = failing_tanh
+    with pytest.raises(RuntimeError, match="failed mid-pass"):
+        model.example_gradients(xs, ys)
     assert_parameters_untouched(model, before)
-    loop = md.Model.example_gradients(model, xs, ys)
-    assert_parameters_untouched(model, before)
-    np.testing.assert_array_equal(fast, loop)
+    model.act = tanh
+    # the mode is off: the loss is a batch mean again, and a pass sums its rows
+    assert softmax_cross_entropy(model.forward(Tensor(xs)), ys).shape == ()
+    assert_same_bytes(matmul(Tensor(xs.reshape(3, -1)), model.params["w0"]).data,
+                      xs.reshape(3, -1) @ model.params["w0"].data)
 
 
 def _batch_layouts(xs):

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from shapdrift import strategies
-from shapdrift.data import build_stream, synth_images
-from shapdrift.models import Cnn2d, Mlp, Model, ModelSpec, build_model
+from shapdrift.data import build_stream, synth_images, synth_sequences
+from shapdrift.models import Model, ModelSpec, build_model
 from shapdrift.strategies import (
     OptConfig,
     ReplayBuffer,
@@ -153,7 +153,7 @@ def test_buffer_refills_and_draws_like_the_list_reference():
 
 ER_RUN = """
 import sys
-from shapdrift.data import build_stream, synth_images
+from shapdrift.data import build_stream, synth_images, synth_sequences
 from shapdrift.models import ModelSpec, build_model
 from shapdrift.strategies import OptConfig, ReplayBuffer, train_replay
 stream = build_stream(synth_images(4, 12, side=6, seed=0), 2)
@@ -255,10 +255,9 @@ def test_stacked_gss_scores_equal_the_pairwise_loop():
     assert strategies._similarities(zero_candidate).tolist() == [0.0, 0.0, 0.0]
 
 
-def gss_on_a_filling_buffer(architecture, **model):
+def gss_on_a_filling_buffer(data, architecture, **model):
     """A GSS run whose 120-slot buffer fills, so tau and eviction both act;
     returns every admission decision and the final buffer."""
-    data = synth_images(10, 60, side=12, seed=0)
     stream = build_stream(data, 5)
     model = build_model(ModelSpec(architecture, data.inputs.shape[1:], 10, **model))
     buf = ReplayBuffer(120, policy="gss_greedy")
@@ -275,13 +274,14 @@ def gss_on_a_filling_buffer(architecture, **model):
     return decisions, buf
 
 
-def assert_gss_matches_the_tape_loop(model_class, admitted, monkeypatch, **model):
-    decisions, fast = gss_on_a_filling_buffer(**model)
+def assert_gss_matches_the_tape_loop(admitted, monkeypatch, tape_loop, data=None, **model):
+    data = synth_images(10, 60, side=12, seed=0) if data is None else data
+    decisions, fast = gss_on_a_filling_buffer(data, **model)
     # 200 candidates; the rejections and the evictions past slot 120 both happen
     assert len(decisions) == 200 and sum(decisions) == admitted
     assert len(fast) == fast.capacity
-    monkeypatch.setattr(model_class, "example_gradients", Model.example_gradients)
-    loop_decisions, loop = gss_on_a_filling_buffer(**model)
+    monkeypatch.setattr(Model, "example_gradients", tape_loop)
+    loop_decisions, loop = gss_on_a_filling_buffer(data, **model)
     assert decisions == loop_decisions
     np.testing.assert_array_equal(fast._inputs, loop._inputs)
     np.testing.assert_array_equal(fast.labels, loop.labels)
@@ -291,16 +291,22 @@ def assert_gss_matches_the_tape_loop(model_class, admitted, monkeypatch, **model
 @pytest.mark.parametrize("activation, hidden, admitted",
                          [("tanh", (32,), 170), ("relu", (16, 8), 172)])
 def test_gss_decisions_on_a_filling_buffer_match_the_tape_loop(
-        activation, hidden, admitted, monkeypatch):
-    assert_gss_matches_the_tape_loop(Mlp, admitted, monkeypatch, architecture="mlp",
+        activation, hidden, admitted, monkeypatch, tape_loop):
+    assert_gss_matches_the_tape_loop(admitted, monkeypatch, tape_loop, architecture="mlp",
                                      hidden=hidden, activation=activation)
 
 
 @pytest.mark.parametrize("activation, admitted", [("tanh", 178), ("relu", 175)])
 def test_cnn2d_gss_decisions_on_a_filling_buffer_match_the_tape_loop(
-        activation, admitted, monkeypatch):
-    assert_gss_matches_the_tape_loop(Cnn2d, admitted, monkeypatch, architecture="cnn2d",
+        activation, admitted, monkeypatch, tape_loop):
+    assert_gss_matches_the_tape_loop(admitted, monkeypatch, tape_loop, architecture="cnn2d",
                                      activation=activation)
+
+
+def test_lstm_gss_decisions_on_a_filling_buffer_match_the_tape_loop(monkeypatch, tape_loop):
+    assert_gss_matches_the_tape_loop(167, monkeypatch, tape_loop,
+                                     synth_sequences(10, 60, steps=8, features=6, seed=0),
+                                     architecture="lstm", hidden_size=8)
 
 
 # -- training strategies --------------------------------------------------------------

@@ -605,6 +605,13 @@ def test_softmax_cross_entropy_value():
     assert np.isclose(float(loss.data), -np.log(0.5))
 
 
+@pytest.mark.parametrize("label", [-1, 3, 7])
+def test_softmax_cross_entropy_rejects_a_label_outside_the_classes(label):
+    logits = Tensor(np.zeros((2, 3)), requires_grad=True)
+    with pytest.raises(ValueError, match=rf"^label {label} is outside \[0, 3\)$"):
+        tn.softmax_cross_entropy(logits, np.array([1, label]))
+
+
 def test_determinism_bit_identical():
     rng1 = np.random.default_rng(42)
     rng2 = np.random.default_rng(42)
