@@ -183,17 +183,17 @@ class Mlp(Model):
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
         self.act = ACTIVATIONS[spec.activation]
         widths = [int(np.prod(spec.input_shape))] + list(spec.hidden) + [spec.num_classes]
-        for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-            self._param(f"w{i}", _uniform_fanin(rng, (fan_in, fan_out), fan_in))
-            self._param(f"b{i}", np.zeros(fan_out))
-        self.n_layers = len(widths) - 1
+        self.layers = [(self._param(f"w{i}", _uniform_fanin(rng, (fan_in, fan_out), fan_in)),
+                        self._param(f"b{i}", np.zeros(fan_out)))
+                       for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:]))]
 
     def forward(self, x: Tensor) -> Tensor:
         self._check_batch(x)
         h = reshape(x, (x.shape[0], -1))
-        for i in range(self.n_layers):
-            h = matmul(h, self.params[f"w{i}"]) + self.params[f"b{i}"]
-            if i < self.n_layers - 1:
+        last = len(self.layers) - 1
+        for i, (w, b) in enumerate(self.layers):
+            h = matmul(h, w) + b
+            if i < last:
                 h = self.act(h)
         return h
 

@@ -15,6 +15,7 @@ cannot: it admits and replays from its first batch.
 from __future__ import annotations
 
 import json
+import math
 import mmap
 from dataclasses import dataclass, field
 
@@ -275,7 +276,7 @@ def _train(model: Model, stream: ExperienceStream, opt: OptConfig, seed: int,
                     bx, by = np.concatenate([bx, mx]), np.concatenate([by, my])
                 loss = softmax_cross_entropy(model.forward(Tensor(bx)), by)
                 value = float(loss.data)
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise TrainingDiverged(f"loss became {value} during training ({strategy}, "
                                            f"{where}, epoch {epoch + 1} of {opt.epochs})")
                 loss.backward()

@@ -20,7 +20,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import threading
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -111,17 +111,22 @@ class Tensor:
 
     # -- tape machinery ------------------------------------------------------
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add ``g`` into this tensor's gradient. A ``fresh`` g, made by the caller
+        and held by nothing else, becomes the first gradient itself; any other is
+        copied, so no two tensors' gradients share memory."""
         if self.grad is not None:
             self.grad += g
         elif (block := _take_block(self)) is not None:
             block[...] = g
+        elif fresh:
+            self.grad = g
         else:
             self.grad = np.array(g, dtype=np.float64, copy=True)
 
     def backward(self, grad: Optional[np.ndarray] = None, keep_graph: bool = False) -> None:
         """Backpropagate ``grad`` (ones for a scalar) from this tensor; each
-        tape node is visited exactly once, and leaf gradients accumulate.
+        interior tape node is visited exactly once, and leaf gradients accumulate.
 
         By default the tape is consumed: closures and parent links of visited
         interior nodes are dropped afterwards. With ``keep_graph`` they are
@@ -139,7 +144,7 @@ class Tensor:
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
+        while stack:  # pushes interior nodes only: a leaf has no backward to run
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
@@ -151,7 +156,7 @@ class Tensor:
                 node.grad = None
             stack.append((node, True))
             for parent in node._prev:
-                if id(parent) not in visited:
+                if parent._prev and id(parent) not in visited:
                     stack.append((parent, False))
 
         self.grad = (np.ones_like(self.data) if grad is None
@@ -183,12 +188,17 @@ def _wrap(x: Tensor | Arrayish) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, parents: Iterable[Tensor], op: str) -> Tensor:
-    out = Tensor(data)
-    if _state.grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._prev = tuple(parents)
-        out._op = op
+def _make(data: np.ndarray, parents: tuple, op: str) -> Tensor:
+    """An op's output; ``data`` is used as is when it is an array (ops make float64)."""
+    out = Tensor.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
+    out.grad = out._backward = None
+    out.requires_grad, out._prev, out._op = False, (), "leaf"
+    if _state.grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad, out._prev, out._op = True, parents, op
+                break
     return out
 
 
@@ -198,6 +208,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     In per-example mode an operand without rows keeps the rows axis: each row
     sums over its own size-1 batch axis, as a batch of one does (which turns
     a -0.0 into +0.0)."""
+    if g.shape == shape:
+        return g
     lead = 0
     if g.ndim > len(shape) and _state.blocks is not None:
         g, lead = g[:, None], 1
@@ -220,10 +232,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = _make(data, (a, b), "add")
     if out.requires_grad:
         def _bw(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.shape))
+            for p in (a, b):
+                if p.requires_grad:
+                    pg = _unbroadcast(g, p.shape)  # g itself when nothing was summed
+                    p._accumulate(pg, fresh=pg is not g)
         out._backward = _bw
     return out
 
@@ -238,9 +250,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         a_data, b_data = a.data, b.data
         def _bw(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b_data, a.shape))
+                a._accumulate(_unbroadcast(g * b_data, a.shape), fresh=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a_data, b.shape))
+                b._accumulate(_unbroadcast(g * a_data, b.shape), fresh=True)
         out._backward = _bw
     return out
 
@@ -256,24 +268,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if out.requires_grad:
         def _bw(g):
             if a.requires_grad:
-                a._accumulate((g[:, None] @ b_data.T)[:, 0] if rows else g @ b_data.T)
+                a._accumulate((g[:, None] @ b_data.T)[:, 0] if rows else g @ b_data.T, fresh=True)
             if b.requires_grad:
                 _accumulate_product(b, a_data, g, rows)
         out._backward = _bw
     return out
 
 
-def _accumulate_product(p: Tensor, a: np.ndarray, g: np.ndarray, rows: bool) -> None:
+def _accumulate_product(p: Tensor, a: np.ndarray, g: np.ndarray, rows: bool,
+                        scratch: Optional[np.ndarray] = None) -> None:
     """Add the weight gradient ``aᵀ @ g`` to p's gradient; in per-example mode,
     each row's own outer product ``a[r]ᵀ g[r]``. No index is summed there, so
     each entry is one rounded product, as in the batch-1 (K, 1) @ (1, N);
-    ``np.einsum`` forms it faster than a ``np.matmul`` stack."""
+    ``np.einsum`` forms it faster than a ``np.matmul`` stack, into ``scratch``
+    when the caller passes a (rows, *p.shape) array to reuse."""
     if not rows:
-        p._accumulate(a.T @ g)
+        p._accumulate(a.T @ g, fresh=True)
     elif p.grad is None and (block := _take_block(p)) is not None:
         np.einsum("rk,rn->rkn", a, g, out=block)
     else:
-        p._accumulate(np.einsum("rk,rn->rkn", a, g))
+        p._accumulate(np.einsum("rk,rn->rkn", a, g, out=scratch), fresh=scratch is None)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -281,7 +295,7 @@ def tanh(a: Tensor) -> Tensor:
     out = _make(t, (a,), "tanh")
     if out.requires_grad:
         def _bw(g):
-            a._accumulate(g * (1.0 - t * t))
+            a._accumulate(g * (1.0 - t * t), fresh=True)
         out._backward = _bw
     return out
 
@@ -291,7 +305,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out = _make(s, (a,), "sigmoid")
     if out.requires_grad:
         def _bw(g):
-            a._accumulate(g * s * (1.0 - s))
+            a._accumulate(g * s * (1.0 - s), fresh=True)
         out._backward = _bw
     return out
 
@@ -301,7 +315,7 @@ def relu(a: Tensor) -> Tensor:
     if out.requires_grad:
         mask = a.data > 0
         def _bw(g):
-            a._accumulate(g * mask)
+            a._accumulate(g * mask, fresh=True)
         out._backward = _bw
     return out
 
@@ -444,6 +458,9 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
             # per-example mode stacks each row's operands of the products below
             dz_in, dh_out = (dz[:, None], r[2][:, None]) if rows else (dz, r[2])
             dx_out = dx[:, :, None] if rows and dx is not None else dx
+            # and forms each later step's weight outer products in one scratch pair
+            ih_scratch, hh_scratch = (np.empty((batch,) + w.shape) if rows and w.requires_grad
+                                      else None for w in (w_ih, w_hh))
             dc_next = None
             for t in range(steps - 1, -1, -1):
                 s = cache[t]
@@ -461,18 +478,18 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
                 # one _accumulate per step, latest step first, as the per-step
                 # tape adds its terms into a leaf that may already hold a gradient
                 if w_ih.requires_grad:
-                    _accumulate_product(w_ih, x_data[:, t], dz, rows)
+                    _accumulate_product(w_ih, x_data[:, t], dz, rows, ih_scratch)
                 if w_hh.requires_grad:
-                    _accumulate_product(w_hh, h_prev, dz, rows)
+                    _accumulate_product(w_hh, h_prev, dz, rows, hh_scratch)
                 if bias.requires_grad:
-                    bias._accumulate(dz_in.sum(axis=-2))
+                    bias._accumulate(dz_in.sum(axis=-2), fresh=True)
                 if dx is not None:
                     np.matmul(dz_in, w_ih_data.T, out=dx_out[:, t])
                 if t:
                     np.matmul(dz_in, w_hh_data.T, out=dh_out)  # dh of step t - 1
                     dc_next = dc * f
             if dx is not None:
-                x._accumulate(dx)
+                x._accumulate(dx, fresh=True)
         out._backward = _bw
     return out
 
@@ -551,11 +568,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 g = np.ascontiguousarray(g)
             g2 = g.transpose(0, 2, 3, 1).reshape(rows + (-1, out_ch))
             if w.requires_grad:
-                w._accumulate((np.swapaxes(g2, -1, -2) @ cols).reshape(rows + w.shape))
-            if x.requires_grad:
+                w._accumulate((np.swapaxes(g2, -1, -2) @ cols).reshape(rows + w.shape), fresh=True)
+            if x.requires_grad:  # copied: kept as is, this block raised the peak RSS
+                # of `shapdrift run` on a cnn2d config by 1 MB (the heap's layout)
                 x._accumulate(_col2im(g2 @ wmat, x.shape, kh, kw))
             if b.requires_grad:
-                b._accumulate(g.sum(axis=(2, 3) if rows else (0, 2, 3)))
+                b._accumulate(g.sum(axis=(2, 3) if rows else (0, 2, 3)), fresh=True)
         out._backward = _bw
     return out
 
@@ -617,7 +635,7 @@ def avgpool2d(x: Tensor, kernel: int) -> Tensor:
     out = _make(total, (x,), "avgpool2d")
     if out.requires_grad:
         def _bw(g):
-            x._accumulate(_avgpool_grad(g, x.shape, kernel))
+            x._accumulate(_avgpool_grad(g, x.shape, kernel), fresh=True)
         out._backward = _bw
     return out
 
@@ -666,7 +684,7 @@ def normalize_zscore(x: Tensor) -> Tensor:
         def _bw(g):
             gm = g.mean(axis=axes, keepdims=keep)
             gy = (g * y).mean(axis=axes, keepdims=keep)
-            x._accumulate((g - gm - y * gy * ratio) / s)
+            x._accumulate((g - gm - y * gy * ratio) / s, fresh=True)
         out._backward = _bw
     return out
 
@@ -684,22 +702,23 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     batch, classes = logits.shape
     if labels.shape != (batch,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {batch}")
-    bad = (labels < 0) | (labels >= classes)
-    if bad.any():
-        raise ValueError(f"label {labels[bad][0]} is outside [0, {classes})")
+    if batch and (labels.min() < 0 or labels.max() >= classes):
+        bad = labels[(labels < 0) | (labels >= classes)][0]
+        raise ValueError(f"label {bad} is outside [0, {classes})")
 
     rows = _state.blocks is not None
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     ez = np.exp(z)
-    softm = ez / ez.sum(axis=1, keepdims=True)
-    logp = z - np.log(ez.sum(axis=1, keepdims=True))
-    losses = -logp[np.arange(batch), labels]
+    total = ez.sum(axis=1, keepdims=True)
+    softm = ez / total
+    pick = (np.arange(batch), labels)
+    losses = -(z[pick] - np.log(total[:, 0]))
 
     out = _make(losses if rows else np.asarray(losses.mean()), (logits,), "softmax_cross_entropy")
     if out.requires_grad:
         def _bw(g):
             d = softm.copy()
-            d[np.arange(batch), labels] -= 1.0
-            logits._accumulate(g[:, None] * d if rows else g * d / batch)
+            d[pick] -= 1.0
+            logits._accumulate(g[:, None] * d if rows else g * d / batch, fresh=True)
         out._backward = _bw
     return out

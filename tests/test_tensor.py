@@ -533,6 +533,126 @@ def test_no_grad_blocks_tape():
     assert not out.requires_grad
 
 
+# -- gradient ownership --------------------------------------------------------
+# backward keeps a gradient that an op made itself and copies one that aliases
+# another array (a pass-through, a view, a broadcast, the seed): were two grads
+# to share memory, a later ``+=`` into one would change the other.
+
+
+def assert_grads_own_their_memory(tensors, seed):
+    grads = [t.grad for t in tensors if t.grad is not None]
+    for i, g in enumerate(grads):
+        assert not np.shares_memory(g, seed)
+        for other in grads[i + 1:]:
+            assert not np.shares_memory(g, other)
+
+
+def assert_grads_equal(want):
+    for t, expected in want.items():
+        np.testing.assert_allclose(t.grad, expected, rtol=1e-13, atol=0)
+
+
+def _add_to_itself(rng):
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    out = tn.add(a, a)
+    seed = rng.normal(size=(2, 3))
+    return out, seed, {out: seed, a: 2.0 * seed}
+
+
+def _node_consumed_twice(rng):
+    x = Tensor(rng.normal(size=4), requires_grad=True)
+    t = tn.tanh(x)
+    u = t * t
+    v = u + t
+    loss = v.sum()
+    seed = np.array(0.5)
+    dt = 0.5 * (2.0 * t.data + 1.0)
+    return loss, seed, {loss: seed, v: np.full(4, 0.5), u: np.full(4, 0.5), t: dt,
+                        x: dt * (1.0 - t.data ** 2)}
+
+
+def _reshape(rng):
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    out = tn.reshape(x, (6, 4))
+    seed = rng.normal(size=(6, 4))
+    return out, seed, {out: seed, x: seed.reshape(2, 3, 4)}
+
+
+def _swap_last2(rng):
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    out = tn.swap_last2(x)
+    seed = rng.normal(size=(2, 4, 3))
+    return out, seed, {out: seed, x: seed.swapaxes(-1, -2)}
+
+
+def _tmean(rng):
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    out = tn.tmean(x, axis=0)
+    total = out._prev[0]  # tmean is a sum times 1/3
+    seed = rng.normal(size=4)
+    return out, seed, {out: seed, total: seed / 3.0, x: np.broadcast_to(seed / 3.0, (3, 4))}
+
+
+def _broadcast_bias(rng):
+    x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True)
+    product = tn.matmul(x, w)
+    out = product + b
+    seed = rng.normal(size=(5, 2))
+    return out, seed, {out: seed, product: seed, b: seed.sum(axis=0), w: x.data.T @ seed,
+                       x: seed @ w.data.T}
+
+
+@pytest.mark.parametrize("case", [_add_to_itself, _node_consumed_twice, _reshape, _swap_last2,
+                                  _tmean, _broadcast_bias], ids=lambda case: case.__name__[1:])
+def test_every_grad_owns_its_memory(case):
+    out, seed, want = case(np.random.default_rng(3))
+    out.backward(seed)
+    assert_grads_equal(want)
+    assert_grads_own_their_memory(want, seed)
+
+
+def test_kept_graph_passes_give_grads_their_own_memory():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    t = tn.tanh(x)
+    u = t * t
+    v = u + t
+    for seed in rng.normal(size=(2, 3, 4)):
+        x.grad = None
+        v.backward(seed, keep_graph=True)
+        dt = seed + seed * t.data + seed * t.data
+        assert_grads_equal({v: seed, u: seed, t: dt, x: dt * (1.0 - t.data ** 2)})
+        assert_grads_own_their_memory([x, t, u, v], seed)
+
+
+def test_per_example_grads_own_their_memory():
+    rng = np.random.default_rng(6)
+    xs, labels = rng.normal(size=(4, 3)), np.array([0, 1, 1, 0])
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True)
+
+    def forward(rows):
+        product = tn.matmul(Tensor(xs[rows]), w)
+        logits = product + b
+        return [product, logits, tn.tanh(logits)]
+
+    want = np.zeros((4, 8))
+    for r in range(4):
+        tn.softmax_cross_entropy(forward(slice(r, r + 1))[-1], labels[r:r + 1]).backward()
+        want[r] = np.concatenate([b.grad, w.grad.ravel()])
+        w.grad = b.grad = None
+    got = np.empty((4, 8))
+    seed = np.ones(4)
+    with tn.per_example({b: got[:, :2], w: got[:, 2:].reshape(4, 3, 2)}):
+        nodes = forward(slice(None))
+        loss = tn.softmax_cross_entropy(nodes[-1], labels)
+        loss.backward(seed)
+        assert_grads_own_their_memory(nodes + [loss, w, b], seed)
+    np.testing.assert_array_equal(got, want)
+
+
 def test_two_layer_net_matches_finite_differences():
     rng = np.random.default_rng(0)
     w1 = Tensor(rng.normal(size=(5, 4)) * 0.5, requires_grad=True)
