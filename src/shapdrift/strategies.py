@@ -77,7 +77,8 @@ class ReplayBuffer:
     between its loss gradient and those of ``gss_n_sim`` randomly chosen
     stored entries stays below ``gss_tau``, in which case it replaces the
     stored entry with the highest recorded similarity score. Scoring is one
-    ``Model.example_gradients`` call per candidate (see ``gss_admit``).
+    ``Model.example_gradients`` call per candidate (see ``gss_admit``); an
+    unscored entry (``scored=False``) holds NaN.
     """
 
     def __init__(self, capacity: int, policy: str = "class_balanced",
@@ -140,11 +141,11 @@ class ReplayBuffer:
         self._check_capacity()
 
     def consider(self, x: np.ndarray, y: int, model: Model,
-                 rng: np.random.Generator) -> bool:
+                 rng: np.random.Generator, scored: bool = True) -> bool:
         """Per-step GSS admission; returns whether the candidate was stored."""
         if self.policy != "gss_greedy":
             raise RuntimeError(f"consider is undefined for policy {self.policy!r}")
-        admitted = gss_admit(self, x, y, model, rng)
+        admitted = gss_admit(self, x, y, model, rng, scored)
         self._check_capacity()
         return admitted
 
@@ -168,7 +169,7 @@ def _similarities(grads: np.ndarray) -> np.ndarray:
 
 
 def gss_admit(buffer: ReplayBuffer, x: np.ndarray, y: int, model: Model,
-              rng: np.random.Generator) -> bool:
+              rng: np.random.Generator, scored: bool = True) -> bool:
     """Gradient-similarity admission.
 
     The candidate's score is its maximum cosine similarity against the
@@ -180,6 +181,10 @@ def gss_admit(buffer: ReplayBuffer, x: np.ndarray, y: int, model: Model,
     admits; a full one admits only scores below ``gss_tau`` and evicts the
     stored entry with the highest score. Entries are written in place into
     (capacity, ...) arrays allocated at the first admission.
+
+    ``scored=False`` is for a candidate that no eviction can read: the sample
+    is still drawn, so that ``rng`` moves as it would, but no gradient is
+    computed and the stored score is NaN.
     """
     n = len(buffer)
     if n == 0:
@@ -189,10 +194,12 @@ def gss_admit(buffer: ReplayBuffer, x: np.ndarray, y: int, model: Model,
         buffer._scores = np.empty(buffer.capacity)
     else:
         sample = rng.choice(n, size=min(buffer.gss_n_sim, n), replace=False)
-        grads = model.example_gradients(
-            np.concatenate([np.asarray(x)[None], buffer._inputs[sample]]),
-            np.concatenate([[y], buffer._labels[sample]]))
-        score = max(_similarities(grads).tolist())
+        score = math.nan
+        if scored:
+            grads = model.example_gradients(
+                np.concatenate([np.asarray(x)[None], buffer._inputs[sample]]),
+                np.concatenate([[y], buffer._labels[sample]]))
+            score = max(_similarities(grads).tolist())
     if n < buffer.capacity:
         slot, buffer._n = n, n + 1
     elif score < buffer.gss_tau:
@@ -249,6 +256,11 @@ def _train(model: Model, stream: ExperienceStream, opt: OptConfig, seed: int,
     and the model loads the snapshot. The stage's generator still draws the
     epoch orders, the only draws of a stage with an empty buffer, so an ER
     refill draws what it would draw after training.
+
+    Only an eviction reads a GSS score, and only a full buffer evicts. So when
+    the buffer has room for every candidate the run will consider, no
+    candidate is scored; and a buffer holding unscored entries cannot go into
+    a run that may evict.
     """
     if first is not None and not (
             stages is None and strategy in SHARED_FIRST_STAGE
@@ -258,6 +270,17 @@ def _train(model: Model, stream: ExperienceStream, opt: OptConfig, seed: int,
     if stages is None:
         stages = [(exp.train, f"experience {e + 1} of {len(stream)}")
                   for e, exp in enumerate(stream.experiences)]
+    gss = buffer is not None and buffer.policy == "gss_greedy"
+    if gss:
+        # per epoch, the first gss_candidates rows of each batch, as sliced below
+        candidates = opt.epochs * sum(
+            min(buffer.gss_candidates, opt.batch_size, len(train) - lo)
+            for train, _ in stages for lo in range(0, len(train), opt.batch_size))
+        scored = len(buffer) + candidates > buffer.capacity
+        unscored = int(np.isnan(buffer._scores[:len(buffer)]).sum()) if len(buffer) else 0
+        if scored and unscored:
+            raise ValueError(f"a {strategy} run can fill this buffer and evict, but "
+                             f"{unscored} of its entries were never scored")
     log = TrainLog(strategy, [exp.classes for exp in stream.experiences],
                    np.empty((len(stages), len(stream))))
     for i, (train, where) in enumerate(stages):
@@ -282,9 +305,10 @@ def _train(model: Model, stream: ExperienceStream, opt: OptConfig, seed: int,
                 loss.backward()
                 sgd_step(model, opt.lr)
                 losses.append(value)
-                if buffer is not None and buffer.policy == "gss_greedy":
+                if gss:
                     for j in idx[:buffer.gss_candidates]:
-                        buffer.consider(train.inputs[j], int(train.labels[j]), model, rng)
+                        buffer.consider(train.inputs[j], int(train.labels[j]), model, rng,
+                                        scored)
         # the last batch, its memory sample and its loss would otherwise stay
         # alive through the refill and add to its peak RSS
         bx = by = mx = my = idx = order = loss = None

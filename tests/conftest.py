@@ -1,5 +1,13 @@
 """Fixtures shared by the test modules."""
 
+import sys
+
+# shapdrift pins BLAS to one thread, which OpenBLAS reads only when numpy loads
+# it; so shapdrift comes before numpy, or the tests would run unpinned, and
+# the recorded flag lets a test check that nothing loaded numpy earlier
+NUMPY_LOADED_BEFORE_PIN = "numpy" in sys.modules
+import shapdrift  # noqa: F401
+
 import numpy as np
 import pytest
 

@@ -581,6 +581,13 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert trees[0][name] == trees[1][name], name
 
 
+def test_the_suite_runs_with_the_blas_pin():
+    """The conftest imports shapdrift before numpy; a plugin or an earlier import
+    that loaded numpy first would leave BLAS at its default thread count."""
+    import conftest
+    assert conftest.NUMPY_LOADED_BEFORE_PIN is False
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_reports_where_training_diverged(tmp_path, capsys):
     cfg = tiny_config(output_dir=str(tmp_path / "out"),

@@ -296,7 +296,7 @@ def test_gss_decisions_on_a_filling_buffer_match_the_tape_loop(
                                      hidden=hidden, activation=activation)
 
 
-@pytest.mark.parametrize("activation, admitted", [("tanh", 178), ("relu", 175)])
+@pytest.mark.parametrize("activation, admitted", [("tanh", 177), ("relu", 175)])
 def test_cnn2d_gss_decisions_on_a_filling_buffer_match_the_tape_loop(
         activation, admitted, monkeypatch, tape_loop):
     assert_gss_matches_the_tape_loop(admitted, monkeypatch, tape_loop, architecture="cnn2d",
@@ -307,6 +307,73 @@ def test_lstm_gss_decisions_on_a_filling_buffer_match_the_tape_loop(monkeypatch,
     assert_gss_matches_the_tape_loop(167, monkeypatch, tape_loop,
                                      synth_sequences(10, 60, steps=8, features=6, seed=0),
                                      architecture="lstm", hidden_size=8)
+
+
+# 2 stages x 2 epochs over 40 training rows in batches of 13, 13, 13 and 1,
+# with up to 3 candidates from each batch: 2 * 2 * (3 + 3 + 3 + 1)
+GSS_RUN_CANDIDATES = 40
+
+
+def gss_run(buffer, forced=False):
+    """A GSS run of GSS_RUN_CANDIDATES candidates into ``buffer``; returns its log
+    and its number of ``Model.example_gradients`` calls. ``forced`` scores every
+    candidate, as a run that can fill its buffer does."""
+    stream = make_stream()
+    calls, gradients, admit = [], Model.example_gradients, strategies.gss_admit
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Model, "example_gradients",
+                      lambda *args: calls.append(1) or gradients(*args))
+        if forced:
+            patch.setattr(strategies, "gss_admit", lambda *args: admit(*args[:5]))
+        log = train_replay(make_model(stream), stream, OptConfig(batch_size=13, epochs=2),
+                           buffer, seed=0)
+    return log, len(calls)
+
+
+def assert_same_runs(log, buffer, forced_log, forced_buffer):
+    assert log.to_json() == forced_log.to_json()   # accuracy and losses
+    for a, b in zip(log.snapshots, forced_log.snapshots, strict=True):
+        assert a.keys() == b.keys()
+        for name in a:
+            np.testing.assert_array_equal(a[name], b[name])
+    rows = len(buffer)
+    assert rows == len(forced_buffer)
+    np.testing.assert_array_equal(buffer._inputs[:rows], forced_buffer._inputs[:rows])
+    np.testing.assert_array_equal(buffer.labels, forced_buffer.labels)
+
+
+def test_a_gss_run_that_cannot_fill_its_buffer_scores_no_candidate():
+    buffer, forced_buffer = (ReplayBuffer(GSS_RUN_CANDIDATES, policy="gss_greedy",
+                                          gss_candidates=3) for _ in range(2))
+    log, calls = gss_run(buffer)
+    forced_log, forced_calls = gss_run(forced_buffer, forced=True)
+    assert (calls, forced_calls) == (0, GSS_RUN_CANDIDATES - 1)
+    assert len(buffer) == GSS_RUN_CANDIDATES
+    assert_same_runs(log, buffer, forced_log, forced_buffer)
+    # the first entry's score needs no gradient; every later one is unscored
+    assert buffer._scores[0] == 0.0 and np.isnan(buffer._scores[1:]).all()
+
+
+def test_a_gss_run_that_can_fill_its_buffer_scores_every_candidate():
+    buffer, forced_buffer = (ReplayBuffer(GSS_RUN_CANDIDATES - 1, policy="gss_greedy",
+                                          gss_candidates=3) for _ in range(2))
+    log, calls = gss_run(buffer)
+    forced_log, forced_calls = gss_run(forced_buffer, forced=True)
+    assert calls == forced_calls == GSS_RUN_CANDIDATES - 1
+    assert len(buffer) == buffer.capacity
+    assert_same_runs(log, buffer, forced_log, forced_buffer)
+    np.testing.assert_array_equal(buffer._scores, forced_buffer._scores)
+    assert not np.isnan(buffer._scores).any()
+
+
+def test_a_gss_buffer_with_unscored_entries_cannot_go_into_a_run_that_may_evict():
+    buffer = ReplayBuffer(2 * GSS_RUN_CANDIDATES, policy="gss_greedy", gss_candidates=3)
+    assert gss_run(buffer)[1] == 0
+    assert gss_run(buffer)[1] == 0         # 40 held + 40 candidates still fit
+    assert len(buffer) == buffer.capacity
+    with pytest.raises(ValueError, match="^a gss run can fill this buffer and evict, "
+                                         "but 79 of its entries were never scored$"):
+        gss_run(buffer)
 
 
 # -- training strategies --------------------------------------------------------------
