@@ -382,11 +382,13 @@ def cmd_run(args) -> int:
     _write_manifest(outdir, cfg, "incomplete", [])
 
     written: list = []
+    # a pool starts all its workers at once, so at most one per seed
+    workers = min(args.workers, len(cfg["seeds"]))
     try:
-        if args.workers > 1:
+        if workers > 1:
             # imported here: the import costs every single-process run about 20 ms
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.workers,
+            with ProcessPoolExecutor(max_workers=workers,
                                      initializer=_steady_allocator) as pool:
                 futures = [pool.submit(_run_single_seed, cfg, s, str(outdir))
                            for s in cfg["seeds"]]

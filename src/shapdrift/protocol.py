@@ -21,7 +21,6 @@ from .data import EvaluationSlice, ExperienceStream, require_count, write_atomic
 from .explainers import ShapConfig, explain_all_classes, per_example_config
 from .models import ModelSpec, build_model, reservoir_checksum
 from .strategies import (
-    SHARED_FIRST_STAGE,
     STRATEGIES,
     OptConfig,
     ReplayBuffer,
@@ -102,6 +101,31 @@ def metric_m_pool(s_map, j_map, order: str = "normalize_then_clamp") -> float:
     if min(s.shape) < POOL_KERNEL:
         raise ValueError(f"map extents {s.shape} smaller than pooling kernel {POOL_KERNEL}")
     return float(_pooled_drift(_pooled(s, order), _pooled(j, order)))
+
+
+def _is_spatial(inputs: np.ndarray) -> bool:
+    return (inputs.ndim == 4 and inputs.shape[1] == 1
+            and min(inputs.shape[2:]) >= POOL_KERNEL)
+
+
+def score_snapshot(maps, joint_maps, pool_order: str = "normalize_then_clamp") -> dict:
+    """Each class's probe-mean drift of one snapshot's raw (classes, probes,
+    *input shape) maps from the joint ones, as ``{metric: (classes,) array}``:
+    "m" is ``metric_m`` on positive-clamped maps, and single-channel images add
+    "m_pool", ``metric_m_pool`` under ``pool_order``. Each class's probes lie
+    along one contiguous axis, so each mean sums as one over per-probe values.
+    """
+    s = np.asarray(maps, dtype=np.float64)
+    j = np.asarray(joint_maps, dtype=np.float64)
+    if s.shape != j.shape:
+        raise ValueError(f"map stack shapes differ: {s.shape} != {j.shape}")
+    stack = s.shape[:2] + (-1,)
+    scores = {"m": _mass_drift(np.maximum(s, 0.0).reshape(stack),
+                               np.maximum(j, 0.0).reshape(stack)).mean(axis=-1)}
+    if _is_spatial(s[0]):
+        scores["m_pool"] = _pooled_drift(_pooled(s[:, :, 0], pool_order),
+                                         _pooled(j[:, :, 0], pool_order)).mean(axis=-1)
+    return scores
 
 
 # -- report rows and CSV schema -----------------------------------------------------
@@ -222,11 +246,6 @@ def check_settings(strategies, pool_order: str, saliency_probes: int) -> None:
     require_count("saliency_probes", saliency_probes, lowest=0)
 
 
-def _is_spatial(inputs: np.ndarray) -> bool:
-    return (inputs.ndim == 4 and inputs.shape[1] == 1
-            and min(inputs.shape[2:]) >= POOL_KERNEL)
-
-
 def _snapshot_maps(model, probes, background: np.ndarray,
                    shap: ShapConfig) -> tuple[np.ndarray, np.ndarray]:
     """Raw (unclamped) per-class maps for every probe under one weight snapshot.
@@ -242,11 +261,11 @@ def _train_strategy(strategy: str, spec: ModelSpec, stream: ExperienceStream,
                     opt: OptConfig, train_seed: int, buffer: ReplayBuffer | None = None,
                     first=None):
     """A fresh model trained by ``strategy``; the replay strategies fill ``buffer``.
-    ``first`` is the log whose first stage a naive or ER run shares."""
+    ``first`` is the naive log whose first stage an ER run takes."""
     model = build_model(spec)
     frozen = reservoir_checksum(model) if spec.architecture == "esn" else None
     if strategy == "naive":
-        log = train_naive(model, stream, opt, train_seed, first=first)
+        log = train_naive(model, stream, opt, train_seed)
     elif strategy == "joint":
         log = train_joint(model, stream, opt, train_seed)
     else:
@@ -280,10 +299,12 @@ def run_protocol(
     are compared against joint maps computed once from the joint snapshot, so
     joint-vs-joint rows are exactly zero.
 
-    When both naive and ER run, their first stages are the same computation
-    (see ``strategies``): whichever of the two comes first is trained in full,
-    and the other starts from its first-stage log and reuses its
-    experience-1 maps. The report is the one each would give on its own.
+    Joint trains first, then the other strategies in ``STRATEGIES`` order; the
+    report lists them in the caller's order. Each snapshot is scored by
+    ``score_snapshot`` as soon as it is attributed. ER's first stage is naive's
+    bit for bit (see ``strategies``), so when both run, ER starts from naive's
+    log and takes its experience-1 scores. The report is the one each would
+    give on its own.
     """
     check_settings(strategies, pool_order, saliency_probes)
     opt = opt or OptConfig()
@@ -300,73 +321,50 @@ def run_protocol(
     spec = replace(model_spec, seed=model_seed)
     shap = replace(shap, seed=shap_seed)
 
-    probes = eval_slice.probes
-    background = eval_slice.background.inputs
-    num_classes = stream.num_classes
-    num_experiences = len(stream)
+    probes, background = eval_slice.probes, eval_slice.background.inputs
+    num_classes, num_experiences = stream.num_classes, len(stream)
     target_classes = tuple(stream.experiences[0].classes)
-    spatial = _is_spatial(probes.inputs)
+    keep_saliency = saliency_probes > 0 and _is_spatial(probes.inputs)
+
+    def saliency_of(maps):
+        return (probes.inputs[:saliency_probes].copy(),
+                np.maximum(maps[:, :saliency_probes, 0], 0.0)) if keep_saliency else None
 
     joint_model, joint_log = _train_strategy("joint", spec, stream, opt, train_seed)
     joint_maps = _snapshot_maps(joint_model, probes, background, shap)[0]
-    joint_mass = np.maximum(joint_maps, 0.0).reshape(num_classes, len(probes.inputs), -1)
-    if spatial:
-        joint_pooled = _pooled(joint_maps[:, :, 0], pool_order)
+    # per strategy: its log, its scores after each experience, its final saliency stack
+    logs, stacks = {"joint": joint_log}, {"joint": saliency_of(joint_maps)}
+    scores = {"joint": [score_snapshot(joint_maps, joint_maps, pool_order)] * num_experiences}
+    for strategy in (s for s in STRATEGIES if s in strategies and s != "joint"):
+        # ER takes naive's first stage, experience-1 scores and, on a one-experience
+        # stream, saliency; buffers are popped, so none outlives its training
+        shared = strategy == "er" and "naive" in logs
+        model, logs[strategy] = _train_strategy(strategy, spec, stream, opt, train_seed,
+                                                buffers.pop(strategy, None),
+                                                logs["naive"] if shared else None)
+        scores[strategy] = scores["naive"][:1] if shared else []
+        stacks[strategy] = stacks["naive"] if shared else None
+        for e in range(len(scores[strategy]), num_experiences):
+            model.load_state_dict(logs[strategy].snapshots[e])
+            maps = _snapshot_maps(model, probes, background, shap)[0]
+            scores[strategy].append(score_snapshot(maps, joint_maps, pool_order))
+            if e == num_experiences - 1:
+                stacks[strategy] = saliency_of(maps)
 
-    rows: list = []
-    accuracy_rows: list = []
-    train_logs: dict = {}
-    saliency: dict = {}
-    sharing = set(SHARED_FIRST_STAGE) <= set(strategies)
-    first = first_maps = None   # the first stage and experience-1 maps of naive or ER
-
+    rows, accuracy_rows = [], []
     for strategy in strategies:
-        shares = sharing and strategy in SHARED_FIRST_STAGE
-        if strategy == "joint":
-            model, log = joint_model, joint_log
-        else:
-            # popped, so no buffer outlives its strategy's training
-            model, log = _train_strategy(strategy, spec, stream, opt, train_seed,
-                                         buffers.pop(strategy, None), first if shares else None)
-        train_logs[strategy] = log
-
-        for e in range(num_experiences):
-            if strategy == "joint":
-                maps = joint_maps
-            elif e == 0 and shares and first is not None:
-                maps = first_maps
-            else:
-                model.load_state_dict(log.snapshots[e])
-                maps = _snapshot_maps(model, probes, background, shap)[0]
-                if e == 0 and shares:
-                    first, first_maps = log, maps
-            # probes are the contiguous last axis, so each probe mean sums in the
-            # same order as a mean over a list of per-probe values
-
-            scores = {"m": _mass_drift(np.maximum(maps, 0.0).reshape(joint_mass.shape),
-                                       joint_mass).mean(axis=-1)}
-            if spatial:
-                scores["m_pool"] = _pooled_drift(_pooled(maps[:, :, 0], pool_order),
-                                                 joint_pooled).mean(axis=-1)
-            for class_id in range(num_classes):
-                is_target = class_id in target_classes
-                for metric, values in scores.items():
-                    rows.append(MetricRow(strategy, e + 1, class_id, metric,
-                                          float(values[class_id]), is_target))
-            if e == num_experiences - 1 and saliency_probes > 0 and spatial:
-                saliency[strategy] = (probes.inputs[:saliency_probes].copy(),
-                                      np.maximum(maps[:, :saliency_probes, 0], 0.0))
-
-        for i in range(log.accuracy.shape[0]):
-            trained = num_experiences if strategy == "joint" else i + 1
-            for j in range(log.accuracy.shape[1]):
-                accuracy_rows.append(AccuracyRow(strategy, trained, j + 1,
-                                                 float(log.accuracy[i, j])))
-
-    return DriftReport(rows=rows, accuracy_rows=accuracy_rows,
-                       num_classes=num_classes, num_experiences=num_experiences,
-                       target_classes=target_classes, train_logs=train_logs,
-                       saliency=saliency)
+        for e, values in enumerate(scores[strategy]):
+            rows.extend(MetricRow(strategy, e + 1, c, metric, float(values[metric][c]),
+                                  c in target_classes)
+                        for c in range(num_classes) for metric in values)
+        # a run's last stage ends the stream, so joint's one stage is experience N
+        accuracy = logs[strategy].accuracy
+        first_trained = num_experiences - len(accuracy) + 1
+        accuracy_rows.extend(AccuracyRow(strategy, first_trained + i, j + 1, float(a))
+                             for (i, j), a in np.ndenumerate(accuracy))
+    return DriftReport(rows, accuracy_rows, num_classes, num_experiences, target_classes,
+                       train_logs={s: logs[s] for s in strategies},
+                       saliency={s: stacks[s] for s in strategies if stacks[s] is not None})
 
 
 # -- aggregation ----------------------------------------------------------------------

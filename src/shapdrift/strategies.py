@@ -7,8 +7,8 @@ memory policy and nothing else.
 
 Naive and ER run the same first stage bit for bit: ER's class-balanced
 buffer stays empty until the refill that ends the stage, so both start from
-the same weights, draw the same batch orders and take the same steps. A run
-of one can therefore start from the other's first stage (``first=``). GSS
+the same weights, draw the same batch orders and take the same steps. An ER
+run can therefore start from a naive run's first stage (``first=``). GSS
 cannot: it admits and replays from its first batch.
 """
 
@@ -26,7 +26,6 @@ from .models import Model
 from .tensor import Tensor, softmax_cross_entropy
 
 STRATEGIES = ("naive", "er", "gss", "joint")
-SHARED_FIRST_STAGE = ("naive", "er")   # strategies whose first stages are identical
 
 
 class TrainingDiverged(RuntimeError):
@@ -250,23 +249,23 @@ def _train(model: Model, stream: ExperienceStream, opt: OptConfig, seed: int,
     batch's rows, and a class_balanced one is refilled from the stage's set after
     its epochs. Each stage ends with a loss, a weight snapshot and an accuracy row.
 
-    ``first`` is the log of a naive or ER run on the same model spec, stream,
-    ``opt`` and ``seed``. Its first stage is this run's first stage, so that
-    stage is not trained again: its loss, snapshot and accuracy row are copied,
-    and the model loads the snapshot. The stage's generator still draws the
-    epoch orders, the only draws of a stage with an empty buffer, so an ER
-    refill draws what it would draw after training.
+    ``first`` is the log of a naive run on the same model spec, stream, ``opt``
+    and ``seed``, given to an ER run with an empty buffer. Its first stage is
+    this run's first stage, so that stage is not trained again: its loss,
+    snapshot and accuracy row are copied, and the model loads the snapshot.
+    The stage's generator still draws the epoch orders, the only draws of a
+    stage with an empty buffer, so the ER refill draws what it would draw
+    after training.
 
     Only an eviction reads a GSS score, and only a full buffer evicts. So when
     the buffer has room for every candidate the run will consider, no
     candidate is scored; and a buffer holding unscored entries cannot go into
     a run that may evict.
     """
-    if first is not None and not (
-            stages is None and strategy in SHARED_FIRST_STAGE
-            and first.strategy in SHARED_FIRST_STAGE and (buffer is None or len(buffer) == 0)):
-        raise ValueError(f"a {strategy} run cannot share the first stage of a "
-                         f"{first.strategy} run")
+    if first is not None and not (strategy == "er" and first.strategy == "naive"
+                                  and len(buffer) == 0):
+        raise ValueError(f"only an ER run with an empty buffer can start from a naive "
+                         f"first stage, not strategy {strategy!r} from a {first.strategy!r} log")
     if stages is None:
         stages = [(exp.train, f"experience {e + 1} of {len(stream)}")
                   for e, exp in enumerate(stream.experiences)]
@@ -314,9 +313,7 @@ def _train(model: Model, stream: ExperienceStream, opt: OptConfig, seed: int,
         bx = by = mx = my = idx = order = loss = None
         if shared:
             model.load_state_dict(first.snapshots[0])
-            log.final_losses.append(first.final_losses[0])
-        else:
-            log.final_losses.append(float(np.mean(losses)))
+        log.final_losses.append(first.final_losses[0] if shared else float(np.mean(losses)))
         if buffer is not None and buffer.policy == "class_balanced":
             buffer.rebalance(train, rng)
         log.snapshots.append(model.state_dict())
@@ -326,17 +323,16 @@ def _train(model: Model, stream: ExperienceStream, opt: OptConfig, seed: int,
 
 
 def train_naive(model: Model, stream: ExperienceStream, opt: OptConfig,
-                seed: int = 0, first: TrainLog | None = None) -> TrainLog:
-    """Sequential fine-tuning with no memory: the forgetting baseline.
-    ``first``: a log whose first stage this run shares (see ``_train``)."""
-    return _train(model, stream, opt, seed, "naive", first=first)
+                seed: int = 0) -> TrainLog:
+    """Sequential fine-tuning with no memory: the forgetting baseline."""
+    return _train(model, stream, opt, seed, "naive")
 
 
 def train_replay(model: Model, stream: ExperienceStream, opt: OptConfig,
                  buffer: ReplayBuffer, seed: int = 0,
                  first: TrainLog | None = None) -> TrainLog:
     """Replay training; the buffer policy selects plain ER or GSS-greedy.
-    ``first``: a log whose first stage an ER run shares (see ``_train``)."""
+    ``first``: a naive log whose first stage an ER run takes (see ``_train``)."""
     strategy = "er" if buffer.policy == "class_balanced" else "gss"
     return _train(model, stream, opt, seed, strategy, buffer, first=first)
 

@@ -517,6 +517,39 @@ def test_parallel_workers_match_serial(tmp_path):
         assert a == b
 
 
+@pytest.mark.parametrize("seeds, flags, pools", [([0, 1], ["--workers", "8"], [2]),
+                                                 ([0, 1], ["--workers", "8", "--seed", "1"], []),
+                                                 ([0], ["--workers", "3"], [])])
+def test_workers_are_capped_at_the_seed_count(tmp_path, monkeypatch, seeds, flags, pools):
+    import concurrent.futures
+
+    started = []
+
+    class InlinePool:
+        """Records its worker count and runs each task in this process."""
+
+        def __init__(self, max_workers, initializer=None):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, tiny_config(output_dir=str(out), seeds=seeds))
+    assert main(["run", str(path), *flags]) == 0
+    assert started == pools
+    assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
+
+
 def _no_libc():
     raise OSError("no C library")
 

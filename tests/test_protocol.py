@@ -19,6 +19,7 @@ from shapdrift.protocol import (
     metric_m,
     metric_m_pool,
     run_protocol,
+    score_snapshot,
 )
 from shapdrift.strategies import OptConfig
 
@@ -92,6 +93,18 @@ def test_m_pool_nonnegative_on_random_maps():
         s, j = rng.normal(size=(8, 8)), rng.normal(size=(8, 8))
         assert metric_m_pool(s, j) >= 0.0
         assert metric_m(np.maximum(s, 0), np.maximum(j, 0)) >= 0.0
+
+
+def test_score_snapshot_off_images_scores_m_only():
+    rng = np.random.default_rng(6)
+    s, j = rng.normal(size=(3, 2, 5, 4)), rng.normal(size=(3, 2, 5, 4))
+    scores = score_snapshot(s, j)
+    assert list(scores) == ["m"]
+    for c in range(3):
+        assert scores["m"][c] == np.mean([metric_m(np.maximum(s[c, p], 0.0),
+                                                   np.maximum(j[c, p], 0.0)) for p in range(2)])
+    with pytest.raises(ValueError, match="shapes differ"):
+        score_snapshot(s, j[:, :1])
 
 
 # -- end-to-end protocol -------------------------------------------------------------
@@ -317,6 +330,37 @@ def test_naive_and_er_share_their_first_stage(setup, monkeypatch):
         assert counts["steps"] == (apart["naive"][1]["steps"] + apart["er"][1]["steps"]
                                    - joint_steps - stage_steps)
         assert counts["maps"] == 2 * len(stream) - 1 + 1
+
+
+def test_er_listed_first_on_one_experience_takes_naive_snapshot(monkeypatch):
+    # naive trains before ER whatever the list order, and on a one-experience
+    # stream ER's only snapshot is naive's, so ER attributes nothing of its own
+    stream = build_stream(synth_images(2, 12, side=8, seed=0), 1)
+    slice_ = make_slice(stream, background_n=8, probes_per_class=2, seed=0)
+    spec = ModelSpec("mlp", (1, 8, 8), 2, hidden=(6,))
+    maps, calls = protocol._snapshot_maps, []
+    monkeypatch.setattr(protocol, "_snapshot_maps",
+                        lambda *args: calls.append(args) or maps(*args))
+
+    def run(names):
+        calls.clear()
+        report = run_protocol(stream, slice_, spec, names, opt=OptConfig(epochs=2, batch_size=8),
+                              shap=ShapConfig("gradient", n_samples=4), buffer_capacity=8,
+                              seed=3, saliency_probes=2)
+        log = report.train_logs["er"]
+        return ([r for r in report.rows if r.strategy == "er"],
+                [r for r in report.accuracy_rows if r.strategy == "er"],
+                log.to_json(), log.snapshots, report.saliency["er"], len(calls))
+
+    alone, together = run(["er", "joint"]), run(["er", "naive", "joint"])
+    assert together[:3] == alone[:3]
+    for x, y in zip(together[3], alone[3], strict=True):
+        for name in x:
+            np.testing.assert_array_equal(x[name], y[name])
+    for x, y in zip(together[4], alone[4], strict=True):
+        np.testing.assert_array_equal(x, y)
+    # joint's snapshot and the shared experience's, each attributed once
+    assert alone[5] == together[5] == 2
 
 
 def test_protocol_validation_errors():

@@ -443,20 +443,23 @@ def test_er_started_from_a_naive_first_stage_equals_er_alone():
     # the refill after the shared stage drew what it draws after training
     np.testing.assert_array_equal(shared.labels, alone.labels)
     np.testing.assert_array_equal(shared._inputs, alone._inputs)
-    naive_shared = train_naive(make_model(stream), stream, opt, seed=4, first=er)
-    assert naive_shared.to_json() == naive.to_json()
 
 
 def test_only_naive_and_er_share_a_first_stage():
+    # only an ER run starts from a first stage, and only from a naive one
     stream = make_stream()
     opt = OptConfig(epochs=1)
     naive = train_naive(make_model(stream), stream, opt, seed=0)
-    with pytest.raises(ValueError, match="gss run cannot share the first stage"):
+    with pytest.raises(ValueError, match="not strategy 'gss' from a 'naive' log"):
         train_replay(make_model(stream), stream, opt, ReplayBuffer(8, policy="gss_greedy"),
                      first=naive)
-    gss = train_replay(make_model(stream), stream, opt, ReplayBuffer(8, policy="gss_greedy"))
-    with pytest.raises(ValueError, match="naive run cannot share the first stage of a gss"):
-        train_naive(make_model(stream), stream, opt, first=gss)
+    for policy in ("gss_greedy", "class_balanced"):
+        buffer = ReplayBuffer(8, policy=policy)
+        log = train_replay(make_model(stream), stream, opt, buffer)
+        with pytest.raises(ValueError, match=f"not strategy 'er' from a '{log.strategy}' log"):
+            train_replay(make_model(stream), stream, opt, ReplayBuffer(8), first=log)
+    with pytest.raises(ValueError, match="only an ER run with an empty buffer"):
+        train_replay(make_model(stream), stream, opt, buffer, first=naive)
 
 
 def test_gss_training_runs_and_respects_capacity():
