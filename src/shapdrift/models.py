@@ -18,6 +18,8 @@ from .tensor import (
     conv1d,
     conv2d,
     avgpool2d,
+    crop2d,
+    grad_enabled,
     lstm,
     matmul,
     no_grad,
@@ -199,7 +201,14 @@ class Mlp(Model):
 
 
 class Cnn2d(Model):
-    """Two valid 3x3 convolutions with 2x2 pooling, then two dense layers."""
+    """Two valid 3x3 convolutions with 2x2 pooling, then two dense layers.
+
+    Each floor pool drops its remainder, so the logits read only a leading
+    window of the input. A pass off the tape (``no_grad``) crops its input to
+    that window first, with the same logit bytes. A taped pass keeps the full
+    geometry: in training, the remainder's exact zeros still move where the
+    BLAS reduction splits each conv weight gradient sum.
+    """
 
     def __init__(self, spec: ModelSpec):
         super().__init__(spec)
@@ -215,6 +224,8 @@ class Cnn2d(Model):
         h1, w1 = (h - k + 1) // 2, (w - k + 1) // 2
         h2, w2 = (h1 - k + 1) // 2, (w1 - k + 1) // 2
         flat = c2 * h2 * w2
+        window = (2 * (2 * h2 + k - 1) + k - 1, 2 * (2 * w2 + k - 1) + k - 1)
+        self._window = window if window != (h, w) else None
         self._param("dense_w", _uniform_fanin(rng, (flat, spec.dense_width), flat))
         self._param("dense_b", np.zeros(spec.dense_width))
         self._param("head_w", _uniform_fanin(rng, (spec.dense_width, spec.num_classes), spec.dense_width))
@@ -222,6 +233,8 @@ class Cnn2d(Model):
 
     def forward(self, x: Tensor) -> Tensor:
         self._check_batch(x)
+        if self._window and not grad_enabled():
+            x = crop2d(x, *self._window)
         h = self.act(conv2d(x, self.params["conv1_w"], self.params["conv1_b"]))
         h = avgpool2d(h, 2)
         h = self.act(conv2d(h, self.params["conv2_w"], self.params["conv2_b"]))

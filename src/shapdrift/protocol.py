@@ -52,11 +52,16 @@ def _mass_drift(s: np.ndarray, j: np.ndarray) -> np.ndarray:
     return diff * diff / s.shape[-1]
 
 
+def _check_pool_order(order: str) -> None:
+    if order not in POOL_ORDERS:
+        raise ValueError(f"pool_order: unknown pool order {order!r}, "
+                         f"expected one of {POOL_ORDERS}")
+
+
 def _pooled(maps: np.ndarray, order: str) -> np.ndarray:
     """z-score each map over its trailing two axes, clamp at zero (``order``
     says which comes first), then average-pool."""
-    if order not in POOL_ORDERS:
-        raise ValueError(f"unknown pool order {order!r}, expected one of {POOL_ORDERS}")
+    _check_pool_order(order)
     with no_grad():
         x = Tensor(maps)
         if order == "normalize_then_clamp":
@@ -115,6 +120,7 @@ def score_snapshot(maps, joint_maps, pool_order: str = "normalize_then_clamp") -
     "m_pool", ``metric_m_pool`` under ``pool_order``. Each class's probes lie
     along one contiguous axis, so each mean sums as one over per-probe values.
     """
+    _check_pool_order(pool_order)
     s = np.asarray(maps, dtype=np.float64)
     j = np.asarray(joint_maps, dtype=np.float64)
     if s.shape != j.shape:
@@ -240,9 +246,7 @@ def check_settings(strategies, pool_order: str, saliency_probes: int) -> None:
         raise ValueError(f"strategies: unknown strategies {unknown}, expected among {STRATEGIES}")
     if len(set(strategies)) != len(strategies):
         raise ValueError(f"strategies: duplicate names in {list(strategies)}")
-    if pool_order not in POOL_ORDERS:
-        raise ValueError(f"pool_order: unknown pool order {pool_order!r}, "
-                         f"expected one of {POOL_ORDERS}")
+    _check_pool_order(pool_order)
     require_count("saliency_probes", saliency_probes, lowest=0)
 
 

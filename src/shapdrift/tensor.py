@@ -66,6 +66,11 @@ def _take_block(t: Tensor) -> Optional[np.ndarray]:
     return block
 
 
+def grad_enabled() -> bool:
+    """Whether the tape records on the current thread (False inside ``no_grad``)."""
+    return _state.grad_enabled
+
+
 class no_grad:
     """Context manager that disables tape recording on the current thread."""
 
@@ -387,6 +392,14 @@ def col_slice(a: Tensor, start: int, stop: int) -> Tensor:
     if a.ndim != 2:
         raise ValueError(f"col_slice expects a 2D tensor, got shape {a.shape}")
     return _slice(a, (slice(None), slice(start, stop)), "col_slice")
+
+
+def crop2d(a: Tensor, h: int, w: int) -> Tensor:
+    """Select the leading h x w window of the trailing two axes; the gradient
+    outside it is +0.0."""
+    if a.ndim < 2 or not (0 < h <= a.shape[-2] and 0 < w <= a.shape[-1]):
+        raise ValueError(f"crop2d: window {(h, w)} does not fit shape {a.shape}")
+    return _slice(a, (..., slice(h), slice(w)), "crop2d")
 
 
 # -- recurrence ---------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from shapdrift import models as md
 from shapdrift.explainers import ClassLogit
 from shapdrift.models import ModelSpec, build_model
-from shapdrift.tensor import Tensor, matmul, no_grad, softmax_cross_entropy, tanh
+from shapdrift.tensor import Tensor, crop2d, matmul, no_grad, softmax_cross_entropy, tanh
 
 IMAGE_SPEC = ModelSpec("mlp", (1, 8, 8), num_classes=10, seed=0, hidden=(16,))
 SEQ_SHAPE = (12, 5)
@@ -407,6 +407,42 @@ def test_cnn2d_outputs_do_not_depend_on_the_batch_layout(input_shape):
         grads = _step_gradients(model, batch, ys)
         for param in ref[2]:
             assert np.array_equal(grads[param], ref[2][param]), (name, param)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("input_shape, kernel, window", [
+    ((1, 12, 12), 3, (10, 10)), ((1, 13, 13), 3, (10, 10)), ((1, 14, 14), 3, (14, 14)),
+    ((1, 15, 15), 3, (14, 14)), ((2, 13, 15), 2, (11, 15)), ((2, 12, 15), 3, (10, 14))])
+def test_cnn2d_reads_only_its_input_window(activation, input_shape, kernel, window,
+                                           monkeypatch):
+    # each floor pool drops a remainder, so the logits never read the last
+    # rows and columns; a pass off the tape skips them, a taped one does not.
+    # Cropping changes each conv product's row count, and the BLAS may sum a
+    # product's rows differently at another row count, so the logits agree
+    # with the full geometry's to rounding, not always bit for bit
+    crops = []
+
+    def recorded_crop(a, h, w):
+        crops.append((a.shape, (h, w)))
+        return crop2d(a, h, w)
+
+    monkeypatch.setattr(md, "crop2d", recorded_crop)
+    model = build_model(make_spec("cnn2d", input_shape=input_shape, conv_kernel=kernel,
+                                  num_classes=10, activation=activation))
+    rng = np.random.default_rng(sum(input_shape) + kernel)
+    xs = rng.normal(size=(7,) + input_shape)
+    logits = model.logits_np(xs)
+    assert crops == ([((7,) + input_shape, window)] if window != input_shape[1:] else [])
+    crops.clear()
+    np.testing.assert_allclose(logits, model.forward(Tensor(xs)).data, rtol=1e-12, atol=1e-15)
+    grads = ClassLogit(model, 3).gradient(xs)
+    assert crops == []
+    outside = np.ones(xs.shape, dtype=bool)
+    outside[..., :window[0], :window[1]] = False
+    changed = xs.copy()
+    changed[outside] = rng.normal(size=int(outside.sum()))
+    assert_same_bytes(model.logits_np(changed), logits)
+    assert np.all(grads[outside] == 0.0)
 
 
 def test_conv1d_logits_do_not_depend_on_the_batch_layout():

@@ -105,6 +105,8 @@ def test_score_snapshot_off_images_scores_m_only():
                                                    np.maximum(j[c, p], 0.0)) for p in range(2)])
     with pytest.raises(ValueError, match="shapes differ"):
         score_snapshot(s, j[:, :1])
+    with pytest.raises(ValueError, match="pool_order: unknown pool order 'bogus'"):
+        score_snapshot(s, j, "bogus")
 
 
 # -- end-to-end protocol -------------------------------------------------------------

@@ -528,9 +528,28 @@ def test_default_backward_consumes_the_tape():
 
 def test_no_grad_blocks_tape():
     w = Tensor([1.0], requires_grad=True)
+    assert tn.grad_enabled()
     with tn.no_grad():
+        assert not tn.grad_enabled()
         out = w * 2.0
+    assert tn.grad_enabled()
     assert not out.requires_grad
+
+
+def test_crop2d_selects_the_leading_window():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(2, 3, 6, 5)), requires_grad=True)
+    out = tn.crop2d(x, 4, 3)
+    assert np.array_equal(out.data, x.data[..., :4, :3])
+    g = rng.normal(size=out.shape)
+    out.backward(g)
+    assert np.array_equal(x.grad[..., :4, :3], g)
+    outside = np.ones(x.shape, dtype=bool)
+    outside[..., :4, :3] = False
+    assert np.all(x.grad[outside] == 0.0) and not np.any(np.signbit(x.grad[outside]))
+    for window in ((0, 3), (4, 6), (7, 1)):
+        with pytest.raises(ValueError, match="crop2d"):
+            tn.crop2d(x, *window)
 
 
 # -- gradient ownership --------------------------------------------------------
