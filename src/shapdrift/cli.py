@@ -133,8 +133,8 @@ def validate_config(raw: dict) -> dict:
         if synthetic:
             lowest = {"classes": 2, "seed": 0}.get(key, 1)
             _check_section("data", require_count, key, value, lowest)
-        elif not (isinstance(value, str) and Path(value).exists()):
-            raise ConfigError(f"data.{key}: must be an existing path, got {value!r}")
+        elif not (isinstance(value, str) and Path(value).is_file()):
+            raise ConfigError(f"data.{key}: must be an existing file, got {value!r}")
 
     cfg["model"] = _merge_section(cfg["model"] or {}, _MODEL_DEFAULTS, "model")
     cfg["optimizer"] = _merge_section(cfg["optimizer"], _TOP_DEFAULTS["optimizer"],
@@ -238,19 +238,6 @@ def emit_saliency_grid(inputs: np.ndarray, maps: np.ndarray, path) -> None:
 
     write_atomically(path, f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode("ascii")
                      + grid.tobytes())
-
-
-def load_pgm(path) -> np.ndarray:
-    """Read back a binary PGM written by emit_saliency_grid."""
-    with open(path, "rb") as fh:
-        payload = fh.read()
-    header, rest = payload.split(b"\n", 1)
-    if header != b"P5":
-        raise ValueError(f"not a binary PGM file: {path}")
-    dims, rest = rest.split(b"\n", 1)
-    _, rest = rest.split(b"\n", 1)
-    w, h = (int(x) for x in dims.split())
-    return np.frombuffer(rest, dtype=np.uint8, count=w * h).reshape(h, w)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",

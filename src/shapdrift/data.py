@@ -306,6 +306,10 @@ def build_stream(
         raise ValueError(f"{c} classes not divisible into {experiences} experiences")
     if class_order is None:
         class_order = list(range(c))
+    if not isinstance(class_order, (list, tuple)):
+        raise TypeError(f"class_order must be a list of integers, got {class_order!r}")
+    for i, cls in enumerate(class_order):
+        require_count(f"class_order[{i}]", cls, lowest=0)
     if sorted(class_order) != list(range(c)):
         raise ValueError(f"class_order {class_order} is not a permutation of [0, {c})")
 

@@ -21,6 +21,7 @@ from .tensor import Tensor
 
 EXACT_MAX_FEATURES = 20  # exact enumeration evaluates 2^K coalitions of K features
 EXACT_EVAL_BATCH = 8192  # coalition rows per model evaluation in exact_shapley
+# a declared output change if changed, as CHUNK_SIZE is: it sets the rows per model pass
 SAMPLING_BLOCK = 128     # permutations per model evaluation in sampling_shapley
 
 

@@ -36,6 +36,7 @@ from .tensor import (
 ARCHITECTURES = ("mlp", "cnn2d", "conv1d", "lstm", "esn")
 ACTIVATIONS = {"tanh": tanh, "relu": relu}
 _INPUT_RANKS = {"cnn2d": 3, "conv1d": 2, "lstm": 2, "esn": 2}  # mlp takes any rank
+# a declared output change if changed: BLAS may round a row differently at another row count
 CHUNK_SIZE = 256  # rows per model pass; bounds tape memory on recurrent models
 
 
@@ -69,7 +70,7 @@ class ModelSpec:
             raise ValueError(
                 f"unknown architecture {self.architecture!r}, expected one of {ARCHITECTURES}"
             )
-        if self.activation not in ACTIVATIONS:
+        if not isinstance(self.activation, str) or self.activation not in ACTIVATIONS:
             raise ValueError(
                 f"unknown activation {self.activation!r}, expected one of {tuple(ACTIVATIONS)}")
         for name in ("input_shape", "hidden", "conv_channels"):
@@ -308,20 +309,15 @@ class Esn(Model):
         self._param("head_w", _uniform_fanin(rng, (n, spec.num_classes), n))
         self._param("head_b", np.zeros(spec.num_classes))
 
-    def step(self, state: Tensor, input_t: Tensor) -> Tensor:
-        """state' = (1 - leak) * state + leak * tanh(input @ w_in + state @ w)."""
-        lam = self.spec.esn_leak
-        pre = tanh(matmul(input_t, self.params["w_in"]) + matmul(state, self.params["w"]))
-        if lam == 1.0:
-            return pre
-        return state * (1.0 - lam) + pre * lam
-
     def forward(self, x: Tensor) -> Tensor:
+        """state = (1 - leak) * state + leak * tanh(x_t @ w_in + state @ w) per step, from 0."""
         self._check_batch(x)
-        steps, _ = self.spec.input_shape
+        lam = self.spec.esn_leak
+        w_in, w = self.params["w_in"], self.params["w"]
         h = Tensor(np.zeros((x.shape[0], self.spec.hidden_size)))
-        for t in range(steps):
-            h = self.step(h, time_slice(x, t))
+        for t in range(self.spec.input_shape[0]):
+            pre = tanh(matmul(time_slice(x, t), w_in) + matmul(h, w))
+            h = pre if lam == 1.0 else h * (1.0 - lam) + pre * lam
         return matmul(h, self.params["head_w"]) + self.params["head_b"]
 
 

@@ -87,7 +87,7 @@ class no_grad:
 class Tensor:
     """A float64 n-dimensional array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
 
     def __init__(self, data: Arrayish, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -95,7 +95,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._prev: tuple = ()
         self._backward = None
-        self._op = "leaf"
 
     # -- basic introspection -------------------------------------------------
 
@@ -110,9 +109,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
     # -- tape machinery ------------------------------------------------------
 
@@ -193,16 +189,16 @@ def _wrap(x: Tensor | Arrayish) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, parents: tuple, op: str) -> Tensor:
+def _make(data: np.ndarray, parents: tuple) -> Tensor:
     """An op's output; ``data`` is used as is when it is an array (ops make float64)."""
     out = Tensor.__new__(Tensor)
     out.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
     out.grad = out._backward = None
-    out.requires_grad, out._prev, out._op = False, (), "leaf"
+    out.requires_grad, out._prev = False, ()
     if _state.grad_enabled:
         for p in parents:
             if p.requires_grad:
-                out.requires_grad, out._prev, out._op = True, parents, op
+                out.requires_grad, out._prev = True, parents
                 break
     return out
 
@@ -234,7 +230,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ValueError(f"add: shapes do not broadcast: {a.shape} vs {b.shape}") from None
-    out = _make(data, (a, b), "add")
+    out = _make(data, (a, b))
     if out.requires_grad:
         def _bw(g):
             for p in (a, b):
@@ -250,7 +246,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ValueError(f"mul: shapes do not broadcast: {a.shape} vs {b.shape}") from None
-    out = _make(data, (a, b), "mul")
+    out = _make(data, (a, b))
     if out.requires_grad:
         a_data, b_data = a.data, b.data
         def _bw(g):
@@ -269,7 +265,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul: inner dimensions differ: {a.shape} @ {b.shape}")
     rows = _state.blocks is not None  # per-example: each row a (1, K) operand
     a_data, b_data = a.data, b.data
-    out = _make((a_data[:, None] @ b_data)[:, 0] if rows else a_data @ b_data, (a, b), "matmul")
+    out = _make((a_data[:, None] @ b_data)[:, 0] if rows else a_data @ b_data, (a, b))
     if out.requires_grad:
         def _bw(g):
             if a.requires_grad:
@@ -297,7 +293,7 @@ def _accumulate_product(p: Tensor, a: np.ndarray, g: np.ndarray, rows: bool,
 
 def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.data)
-    out = _make(t, (a,), "tanh")
+    out = _make(t, (a,))
     if out.requires_grad:
         def _bw(g):
             a._accumulate(g * (1.0 - t * t), fresh=True)
@@ -307,7 +303,7 @@ def tanh(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     s = np.divide(1.0, 1.0 + np.exp(-a.data))
-    out = _make(s, (a,), "sigmoid")
+    out = _make(s, (a,))
     if out.requires_grad:
         def _bw(g):
             a._accumulate(g * s * (1.0 - s), fresh=True)
@@ -316,7 +312,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    out = _make(np.maximum(a.data, 0.0), (a,), "relu")
+    out = _make(np.maximum(a.data, 0.0), (a,))
     if out.requires_grad:
         mask = a.data > 0
         def _bw(g):
@@ -326,7 +322,7 @@ def relu(a: Tensor) -> Tensor:
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:
-    out = _make(a.data.sum(axis=axis), (a,), "sum")
+    out = _make(a.data.sum(axis=axis), (a,))
     if out.requires_grad:
         shape = a.shape
         def _bw(g):
@@ -345,7 +341,7 @@ def tmean(a: Tensor, axis=None) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
-    out = _make(data, (a,), "reshape")
+    out = _make(data, (a,))
     if out.requires_grad:
         orig, ndim = a.shape, data.ndim
         def _bw(g):  # leading axes beyond the output's are per-example rows; they stay
@@ -356,7 +352,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def swap_last2(a: Tensor) -> Tensor:
     """Transpose the last two axes, e.g. (B, T, F) -> (B, F, T)."""
-    out = _make(np.swapaxes(a.data, -1, -2), (a,), "swap_last2")
+    out = _make(np.swapaxes(a.data, -1, -2), (a,))
     if out.requires_grad:
         def _bw(g):
             a._accumulate(np.swapaxes(g, -1, -2))
@@ -364,10 +360,10 @@ def swap_last2(a: Tensor) -> Tensor:
     return out
 
 
-def _slice(a: Tensor, key: tuple, op: str) -> Tensor:
+def _slice(a: Tensor, key: tuple) -> Tensor:
     """Select ``a.data[key]``; backward adds into that region of the parent's
     gradient, allocating zeros only for the parent's first gradient."""
-    out = _make(a.data[key], (a,), op)
+    out = _make(a.data[key], (a,))
     if out.requires_grad:
         def _bw(g):
             if a.grad is None:
@@ -384,14 +380,14 @@ def time_slice(a: Tensor, t: int) -> Tensor:
     """Select step t of a (batch, steps, features) tensor -> (batch, features)."""
     if a.ndim != 3:
         raise ValueError(f"time_slice expects a 3D tensor, got shape {a.shape}")
-    return _slice(a, (slice(None), t, slice(None)), "time_slice")
+    return _slice(a, (slice(None), t, slice(None)))
 
 
 def col_slice(a: Tensor, start: int, stop: int) -> Tensor:
     """Select columns [start:stop) of a 2D tensor."""
     if a.ndim != 2:
         raise ValueError(f"col_slice expects a 2D tensor, got shape {a.shape}")
-    return _slice(a, (slice(None), slice(start, stop)), "col_slice")
+    return _slice(a, (slice(None), slice(start, stop)))
 
 
 def crop2d(a: Tensor, h: int, w: int) -> Tensor:
@@ -399,7 +395,7 @@ def crop2d(a: Tensor, h: int, w: int) -> Tensor:
     outside it is +0.0."""
     if a.ndim < 2 or not (0 < h <= a.shape[-2] and 0 < w <= a.shape[-1]):
         raise ValueError(f"crop2d: window {(h, w)} does not fit shape {a.shape}")
-    return _slice(a, (..., slice(h), slice(w)), "crop2d")
+    return _slice(a, (..., slice(h), slice(w)))
 
 
 # -- recurrence ---------------------------------------------------------------
@@ -459,7 +455,7 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
         tc = np.tanh(c, out=s[6])
         np.multiply(o, tc, out=h)
 
-    out = _make(h, parents, "lstm")
+    out = _make(h, parents)
     if out.requires_grad:
         def _bw(grad):
             dx = np.empty(x.shape) if x.requires_grad else None
@@ -574,7 +570,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     res = (cols @ wmat.T).reshape(batch, oh, ow, out_ch).transpose(0, 3, 1, 2)
     res += b.data.reshape(1, out_ch, 1, 1)  # in the fresh product, still channel-last
 
-    out = _make(res, (x, w, b), "conv2d")
+    out = _make(res, (x, w, b))
     if out.requires_grad:
         def _bw(g):
             if rows:  # in C order, as a batch-1 error is; the sums below follow it
@@ -645,7 +641,7 @@ def avgpool2d(x: Tensor, kernel: int) -> Tensor:
     else:
         windows = np.lib.stride_tricks.sliding_window_view(d, (kernel, kernel), axis=(-2, -1))
         total = windows[..., ::kernel, ::kernel, :, :].mean(axis=(-2, -1))
-    out = _make(total, (x,), "avgpool2d")
+    out = _make(total, (x,))
     if out.requires_grad:
         def _bw(g):
             x._accumulate(_avgpool_grad(g, x.shape, kernel), fresh=True)
@@ -682,24 +678,17 @@ def normalize_zscore(x: Tensor) -> Tensor:
     A tensor of at most two axes is one map; a higher-rank tensor is a stack
     of maps over its trailing two axes, each normalized on its own. Constant
     maps become all zeros via the epsilon guard instead of erroring; all-zero
-    attribution maps legitimately occur for dead classes.
+    attribution maps legitimately occur for dead classes. Forward only: an
+    input the tape would record raises instead of cutting the graph.
     """
     x = _wrap(x)
+    if _state.grad_enabled and x.requires_grad:
+        raise ValueError("normalize_zscore has no backward pass; call it under no_grad")
     axes = None if x.ndim <= 2 else (-2, -1)
     keep = axes is not None  # one map reduces to scalars, which are cheaper
     mu = x.data.mean(axis=axes, keepdims=keep)
-    var = x.data.var(axis=axes, keepdims=keep)
-    s = np.sqrt(var + ZSCORE_EPS)
-    y = (x.data - mu) / s
-    out = _make(y, (x,), "normalize_zscore")
-    if out.requires_grad:
-        ratio = var / (var + ZSCORE_EPS)
-        def _bw(g):
-            gm = g.mean(axis=axes, keepdims=keep)
-            gy = (g * y).mean(axis=axes, keepdims=keep)
-            x._accumulate((g - gm - y * gy * ratio) / s, fresh=True)
-        out._backward = _bw
-    return out
+    s = np.sqrt(x.data.var(axis=axes, keepdims=keep) + ZSCORE_EPS)
+    return _make((x.data - mu) / s, ())
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -727,7 +716,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     pick = (np.arange(batch), labels)
     losses = -(z[pick] - np.log(total[:, 0]))
 
-    out = _make(losses if rows else np.asarray(losses.mean()), (logits,), "softmax_cross_entropy")
+    out = _make(losses if rows else np.asarray(losses.mean()), (logits,))
     if out.requires_grad:
         def _bw(g):
             d = softm.copy()

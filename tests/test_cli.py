@@ -25,7 +25,6 @@ from shapdrift.cli import (
     emit_curves,
     emit_saliency_grid,
     load_config,
-    load_pgm,
     main,
     validate_config,
 )
@@ -113,12 +112,24 @@ def test_config_hash_semantics():
     assert config_hash(validate_config({}))[:12] == "e8e16a72ffe6"
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_config_block_shows_the_defaults():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    block = README.read_text(encoding="utf-8").split("```jsonc\n", 1)[1].split("```", 1)[0]
     documented = json.loads(re.sub(r"//.*", "", block))
     # hashes, not dicts: ModelSpec's defaults are tuples, the README's are lists
     assert config_hash(validate_config(documented)) == config_hash(validate_config({}))
+
+
+def test_readme_library_block_runs_as_written():
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    values = [float(v) for v in out.getvalue().split()]
+    assert len(values) == 2 and all(np.isfinite(v) and v >= 0 for v in values), values
 
 
 def test_load_config_errors(tmp_path):
@@ -138,12 +149,26 @@ def make_maps(n_classes, n_probes=1, side=8, seed=0):
     return np.random.default_rng(seed).uniform(size=(n_classes, n_probes, side, side))
 
 
+def read_pgm(path, width, height):
+    """The pixels of a binary PGM whose header is exactly that of a width x height grid."""
+    payload = path.read_bytes()
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
+    assert payload[:len(header)] == header
+    assert len(payload) == len(header) + width * height
+    return np.frombuffer(payload[len(header):], dtype=np.uint8).reshape(height, width)
+
+
 def test_saliency_grid_geometry(tmp_path):
     x = np.random.default_rng(1).uniform(size=(1, 1, 8, 8))
     path = tmp_path / "grid.pgm"
     emit_saliency_grid(x, make_maps(10), path)
-    grid = load_pgm(path)
-    assert grid.shape == (8, 11 * 8 + 10)  # 11 tiles + 10 one-pixel separators
+    grid = read_pgm(path, 11 * 8 + 10, 8)  # 11 tiles + 10 one-pixel separators
+    assert np.all(grid[:, 8::9] == 255)
+    lo, hi = x.min(), x.max()  # each tile is min-max scaled on its own
+    assert np.array_equal(grid[:, :8], ((x[0, 0] - lo) / (hi - lo) * 255.0).astype(np.uint8))
+    for t in range(11):
+        tile = grid[:, 9 * t:9 * t + 8]
+        assert tile.min() == 0 and tile.max() == 255
 
 
 def test_saliency_grid_multiprobe_and_zero_map(tmp_path):
@@ -152,8 +177,8 @@ def test_saliency_grid_multiprobe_and_zero_map(tmp_path):
     maps[1, 0] = 0.0  # class 1 of probe 0
     path = tmp_path / "grid.pgm"
     emit_saliency_grid(inputs, maps, path)
-    grid = load_pgm(path)
-    assert grid.shape == (2 * 8 + 1, 4 * 8 + 3)
+    grid = read_pgm(path, 4 * 8 + 3, 2 * 8 + 1)
+    assert np.all(grid[8] == 255) and np.all(grid[:, 8::9] == 255)
     zero_tile = grid[0:8, 2 * 9:2 * 9 + 8]
     assert np.all(zero_tile == 0)  # all-zero map renders black
 
@@ -205,11 +230,17 @@ def test_validate_verb(tmp_path, capsys):
                              ({"model": {"hidden_size": 2.5}}, "hidden_size"),
                              ({"model": {"hidden": [2.5]}}, "hidden"),
                              ({"model": {"activation": "sine"}}, "activation"),
+                             ({"model": {"activation": ["tanh"]}},
+                              "unknown activation ['tanh']"),
                              ({"gss": {"n_sim": "x"}}, "n_sim"),
                              ({"gss": {"n_sim": 0}}, "n_sim"),
                              ({"gss": {"tau": "x"}}, "tau"),
                              ({"experiences": 3}, "experiences"),
                              ({"class_order": [0, 0, 1, 2]}, "class_order"),
+                             ({"class_order": [True, False, 2, 3]}, "class_order"),
+                             ({"class_order": [0.0, 1, 2, 3]}, "class_order"),
+                             ({"class_order": [0, 1, 2, "3"]}, "class_order"),
+                             ({"class_order": 3}, "class_order"),
                              ({"shap": dict(shap, background_n=1000)}, "background_n"),
                              ({"shap": dict(shap, probes_per_class=50)}, "probes_per_class"),
                              ({"shap": dict(shap, background_n=0)}, "background_n"),
@@ -231,7 +262,16 @@ def test_validate_verb(tmp_path, capsys):
                              ({"experiences": "x"}, "experiences"),
                              ({"saliency_probes": 2.5}, "saliency_probes"),
                              ({"data": {"per_class": 12, "side": 10},
-                               "shap": dict(shap, engine="exact")}, "shap")):
+                               "shap": dict(shap, engine="exact")}, "shap"),
+                             # a directory is not a data file
+                             ({"benchmark": "mnist-idx",
+                               "data": {"images": str(tmp_path), "labels": str(tmp_path)}},
+                              "data.images"),
+                             ({"benchmark": "mnist-idx",
+                               "data": {"images": str(tmp_path / "config.json"),
+                                        "labels": str(tmp_path)}}, "data.labels"),
+                             ({"benchmark": "user-sequences", "data": {"path": str(tmp_path)},
+                               "model": {"architecture": "conv1d"}}, "data.path")):
         capsys.readouterr()
         bad = write_config(tmp_path, tiny_config(**overrides))
         assert main(["validate", str(bad)]) == 2
@@ -250,6 +290,7 @@ def test_validate_verb(tmp_path, capsys):
     ({"optimizer": {"lr": -1}}, "lr"),
     ({"model": {"hidden": [0]}}, "hidden"),
     ({"shap": dict(tiny_config()["shap"], background_n=1000)}, "background_n"),
+    ({"benchmark": "user-sequences", "data": {"path": "."}}, "data.path"),
 ])
 def test_both_verbs_reject_a_bad_setting_by_name(tmp_path, capsys, overrides, field):
     path = write_config(tmp_path, tiny_config(output_dir=str(tmp_path / "out"), **overrides))

@@ -4,7 +4,8 @@ import pytest
 from shapdrift import models as md
 from shapdrift.explainers import ClassLogit
 from shapdrift.models import ModelSpec, build_model
-from shapdrift.tensor import Tensor, crop2d, matmul, no_grad, softmax_cross_entropy, tanh
+from shapdrift.tensor import (Tensor, add, crop2d, matmul, mul, no_grad, softmax_cross_entropy,
+                              tanh, time_slice)
 
 IMAGE_SPEC = ModelSpec("mlp", (1, 8, 8), num_classes=10, seed=0, hidden=(16,))
 SEQ_SHAPE = (12, 5)
@@ -112,38 +113,65 @@ def test_esn_zero_input_zero_state():
     assert np.allclose(logits, model.params["head_b"].data)
 
 
-def test_esn_step_leak_limits():
-    model = build_model(make_spec("esn", hidden_size=6))
-    state = Tensor(np.zeros((1, 6)))
-    zero_in = Tensor(np.zeros((1, SEQ_SHAPE[1])))
-    out = model.step(state, zero_in)
-    assert np.array_equal(out.data, np.zeros((1, 6)))  # leak=anything, tanh(0)=0
-
-    full = build_model(make_spec("esn", hidden_size=6, esn_leak=1.0))
-    rng = np.random.default_rng(0)
-    state = Tensor(rng.normal(size=(1, 6)))
-    inp = Tensor(rng.normal(size=(1, SEQ_SHAPE[1])))
-    out = full.step(state, inp)
-    w_in, w = full.params["w_in"].data, full.params["w"].data
-    # leak 1 keeps nothing of the old state beyond the recurrent term
-    assert np.array_equal(out.data, np.tanh(inp.data @ w_in + state.data @ w))
+def _esn_step_composition(model, x):
+    """The ESN forward as a per-step composition of tape ops, the oracle of Esn.forward."""
+    lam = model.spec.esn_leak
+    w_in, w = model.params["w_in"], model.params["w"]
+    h = Tensor(np.zeros((x.shape[0], model.spec.hidden_size)))
+    for t in range(x.shape[1]):
+        pre = tanh(add(matmul(time_slice(x, t), w_in), matmul(h, w)))
+        h = pre if lam == 1.0 else add(mul(h, Tensor(1.0 - lam)), mul(pre, Tensor(lam)))
+    return add(matmul(h, model.params["head_w"]), model.params["head_b"])
 
 
-def test_esn_contraction_washes_out_initial_state():
-    spec = ModelSpec("esn", (200, 5), num_classes=4, seed=3, hidden_size=60,
-                     esn_spectral_radius=0.9)
-    model = build_model(spec)
+def _esn_numpy_loop(model, x):
+    """The ESN's logits from a plain numpy loop over its reservoir."""
+    lam = model.spec.esn_leak
+    w_in, w = model.params["w_in"].data, model.params["w"].data
+    h = np.zeros((len(x), w.shape[0]))
+    for t in range(x.shape[1]):
+        h = (1.0 - lam) * h + lam * np.tanh(x[:, t] @ w_in + h @ w)
+    return h @ model.params["head_w"].data + model.params["head_b"].data
+
+
+@pytest.mark.parametrize("leak", [0.5, 1.0])
+def test_esn_forward_matches_step_composition(leak):
+    model = build_model(make_spec("esn", hidden_size=6, esn_leak=leak))
+    xs = np.random.default_rng(0).normal(size=(3,) + SEQ_SHAPE)
+    upstream = np.random.default_rng(1).normal(size=(3, 4))
+    results = []
+    for fn in (_esn_step_composition, md.Esn.forward):
+        x = Tensor(xs, requires_grad=True)
+        logits = fn(model, x)
+        logits.backward(upstream)
+        grads = [model.params[name].grad for name in ("head_w", "head_b")]
+        model.params["head_w"].grad = model.params["head_b"].grad = None
+        results.append((logits.data, x.grad, grads))
+    (ref, ref_dx, ref_grads), (out, dx, grads) = results
+    assert np.array_equal(out, ref)
+    assert np.array_equal(dx, ref_dx)
+    for grad, ref_grad in zip(grads, ref_grads):
+        assert np.array_equal(grad, ref_grad)
+    # and the plain reservoir update; leak 1 keeps nothing of the old state
+    # beyond the recurrent term
+    assert np.array_equal(model.logits_np(xs), _esn_numpy_loop(model, xs))
+
+
+def test_esn_washes_out_a_differing_prefix():
+    # two sequences that differ only in their first 20 steps: the contracting
+    # reservoir forgets the difference, so after 200 steps their logits agree
+    # far more closely than after the prefix alone
     rng = np.random.default_rng(7)
-    inputs = [Tensor(rng.normal(size=(1, 5))) for _ in range(200)]
+    a = rng.normal(size=(1, 200, 5))
+    b = a.copy()
+    b[:, :20] = rng.normal(size=(1, 20, 5))
 
-    s1 = Tensor(rng.normal(size=(1, 60)))
-    s2 = Tensor(rng.normal(size=(1, 60)))
-    initial_distance = float(np.linalg.norm(s1.data - s2.data))
-    for u in inputs:
-        s1 = model.step(s1, u)
-        s2 = model.step(s2, u)
-    final_distance = float(np.linalg.norm(s1.data - s2.data))
-    assert final_distance < 1e-3 * initial_distance
+    def gap(steps):  # the reservoir and head do not depend on the sequence length
+        model = build_model(ModelSpec("esn", (steps, 5), num_classes=4, seed=3,
+                                      hidden_size=60, esn_spectral_radius=0.9))
+        return np.abs(model.logits_np(a[:, :steps]) - model.logits_np(b[:, :steps])).max()
+
+    assert gap(200) < 1e-3 * gap(20)
 
 
 def test_trainable_parameters():
