@@ -167,8 +167,12 @@ def load_config(path) -> dict:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     return validate_config(raw)
 
 

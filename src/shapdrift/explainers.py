@@ -3,8 +3,9 @@ expected-gradients SHAP, behind one dispatcher, ``explain_all_classes``.
 
 Every engine treats one input scalar (pixel or per-step-per-feature cell)
 as one game feature and is a pure function of (f, x, background, seed).
-The exact and sampling engines also play a multi-output f, one game per
-output column on shared draws, so each row set runs through the model once.
+Every engine explains every output: the exact and sampling engines play an
+f with (rows, outputs) values, one game per output column on shared draws,
+so each row set runs through the model once.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .data import require_count, require_real
-from .models import CHUNK_SIZE, Model
-from .tensor import Tensor
+from .models import Model
 
 EXACT_MAX_FEATURES = 20  # exact enumeration evaluates 2^K coalitions of K features
 EXACT_EVAL_BATCH = 8192  # coalition rows per model evaluation in exact_shapley
@@ -27,11 +27,11 @@ SAMPLING_BLOCK = 128     # permutations per model evaluation in sampling_shapley
 
 @dataclass
 class AttributionMap:
-    """Per-feature attribution values shaped like the input, plus the base value;
-    a multi-output game adds a leading outputs axis to phi, phi0 and stderr."""
+    """Per-output attribution maps: phi shaped (outputs, *input shape), the base
+    values phi0 shaped (outputs,), and stderr shaped like phi or None."""
 
     phi: np.ndarray
-    phi0: float | np.ndarray
+    phi0: np.ndarray
     stderr: Optional[np.ndarray] = None  # per-feature MC standard error (sampling engine)
 
     def __post_init__(self):
@@ -63,10 +63,10 @@ class ShapConfig:
 
 
 class ClassLogit:
-    """f(x) = pre-softmax logit of one output unit, callable on input batches.
+    """f(x) = pre-softmax logit of one output unit, as a one-output game: (rows, 1) values.
 
-    ``gradient`` runs the same chunked backward passes as the
-    expected-gradients engine, for this one class.
+    ``gradient`` runs the expected-gradients engine's ``Model.input_gradients``
+    passes for this one class.
     """
 
     def __init__(self, model: Model, class_id: int):
@@ -74,7 +74,7 @@ class ClassLogit:
         self.class_id = class_id
 
     def __call__(self, batch: np.ndarray) -> np.ndarray:
-        return self.model.logits_np(batch)[:, self.class_id]
+        return self.model.logits_np(batch)[:, [self.class_id]]
 
     def gradient(self, batch: np.ndarray) -> np.ndarray:
         """Return d value / d input for each row; no parameter gradient is filled."""
@@ -83,34 +83,8 @@ class ClassLogit:
         def keep(i, lo, chunk_grads):
             grads[lo:lo + len(chunk_grads)] = chunk_grads
 
-        _input_gradients(self.model, batch, [self.class_id], keep)
+        self.model.input_gradients(batch, [self.class_id], keep)
         return grads
-
-
-def _input_gradients(model: Model, points: np.ndarray, class_ids, consume) -> None:
-    """Call ``consume(i, lo, grads)`` with the gradient of logit ``class_ids[i]``
-    with respect to rows ``lo:lo + len(grads)`` of ``points``.
-
-    Each ``CHUNK_SIZE``-row chunk runs one taped forward, and every class
-    backpropagates its own logit column from that graph, which is dropped
-    before the next chunk. No parameter gradient is filled.
-    """
-    params = list(model.trainable_parameters().values())
-    for p in params:
-        p.requires_grad = False
-    try:
-        for lo in range(0, len(points), CHUNK_SIZE):
-            x = Tensor(points[lo:lo + CHUNK_SIZE], requires_grad=True)
-            logits = model.forward(x)
-            for i, class_id in enumerate(class_ids):
-                seed = np.zeros(logits.shape)
-                seed[:, class_id] = 1.0
-                x.grad = None
-                logits.backward(seed, keep_graph=True)
-                consume(i, lo, x.grad)
-    finally:
-        for p in params:
-            p.requires_grad = True
 
 
 def _background_inputs(background, item_shape: tuple) -> np.ndarray:
@@ -122,11 +96,13 @@ def _background_inputs(background, item_shape: tuple) -> np.ndarray:
     return background
 
 
-def _game_map(phi, phi0, shape: tuple, multi: bool, stderr=None) -> AttributionMap:
-    """Package per-game (games, features) results; a single-output f drops the games axis."""
-    shape = (phi.shape[:1] if multi else ()) + shape
-    return AttributionMap(phi.reshape(shape), phi0 if multi else float(phi0[0]),
-                          stderr=None if stderr is None else stderr.reshape(shape))
+def _play(f: Callable[[np.ndarray], np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """The game's values at ``rows``, which must be shaped (rows, outputs)."""
+    values = np.asarray(f(rows), dtype=np.float64)
+    if values.ndim != 2 or len(values) != len(rows):
+        raise ValueError(f"game values must be shaped (rows, outputs) for {len(rows)} rows, "
+                         f"got shape {values.shape}")
+    return values
 
 
 # -- exact engine ---------------------------------------------------------------
@@ -140,8 +116,8 @@ def exact_shapley(
     """Exact Shapley values of the game v(S) = f(x with features outside S
     replaced by the baseline), by enumerating all 2^K coalitions.
 
+    f returns (rows, outputs) values, and each output column is one game;
     phi0 = v(empty set) = f(baseline); efficiency phi0 + sum(phi) = f(x).
-    An f with (rows, outputs) values plays one such game per output column.
     """
     x = np.asarray(x, dtype=np.float64)
     baseline = np.asarray(baseline, dtype=np.float64)
@@ -164,10 +140,8 @@ def exact_shapley(
         bits = ((masks[:, None] >> feature_bits[None, :]) & 1).astype(bool)
         sizes[lo:lo + len(masks)] = bits.sum(axis=1)
         rows = np.where(bits, flat_x[None, :], flat_b[None, :])
-        chunks.append(np.asarray(f(rows.reshape((-1,) + x.shape)), dtype=np.float64))
-    v = np.concatenate(chunks)
-    multi = v.ndim == 2
-    v = np.ascontiguousarray(v.reshape(n_masks, -1).T)  # one row of coalition values per game
+        chunks.append(_play(f, rows.reshape((-1,) + x.shape)))
+    v = np.ascontiguousarray(np.concatenate(chunks).T)  # one row of coalition values per game
 
     all_masks = np.arange(n_masks, dtype=np.int64)
 
@@ -178,9 +152,9 @@ def exact_shapley(
     for j in range(k):
         without = all_masks[(all_masks >> j) & 1 == 0]
         terms = weights[sizes[without]] * (v[:, without | (1 << j)] - v[:, without])
-        # contiguous rows keep the sum pairwise, as for a single game
+        # contiguous rows keep each game's sum pairwise, whatever the output count
         phi[:, j] = np.ascontiguousarray(terms).sum(axis=-1)
-    return _game_map(phi, v[:, 0], x.shape, multi)
+    return AttributionMap(phi.reshape((len(v),) + x.shape), v[:, 0])
 
 
 # -- permutation-sampling engine ----------------------------------------------------
@@ -198,7 +172,7 @@ def sampling_shapley(
     background, then credits each feature its marginal contribution when
     added in permutation order. Unbiased for the exact values under the
     same baseline distribution; ``stderr`` carries the per-feature MC error.
-    An f with (rows, outputs) values plays one game per output column, all
+    f returns (rows, outputs) values, and every output column plays its game
     on the same permutations and baselines.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -208,9 +182,7 @@ def sampling_shapley(
     flat_bg = bg.reshape(len(bg), k)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed]))
     n = config.n_samples
-    base_values = np.asarray(f(bg), dtype=np.float64)
-    multi = base_values.ndim == 2
-    phi0 = np.array([np.mean(column) for column in base_values.reshape(len(bg), -1).T])
+    phi0 = np.array([np.mean(column) for column in _play(f, bg).T])
 
     mean = np.zeros((len(phi0), k))
     m2 = np.zeros_like(mean)  # Welford accumulation over per-permutation contributions
@@ -224,7 +196,7 @@ def sampling_shapley(
             pos[s] = np.argsort(rng.permutation(k))
             base = flat_bg[rng.integers(len(flat_bg))]
             rows[s] = np.where(pos[s][None, :] < steps, flat_x[None, :], base[None, :])
-        vals = np.asarray(f(rows.reshape((-1,) + x.shape)), dtype=np.float64)
+        vals = _play(f, rows.reshape((-1,) + x.shape))
         contribs = np.diff(vals.reshape(count, k + 1, -1), axis=1)
         for s in range(count):
             seen += 1
@@ -234,14 +206,15 @@ def sampling_shapley(
             m2 += delta * (sample - mean)
 
     stderr = np.sqrt(m2 / max(seen - 1, 1) / seen)
-    return _game_map(mean, phi0, x.shape, multi, stderr)
+    shape = (len(phi0),) + x.shape
+    return AttributionMap(mean.reshape(shape), phi0, stderr.reshape(shape))
 
 
 # -- expected-gradients engine ---------------------------------------------------------
 
 
 def expected_gradients(model: Model, xs: np.ndarray, background, config: ShapConfig,
-                       seeds, class_ids) -> tuple[np.ndarray, np.ndarray]:
+                       seeds) -> tuple[np.ndarray, np.ndarray]:
     """Expected-gradients SHAP (Erion et al. 2021) for every (class, probe) pair.
 
     phi_k = mean over samples of (x_k - b_k) * df/dx_k evaluated at
@@ -252,8 +225,7 @@ def expected_gradients(model: Model, xs: np.ndarray, background, config: ShapCon
     so one taped forward per chunk serves every class's backward pass. Each
     class folds a probe into phi as soon as the probe's last chunk is done.
 
-    Returns phi shaped (classes, probes, *input shape), with classes in
-    ``class_ids`` order, and phi0 shaped (classes,).
+    Returns phi shaped (classes, probes, *input shape) and phi0 shaped (classes,).
     """
     xs = np.asarray(xs, dtype=np.float64)
     if len(seeds) != len(xs):
@@ -272,15 +244,14 @@ def expected_gradients(model: Model, xs: np.ndarray, background, config: ShapCon
         points[p * n:(p + 1) * n] = block
         diffs[p * n:(p + 1) * n] = x[None] - base
 
-    class_ids = list(class_ids)
-    shape = xs.shape[1:]
-    phi = np.empty((len(class_ids), len(xs)) + shape)
-    tails = [points[:0]] * len(class_ids)  # each class's rows of its unfinished probe
+    classes, shape = model.spec.num_classes, xs.shape[1:]
+    phi = np.empty((classes, len(xs)) + shape)
+    tails = [points[:0]] * classes  # each class's rows of its unfinished probe
 
     def reduce(i, lo, grads):
         if not np.all(np.isfinite(grads)):
-            raise RuntimeError(f"non-finite gradient while attributing class "
-                               f"{class_ids[i]}: check model weights")
+            raise RuntimeError(f"non-finite gradient while attributing class {i}: "
+                               f"check model weights")
         first, done = lo // n, (lo + len(grads)) // n  # probes [first, done) finish here
         rows = np.concatenate([tails[i], grads]) if len(tails[i]) else grads
         split = (done - first) * n
@@ -288,17 +259,16 @@ def expected_gradients(model: Model, xs: np.ndarray, background, config: ShapCon
             (done - first, n) + shape).mean(axis=1)
         tails[i] = rows[split:].copy()  # a copy, so the chunk's gradient is freed
 
-    _input_gradients(model, points, class_ids, reduce)
+    model.input_gradients(points, range(classes), reduce)
     if not np.all(np.isfinite(phi)):
         raise ValueError("attribution map contains non-finite values")
-    return phi, model.logits_np(bg).mean(axis=0)[class_ids]
+    return phi, model.logits_np(bg).mean(axis=0)
 
 
-def gradient_shap(f: ClassLogit, x: np.ndarray, background, config: ShapConfig) -> AttributionMap:
-    """Expected-gradients SHAP of one class logit at one input, seeded by ``config.seed``."""
-    phi, phi0 = expected_gradients(f.model, np.asarray(x)[None], background, config,
-                                   [config.seed], [f.class_id])
-    return AttributionMap(phi[0, 0], float(phi0[0]))
+def gradient_shap(model: Model, x: np.ndarray, background, config: ShapConfig) -> AttributionMap:
+    """Expected-gradients SHAP of every class logit at one input, seeded by ``config.seed``."""
+    phi, phi0 = expected_gradients(model, np.asarray(x)[None], background, config, [config.seed])
+    return AttributionMap(phi[:, 0], phi0)
 
 
 # -- per-class dispatch -----------------------------------------------------------------
@@ -309,7 +279,7 @@ def explain_all_classes(model: Model, xs: np.ndarray, background, config: ShapCo
     """Raw (unclamped) maps of every output unit for every probe, by any engine.
 
     Probe p draws from ``seeds[p]`` and all classes share its draws; the exact
-    and sampling engines play the class logits as one multi-output game, so
+    and sampling engines play ``model.logits_np`` as one game per class, so
     each row set runs through the model once.
 
     Returns phi shaped (classes, probes, *input shape) and phi0 shaped (classes,).
@@ -319,7 +289,7 @@ def explain_all_classes(model: Model, xs: np.ndarray, background, config: ShapCo
         raise ValueError(f"{len(seeds)} seeds for {len(xs)} probes: each probe needs one seed")
     bg = _background_inputs(background, xs.shape[1:])
     if config.engine == "gradient":
-        return expected_gradients(model, xs, bg, config, seeds, range(model.spec.num_classes))
+        return expected_gradients(model, xs, bg, config, seeds)
     if config.engine == "exact":
         maps = [exact_shapley(model.logits_np, x, bg.mean(axis=0)) for x in xs]
     else:

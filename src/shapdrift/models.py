@@ -140,6 +140,31 @@ class Model:
                 out[lo:lo + CHUNK_SIZE] = self.forward(Tensor(batch[lo:lo + CHUNK_SIZE])).data
         return out
 
+    def input_gradients(self, points: np.ndarray, class_ids, consume) -> None:
+        """Call ``consume(i, lo, grads)`` with the gradient of logit ``class_ids[i]``
+        with respect to rows ``lo:lo + len(grads)`` of ``points``.
+
+        Each ``CHUNK_SIZE``-row chunk runs one taped forward, and every class
+        backpropagates its own logit column from that graph, which is dropped
+        before the next chunk. No parameter gradient is filled.
+        """
+        params = list(self.trainable_parameters().values())
+        for p in params:
+            p.requires_grad = False
+        try:
+            for lo in range(0, len(points), CHUNK_SIZE):
+                x = Tensor(points[lo:lo + CHUNK_SIZE], requires_grad=True)
+                logits = self.forward(x)
+                for i, class_id in enumerate(class_ids):
+                    seed = np.zeros(logits.shape)
+                    seed[:, class_id] = 1.0
+                    x.grad = None
+                    logits.backward(seed, keep_graph=True)
+                    consume(i, lo, x.grad)
+        finally:
+            for p in params:
+                p.requires_grad = True
+
     def example_gradients(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Each row's softmax cross-entropy loss gradient as a (rows, P) array.
 

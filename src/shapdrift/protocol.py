@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import EvaluationSlice, ExperienceStream, require_count, write_atomically
+from .data import EvaluationSlice, ExperienceStream, require_count, require_real, write_atomically
 from .explainers import ShapConfig, explain_all_classes, per_example_config
 from .models import ModelSpec, build_model, reservoir_checksum
 from .strategies import (
@@ -146,14 +146,44 @@ def _write_csv(path, header: list, records) -> None:
     write_atomically(path, text.getvalue().encode("utf-8"))
 
 
+def _parse_field(name: str, text: str):
+    """One report CSV field, converted by its column name."""
+    if name in ("strategy", "metric_name"):
+        return text
+    if name in ("value", "accuracy"):
+        value = float(text)
+        require_real(name, value)  # a drift value or accuracy is finite
+        return value
+    if name == "is_target_class":
+        if text.lower() not in ("true", "false"):
+            raise ValueError(f"expected true or false, got {text!r}")
+        return text.lower() == "true"
+    value = int(text)  # a class id, or an experience, which counts from 1
+    require_count(name, value, lowest=0 if name == "class" else 1)
+    return value
+
+
 def _read_csv(path, header: list) -> list:
-    """The records after the first line of a report CSV, which must be ``header``."""
+    """The records after the first line of a report CSV, which must be ``header``,
+    each converted field by field; a malformed record raises a ValueError that
+    names the file, the line and the field."""
+    records = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         found = next(reader, None)
         if found != header:
             raise ValueError(f"unexpected CSV header {found}, expected {header}")
-        return list(reader)
+        for record in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(record) != len(header):
+                raise ValueError(f"{where}: {len(record)} fields, expected {len(header)}")
+            records.append([])
+            for name, text in zip(header, record):
+                try:
+                    records[-1].append(_parse_field(name, text))
+                except ValueError as exc:
+                    raise ValueError(f"{where}, field {name}: {exc}") from None
+    return records
 
 
 @dataclass(frozen=True)
@@ -213,12 +243,11 @@ class DriftReport:
 
     @classmethod
     def from_csv(cls, path) -> "DriftReport":
-        rows = [MetricRow(strategy, int(experience), int(class_id), metric, float(value),
-                          target.lower() == "true")
-                for strategy, experience, class_id, metric, value, target
-                in _read_csv(path, METRIC_CSV_HEADER)]
+        rows = [MetricRow(*record) for record in _read_csv(path, METRIC_CSV_HEADER)]
         if not rows:
             raise ValueError(f"no data rows in {path}")
+        if not any(r.is_target for r in rows):
+            raise ValueError(f"{path}: no row has is_target_class true")
         return cls(
             rows=rows,
             accuracy_rows=[],
@@ -229,8 +258,7 @@ class DriftReport:
 
 
 def load_accuracy_csv(path) -> list:
-    return [AccuracyRow(strategy, int(trained), int(evaluated), float(accuracy))
-            for strategy, trained, evaluated, accuracy in _read_csv(path, ACCURACY_CSV_HEADER)]
+    return [AccuracyRow(*record) for record in _read_csv(path, ACCURACY_CSV_HEADER)]
 
 
 # -- protocol orchestration -----------------------------------------------------------

@@ -207,31 +207,32 @@ def test_01_drift_metrics_match_straightline_oracles():
 
 
 def test_02_shapley_axioms_and_engine_agreement():
+    # every game has (rows, outputs) values; a hand-solved game has one output
     # product game: two symmetric features, phi = [0.5, 0.5]
-    product = lambda batch: batch[:, 0] * batch[:, 1]
+    product = lambda batch: (batch[:, 0] * batch[:, 1])[:, None]
     amap = exact_shapley(product, np.ones(2), np.zeros(2))
-    assert np.allclose(amap.phi, [0.5, 0.5], atol=1e-12)
-    assert abs(amap.phi.sum() - (1.0 - amap.phi0)) <= 1e-9
-    assert abs(amap.phi[0] - amap.phi[1]) <= 1e-9  # symmetry
+    assert np.allclose(amap.phi, [[0.5, 0.5]], atol=1e-12)
+    assert abs(amap.phi.sum() - (1.0 - amap.phi0[0])) <= 1e-9
+    assert abs(amap.phi[0, 0] - amap.phi[0, 1]) <= 1e-9  # symmetry
 
     # glove game: features 0,1 are left gloves, 2 is the right glove
-    glove = lambda batch: np.minimum(batch[:, 0] + batch[:, 1], batch[:, 2])
+    glove = lambda batch: np.minimum(batch[:, 0] + batch[:, 1], batch[:, 2])[:, None]
     amap = exact_shapley(glove, np.ones(3), np.zeros(3))
-    assert np.allclose(amap.phi, [1 / 6, 1 / 6, 2 / 3], atol=1e-9)
+    assert np.allclose(amap.phi, [[1 / 6, 1 / 6, 2 / 3]], atol=1e-9)
     assert abs(amap.phi.sum() - 1.0) <= 1e-9
 
     # dummy: an ignored feature gets zero attribution
-    partial = lambda batch: batch[:, 0] + 2.0 * batch[:, 1]
+    partial = lambda batch: (batch[:, 0] + 2.0 * batch[:, 1])[:, None]
     amap = exact_shapley(partial, np.ones(3), np.zeros(3))
-    assert abs(amap.phi[2]) <= 1e-12
+    assert abs(amap.phi[0, 2]) <= 1e-12
 
-    # efficiency on a real network probe
+    # efficiency on a real network probe, a one-output game
     rng = np.random.default_rng(77)
     model = build_model(ModelSpec("mlp", (8,), 3, hidden=(6,), seed=9))
     f = ClassLogit(model, 1)
     x, base = rng.normal(size=8), rng.normal(size=8)
     amap = exact_shapley(f, x, base)
-    assert abs(amap.phi.sum() - (f(x[None])[0] - amap.phi0)) <= 1e-9
+    assert abs(amap.phi.sum() - (f(x[None])[0, 0] - amap.phi0[0])) <= 1e-9
 
     # permutation sampling agrees with enumeration within three standard errors
     for i in range(20):
@@ -245,21 +246,21 @@ def test_02_shapley_axioms_and_engine_agreement():
                                    ShapConfig("sampling", n_samples=2000, seed=300 + i))
         assert np.all(np.abs(sampled.phi - exact.phi) <= 3.0 * sampled.stderr + 1e-9)
 
-    # on a linear model with one shared baseline all three engines coincide
+    # on a linear model with one shared baseline all three engines coincide,
+    # each on every class
     for i in range(3):
         rng = np.random.default_rng(50 + i)
         k = int(rng.integers(4, 9))
         model = build_model(ModelSpec("mlp", (k,), 3, hidden=(), seed=50 + i))
-        f = ClassLogit(model, i)
         x, base = rng.normal(size=k), rng.normal(size=k)
-        exact = exact_shapley(f, x, base)
-        sampled = sampling_shapley(f, x, base[None],
+        exact = exact_shapley(model.logits_np, x, base)
+        sampled = sampling_shapley(model.logits_np, x, base[None],
                                    ShapConfig("sampling", n_samples=40, seed=7))
-        grad = gradient_shap(f, x, base[None],
+        grad = gradient_shap(model, x, base[None],
                              ShapConfig("gradient", n_samples=16, seed=7))
         for other in (sampled, grad):
             assert np.max(np.abs(other.phi - exact.phi)) <= 1e-9
-            assert abs(other.phi0 - exact.phi0) <= 1e-9
+            assert np.max(np.abs(other.phi0 - exact.phi0)) <= 1e-9
     print("PASS: Shapley axioms, sampling calibration, and engine agreement")
 
 
@@ -353,11 +354,10 @@ def test_04_gradient_engine_completeness():
     test_set = stream.experiences[0].test
     for p in range(20):
         x, label = test_set.inputs[p], int(test_set.labels[p])
-        f = ClassLogit(model, label)
-        amap = gradient_shap(f, x, background,
+        amap = gradient_shap(model, x, background,
                              ShapConfig("gradient", n_samples=2000, seed=17 + p))
-        gap = f(x[None])[0] - amap.phi0
-        assert abs(amap.phi.sum() - gap) <= 0.05 * abs(gap), (p, gap)
+        gap = model.logits_np(x[None])[0, label] - amap.phi0[label]
+        assert abs(amap.phi[label].sum() - gap) <= 0.05 * abs(gap), (p, gap)
     print("PASS: expected-gradients attributions sum to the value gap within 5%")
 
 

@@ -132,13 +132,21 @@ def test_readme_library_block_runs_as_written():
     assert len(values) == 2 and all(np.isfinite(v) and v >= 0 for v in values), values
 
 
-def test_load_config_errors(tmp_path):
+def test_load_config_errors(tmp_path, capsys):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(bad)
+    # a path that is not a readable UTF-8 file is a config error naming the path
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"output_dir": "caf\xe9"}'.encode("latin-1"))
+    for path, message in ((tmp_path, "Is a directory"), (latin1, "is not UTF-8 text")):
+        for verb in ("validate", "run"):
+            assert main([verb, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and str(path) in err and message in err, err
 
 
 # -- saliency grids ----------------------------------------------------------------
@@ -682,6 +690,28 @@ def test_report_verb_reemits_curves(tmp_path):
     text = svg_path.read_text(encoding="utf-8")
     assert text.startswith("<svg") and "polyline" in text
     assert main(["report", str(tmp_path / "missing.csv")]) == 1
+
+
+@pytest.mark.parametrize("records, named", [
+    (["naive,1,0,m,0.5,true", "naive,1,-1,m,0.5,false"],
+     "line 3, field class: class must be an integer >= 0, got -1"),
+    (["naive,1,0,m,0.5,true", "naive,1,1,m,0.5"], "line 3: 5 fields, expected 6"),
+    (["naive,x,0,m,0.5,true"], "line 2, field experience: invalid literal"),
+    (["naive,1,0,m,0.5,maybe"],
+     "line 2, field is_target_class: expected true or false, got 'maybe'"),
+    (["naive,1,0,m,0.5,true", "naive,1,1,m,nan,false"],
+     "line 3, field value: value must be a finite real number, got nan"),
+    (["naive,1,0,m,0.5,false", "naive,1,1,m,0.25,false"], "no row has is_target_class true"),
+], ids=["negative-class", "five-fields", "bad-experience", "bad-flag", "nan-value",
+        "no-target"])
+def test_report_rejects_a_malformed_drift_csv(tmp_path, capsys, records, named):
+    path = tmp_path / "drift.csv"
+    header = "strategy,experience,class,metric_name,value,is_target_class"
+    path.write_text("\n".join([header] + records) + "\n", encoding="utf-8")
+    assert main(["report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and named in err, err
+    assert not (tmp_path / "curves.svg").exists()
 
 
 def test_user_sequences_benchmark(tmp_path):

@@ -236,7 +236,7 @@ def test_logits_np_runs_chunk_by_chunk(arch):
     assert np.array_equal(model.logits_np(batch), np.concatenate(chunks))
     empty = np.empty((0,) + spec.input_shape)
     assert model.logits_np(empty).shape == (0, spec.num_classes)
-    assert ClassLogit(model, 1)(empty).shape == (0,)
+    assert ClassLogit(model, 1)(empty).shape == (0, 1)
 
 
 # -- gradient flow to the input ------------------------------------------------------

@@ -2,6 +2,8 @@
 invariances, full-grid report structure, joint self-consistency, CSV schema
 round-trips, and aggregation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,17 @@ def test_accuracy_csv_roundtrip(image_report, tmp_path):
     path = tmp_path / "accuracy.csv"
     image_report.accuracy_to_csv(path)
     assert load_accuracy_csv(path) == image_report.accuracy_rows
+
+
+def test_accuracy_csv_names_a_malformed_record(tmp_path):
+    path = tmp_path / "accuracy.csv"
+    header = "strategy,experience_trained,experience_evaluated,accuracy\n"
+    for record, named in (("naive,0,1,0.5", "line 2, field experience_trained: "
+                                             "experience_trained must be an integer >= 1"),
+                          ("naive,1,1,high", "line 2, field accuracy: could not convert")):
+        path.write_text(header + record + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, {named}")):
+            load_accuracy_csv(path)
 
 
 class Unprintable(float):
