@@ -36,15 +36,8 @@ from .data import (
 )
 from .explainers import EXACT_MAX_FEATURES, ShapConfig
 from .models import ModelSpec
-from .protocol import DriftReport, aggregate, check_settings, run_protocol
-from .strategies import OptConfig, ReplayBuffer
-
-# benchmark -> the name of its loader in this module, looked up at call time so
-# that a wrapped loader (the benchmark's tracer wraps them) is the one called;
-# the data section is passed to it as keyword arguments
-_LOADERS = {"synth-images": "synth_images", "synth-sequences": "synth_sequences",
-            "mnist-idx": "load_idx", "user-sequences": "load_sequences"}
-BENCHMARKS = tuple(_LOADERS)
+from .protocol import POOL_ORDERS, DriftReport, aggregate, check_settings, run_protocol
+from .strategies import STRATEGIES, OptConfig, ReplayBuffer
 
 
 class ConfigError(ValueError):
@@ -53,12 +46,16 @@ class ConfigError(ValueError):
 
 # -- configuration schema ----------------------------------------------------------
 
-_DATA_DEFAULTS = {
-    "synth-images": {"classes": 10, "per_class": 60, "side": 14, "seed": 0},
-    "synth-sequences": {"classes": 10, "per_class": 60, "steps": 101,
-                        "features": 40, "seed": 0},
-    "mnist-idx": {"images": None, "labels": None},
-    "user-sequences": {"path": None},
+# benchmark -> (the name of its loader in this module, the defaults of its data
+# section); the data section is passed to the loader as keyword arguments, and
+# the loader is looked up at call time, so that a wrapped loader (the
+# benchmark's tracer wraps them) is the one called
+BENCHMARKS = {
+    "synth-images": ("synth_images", {"classes": 10, "per_class": 60, "side": 14, "seed": 0}),
+    "synth-sequences": ("synth_sequences", {"classes": 10, "per_class": 60, "steps": 101,
+                                            "features": 40, "seed": 0}),
+    "mnist-idx": ("load_idx", {"images": None, "labels": None}),
+    "user-sequences": ("load_sequences", {"path": None}),
 }
 
 
@@ -77,12 +74,12 @@ _TOP_DEFAULTS = {
     "experiences": 5,
     "class_order": None,
     "model": None,
-    "strategies": ["naive", "er", "gss", "joint"],
+    "strategies": list(STRATEGIES),
     "buffer_capacity": 2000,
     "optimizer": _field_defaults(OptConfig),
     "shap": {**_field_defaults(ShapConfig), "background_n": 100, "probes_per_class": 10},
     "gss": {"n_sim": 10, "tau": 0.95, "candidates": 2},
-    "pool_order": "normalize_then_clamp",
+    "pool_order": POOL_ORDERS[0],
     "seeds": [0],
     "output_dir": "runs/out",
     "saliency_probes": 3,
@@ -123,9 +120,9 @@ def validate_config(raw: dict) -> dict:
 
     if cfg["benchmark"] not in BENCHMARKS:
         raise ConfigError(
-            f"benchmark: unknown value {cfg['benchmark']!r}, expected one of {BENCHMARKS}")
+            f"benchmark: unknown value {cfg['benchmark']!r}, expected one of {tuple(BENCHMARKS)}")
     cfg["data"] = _merge_section(cfg["data"] or {},
-                                 _DATA_DEFAULTS[cfg["benchmark"]], "data")
+                                 BENCHMARKS[cfg["benchmark"]][1], "data")
     synthetic = cfg["benchmark"].startswith("synth-")
     for key, value in cfg["data"].items():
         if value is None:
@@ -137,10 +134,8 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(f"data.{key}: must be an existing file, got {value!r}")
 
     cfg["model"] = _merge_section(cfg["model"] or {}, _MODEL_DEFAULTS, "model")
-    cfg["optimizer"] = _merge_section(cfg["optimizer"], _TOP_DEFAULTS["optimizer"],
-                                      "optimizer")
-    cfg["shap"] = _merge_section(cfg["shap"], _TOP_DEFAULTS["shap"], "shap")
-    cfg["gss"] = _merge_section(cfg["gss"], _TOP_DEFAULTS["gss"], "gss")
+    for section in ("optimizer", "shap", "gss"):
+        cfg[section] = _merge_section(cfg[section], _TOP_DEFAULTS[section], section)
 
     # the checks of the code that consumes these values; experiences, the
     # optimizer, shap and model sections are checked in _prepare
@@ -188,7 +183,7 @@ def config_hash(cfg: dict) -> str:
 
 
 def load_benchmark(cfg: dict) -> LabeledDataset:
-    return globals()[_LOADERS[cfg["benchmark"]]](**cfg["data"])
+    return globals()[BENCHMARKS[cfg["benchmark"]][0]](**cfg["data"])
 
 
 def _prepare(cfg: dict, seed: int) -> tuple:
@@ -251,20 +246,20 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 def emit_curves(report: DriftReport, path, metric: str = "m") -> None:
     """Standalone SVG: one panel per strategy, drift vs class index, one
     polyline per experience, dots marking target classes."""
-    agg = aggregate(report)
-    if metric not in agg.metrics:
-        raise ValueError(f"metric {metric!r} not in report (has {agg.metrics})")
+    curves, strategies, n_cls = aggregate(report).curves, report.strategies(), report.num_classes
+    if metric not in report.metrics():
+        raise ValueError(f"metric {metric!r} not in report (has {tuple(report.metrics())})")
     pw, ph, margin = 240, 170, 42
-    width = margin + len(agg.strategies) * (pw + margin)
+    width = margin + len(strategies) * (pw + margin)
     height = ph + 2 * margin
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" font-family="monospace" font-size="11">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    xs = np.arange(agg.num_classes)
-    for s_idx, strategy in enumerate(agg.strategies):
-        grid = agg.curves[(strategy, metric)]
+    xs = np.arange(n_cls) / max(n_cls - 1, 1) * pw  # each class's offset in a panel
+    for s_idx, strategy in enumerate(strategies):
+        grid = curves[(strategy, metric)]
         top = float(grid.max())
         scale = top if top > 0 else 1.0
         x0 = margin + s_idx * (pw + margin)
@@ -273,19 +268,18 @@ def emit_curves(report: DriftReport, path, metric: str = "m") -> None:
                      f'fill="none" stroke="black"/>')
         parts.append(f'<text x="{x0}" y="{y0 - 8}">{strategy} '
                      f'({metric}, max={top:.3g})</text>')
-        denom = max(agg.num_classes - 1, 1)
-        for e in range(agg.num_experiences):
+        px = x0 + xs
+        for e in range(report.num_experiences):
             color = _PALETTE[e % len(_PALETTE)]
-            px = x0 + xs / denom * pw
             py = y0 + ph - grid[e] / scale * (ph - 10)
             pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
             parts.append(f'<polyline points="{pts}" fill="none" '
                          f'stroke="{color}" stroke-width="1.5"/>')
-            for c in agg.target_classes:
+            for c in report.target_classes:
                 parts.append(f'<circle cx="{px[c]:.2f}" cy="{py[c]:.2f}" r="3" '
                              f'fill="{color}"/>')
         parts.append(f'<text x="{x0}" y="{y0 + ph + 14}">class index 0..'
-                     f'{agg.num_classes - 1}; one line per experience</text>')
+                     f'{n_cls - 1}; one line per experience</text>')
     parts.append("</svg>")
     write_atomically(path, "\n".join(parts).encode("utf-8"))
 
@@ -409,7 +403,10 @@ def cmd_validate(args) -> int:
 def cmd_report(args) -> int:
     report = DriftReport.from_csv(args.csv)
     out = args.out or str(Path(args.csv).with_name("curves.svg"))
-    emit_curves(report, out, metric=args.metric)
+    try:
+        emit_curves(report, out, metric=args.metric)
+    except ValueError as exc:  # the file's grid misses or repeats a cell, or lacks the metric
+        raise ValueError(f"{args.csv}: {exc}") from None
     print(f"wrote {out}")
     return 0
 

@@ -7,7 +7,6 @@ its recurrent weights frozen; only the readout trains.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -352,14 +351,4 @@ _BUILDERS = {"mlp": Mlp, "cnn2d": Cnn2d, "conv1d": Conv1dNet, "lstm": Lstm, "esn
 def build_model(spec: ModelSpec) -> Model:
     """Instantiate a classifier; identical spec and seed give identical weights."""
     return _BUILDERS[spec.architecture](spec)
-
-
-def reservoir_checksum(model: Model) -> str:
-    """SHA-256 over the frozen reservoir matrices; stable across training."""
-    if not isinstance(model, Esn):
-        raise ValueError("reservoir_checksum applies to ESN models only")
-    digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(model.params["w_in"].data).tobytes())
-    digest.update(np.ascontiguousarray(model.params["w"].data).tobytes())
-    return digest.hexdigest()
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import EvaluationSlice, ExperienceStream, require_count, require_real, write_atomically
 from .explainers import ShapConfig, explain_all_classes, per_example_config
-from .models import ModelSpec, build_model, reservoir_checksum
+from .models import ModelSpec, build_model
 from .strategies import (
     STRATEGIES,
     OptConfig,
@@ -164,25 +164,30 @@ def _parse_field(name: str, text: str):
 
 
 def _read_csv(path, header: list) -> list:
-    """The records after the first line of a report CSV, which must be ``header``,
-    each converted field by field; a malformed record raises a ValueError that
-    names the file, the line and the field."""
+    """The records after the first line of a UTF-8 report CSV, which must be
+    ``header``, each converted field by field; a malformed record raises a
+    ValueError that names the file, the line and the field."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: not UTF-8 text: {exc.reason}") from None
     records = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != header:
-            raise ValueError(f"unexpected CSV header {found}, expected {header}")
-        for record in reader:
-            where = f"{path}, line {reader.line_num}"
-            if len(record) != len(header):
-                raise ValueError(f"{where}: {len(record)} fields, expected {len(header)}")
-            records.append([])
-            for name, text in zip(header, record):
-                try:
-                    records[-1].append(_parse_field(name, text))
-                except ValueError as exc:
-                    raise ValueError(f"{where}, field {name}: {exc}") from None
+    found = next(reader, None)
+    if found != header:
+        raise ValueError(f"unexpected CSV header {found}, expected {header}")
+    for record in reader:
+        where = f"{path}, line {reader.line_num}"
+        if len(record) != len(header):
+            raise ValueError(f"{where}: {len(record)} fields, expected {len(header)}")
+        records.append([])
+        for name, text in zip(header, record):
+            try:
+                records[-1].append(_parse_field(name, text))
+            except ValueError as exc:
+                raise ValueError(f"{where}, field {name}: {exc}") from None
     return records
 
 
@@ -293,17 +298,19 @@ def _train_strategy(strategy: str, spec: ModelSpec, stream: ExperienceStream,
                     opt: OptConfig, train_seed: int, buffer: ReplayBuffer | None = None,
                     first=None):
     """A fresh model trained by ``strategy``; the replay strategies fill ``buffer``.
-    ``first`` is the naive log whose first stage an ER run takes."""
+    ``first`` is the naive log whose first stage an ER run takes. A parameter
+    that does not train must leave training bit for bit as it was built."""
     model = build_model(spec)
-    frozen = reservoir_checksum(model) if spec.architecture == "esn" else None
+    frozen = {name: p.data.copy() for name, p in model.params.items() if not p.requires_grad}
     if strategy == "naive":
         log = train_naive(model, stream, opt, train_seed)
     elif strategy == "joint":
         log = train_joint(model, stream, opt, train_seed)
     else:
         log = train_replay(model, stream, opt, buffer, train_seed, first=first)
-    if frozen is not None and reservoir_checksum(model) != frozen:
-        raise RuntimeError(f"frozen reservoir changed during {strategy} training")
+    for name, data in frozen.items():
+        if not np.array_equal(model.params[name].data, data):
+            raise RuntimeError(f"frozen parameter {name} changed during {strategy} training")
     return model, log
 
 
@@ -412,49 +419,38 @@ class AggregateResult:
     classes, and ``final_target`` its value at the last experience.
     """
 
-    strategies: tuple
-    metrics: tuple
-    num_experiences: int
-    num_classes: int
-    target_classes: tuple
     curves: dict
     target_table: dict
     final_target: dict
 
 
 def aggregate(report: DriftReport) -> AggregateResult:
+    """The report's grids; a missing or repeated cell raises a ValueError naming it."""
     if not report.rows:
         raise ValueError("cannot aggregate an empty report")
-    strategies = tuple(report.strategies())
-    metrics = tuple(report.metrics())
-    n_exp, n_cls = report.num_experiences, report.num_classes
-
     cells: dict = {}
     for row in report.rows:
-        cells[(row.strategy, row.metric, row.experience, row.class_id)] = row.value
+        key = (row.strategy, row.metric, row.experience, row.class_id)
+        if key in cells:
+            raise ValueError(f"report repeats the {row.metric} value for strategy "
+                             f"{row.strategy!r}, experience {row.experience}, "
+                             f"class {row.class_id}")
+        cells[key] = row.value
+    n_exp, n_cls = report.num_experiences, report.num_classes
     curves: dict = {}
-    for strategy in strategies:
-        for metric in metrics:
+    for strategy in report.strategies():
+        for metric in report.metrics():
             grid = np.empty((n_exp, n_cls))
             for e in range(1, n_exp + 1):
                 for c in range(n_cls):
                     key = (strategy, metric, e, c)
                     if key not in cells:
-                        raise ValueError(
-                            f"report incomplete: no {metric} value for "
-                            f"strategy {strategy!r}, experience {e}, class {c}"
-                        )
+                        raise ValueError(f"report incomplete: no {metric} value for strategy "
+                                         f"{strategy!r}, experience {e}, class {c}")
                     grid[e - 1, c] = cells[key]
             curves[(strategy, metric)] = grid
 
     target = list(report.target_classes)
-    target_table = {
-        key: grid[:, target].mean(axis=1) for key, grid in curves.items()
-    }
+    target_table = {key: grid[:, target].mean(axis=1) for key, grid in curves.items()}
     final_target = {key: float(col[-1]) for key, col in target_table.items()}
-    return AggregateResult(
-        strategies=strategies, metrics=metrics,
-        num_experiences=n_exp, num_classes=n_cls,
-        target_classes=tuple(target),
-        curves=curves, target_table=target_table, final_target=final_target,
-    )
+    return AggregateResult(curves, target_table, final_target)

@@ -174,12 +174,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
-
-    __rmul__ = __mul__
 
     def sum(self, axis=None):
         return tsum(self, axis)
@@ -301,16 +297,6 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    s = np.divide(1.0, 1.0 + np.exp(-a.data))
-    out = _make(s, (a,))
-    if out.requires_grad:
-        def _bw(g):
-            a._accumulate(g * s * (1.0 - s), fresh=True)
-        out._backward = _bw
-    return out
-
-
 def relu(a: Tensor) -> Tensor:
     out = _make(np.maximum(a.data, 0.0), (a,))
     if out.requires_grad:
@@ -408,7 +394,7 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
     bias: (4H,), gate blocks in the order input, forget, cell, output. The
     state starts at zero. The sequence is one tape node whose backward is
     hand-written backprop through time. Its products are the full-width ones
-    of the per-step cell composed from ``matmul``, ``col_slice``, ``sigmoid``,
+    of the per-step cell composed from ``matmul``, ``col_slice``, sigmoid,
     ``tanh``, ``mul`` and ``add``; its elementwise work runs on gate-major
     cache slots, so the three sigmoid gates, and their errors, are one call
     chain over a (3, batch, H) block. It repeats that cell's arithmetic and
@@ -443,7 +429,7 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
         z += h_in @ w_hh_data
         z += bias.data
         z4 = z.reshape(batch, 4, hs)
-        gates = s[1:4]  # i, f, o = 1 / (1 + exp(-z)), as in sigmoid
+        gates = s[1:4]  # i, f, o = 1 / (1 + exp(-z))
         np.negative(z4[:, :2].transpose(1, 0, 2), out=gates[:2])
         np.negative(z4[:, 3], out=gates[2])
         np.exp(gates, out=gates)

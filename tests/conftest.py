@@ -11,7 +11,20 @@ import shapdrift  # noqa: F401
 import numpy as np
 import pytest
 
-from shapdrift.tensor import Tensor, softmax_cross_entropy
+from shapdrift.tensor import Tensor, _make, softmax_cross_entropy
+
+
+def sigmoid(a):
+    """A logistic sigmoid tape node with the arithmetic of ``tensor.lstm``'s
+    gates, ``1 / (1 + exp(-a))``, for the cell composition that the lstm is
+    compared against bit for bit."""
+    s = np.divide(1.0, 1.0 + np.exp(-a.data))
+    out = _make(s, (a,))
+    if out.requires_grad:
+        def _bw(g):
+            a._accumulate(g * s * (1.0 - s), fresh=True)
+        out._backward = _bw
+    return out
 
 
 def tape_loop_gradients(model, xs, ys):

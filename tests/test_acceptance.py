@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from shapdrift import strategies
 from shapdrift.data import LabeledDataset, build_stream, make_slice, synth_images, synth_sequences
 from shapdrift.explainers import (
     ClassLogit,
@@ -24,7 +25,7 @@ from shapdrift.explainers import (
     gradient_shap,
     sampling_shapley,
 )
-from shapdrift.models import ModelSpec, build_model, reservoir_checksum
+from shapdrift.models import ModelSpec, build_model
 from shapdrift.protocol import (
     aggregate,
     metric_m,
@@ -32,7 +33,7 @@ from shapdrift.protocol import (
     run_protocol,
     score_snapshot,
 )
-from shapdrift.strategies import OptConfig, ReplayBuffer, train_joint, train_replay
+from shapdrift.strategies import OptConfig, ReplayBuffer, gss_admit, train_joint, train_replay
 from shapdrift.tensor import Tensor, no_grad, softmax_cross_entropy
 
 SEEDS = (0, 1, 2)
@@ -439,13 +440,14 @@ def test_08_lstm_replay_drifts_more_than_esn(lstm_reports, esn_reports):
         model_seed, train_seed, shap_seed = (
             int(v) for v in np.random.SeedSequence(seed).generate_state(3))
         model = build_model(replace(base_spec, seed=model_seed))
-        before = reservoir_checksum(model)
+        before = {name: model.params[name].data.copy() for name in ("w_in", "w")}
         train_replay(model, stream, ESN_OPT, ReplayBuffer(2000), seed=train_seed)
         eval_slice = make_slice(stream, background_n=48, probes_per_class=4, seed=seed)
         explain_all_classes(model, eval_slice.probes.inputs[:1],
                             eval_slice.background.inputs,
                             ShapConfig("gradient", n_samples=8, seed=shap_seed), [shap_seed])
-        assert reservoir_checksum(model) == before, f"reservoir changed, seed {seed}"
+        for name, data in before.items():
+            assert np.array_equal(model.params[name].data, data), f"{name} changed, seed {seed}"
     print("PASS: LSTM replay drift exceeds ESN at comparable accuracy; reservoir frozen")
 
 
@@ -478,3 +480,30 @@ def test_10_identical_configs_produce_identical_reports(tmp_path):
     assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
     assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
     print("PASS: repeated runs of one configuration are byte-identical")
+
+
+# -- 11. GSS selection once its buffer is full -------------------------------------------
+
+
+def test_11_gss_evicts_from_a_full_buffer(monkeypatch):
+    # the image config offers GSS 600 candidates, so a 200-slot buffer fills and
+    # then admits a candidate only by evicting the entry with the highest score
+    evictions = []
+
+    def counting_admit(buffer, *args, **kwargs):
+        full = len(buffer) == buffer.capacity
+        admitted = gss_admit(buffer, *args, **kwargs)
+        evictions.append(full and admitted)
+        return admitted
+
+    monkeypatch.setattr(strategies, "gss_admit", counting_admit)
+    stream = build_stream(synth_images(10, 60, side=12, seed=0), 5)
+    model_seed, train_seed, _ = (int(v) for v in np.random.SeedSequence(0).generate_state(3))
+    model = build_model(ModelSpec("mlp", (1, 12, 12), 10, hidden=(32,), seed=model_seed))
+    buffer = ReplayBuffer(200, policy="gss_greedy")
+    train_replay(model, stream, IMAGE_OPT, buffer, seed=train_seed)
+    assert sum(evictions) > 0, "no candidate was admitted by eviction"
+    assert len(buffer) == 200
+    assert np.isfinite(buffer._scores[:len(buffer)]).all()
+    print(f"PASS: GSS admitted {sum(evictions)} of {len(evictions)} candidates by eviction; "
+          f"the 200-slot buffer stays full, every score finite")

@@ -310,10 +310,8 @@ def test_both_verbs_reject_a_bad_setting_by_name(tmp_path, capsys, overrides, fi
 
 
 def test_every_loader_takes_the_keys_of_its_data_section():
-    assert set(cli.BENCHMARKS) == set(cli._DATA_DEFAULTS)
-    for benchmark in cli.BENCHMARKS:
-        loader = getattr(cli, cli._LOADERS[benchmark])
-        assert set(inspect.signature(loader).parameters) == set(cli._DATA_DEFAULTS[benchmark])
+    for loader, defaults in cli.BENCHMARKS.values():
+        assert set(inspect.signature(getattr(cli, loader)).parameters) == set(defaults)
 
 
 def test_validate_rejects_what_run_cannot_execute(tmp_path, capsys):
@@ -702,12 +700,17 @@ def test_report_verb_reemits_curves(tmp_path):
     (["naive,1,0,m,0.5,true", "naive,1,1,m,nan,false"],
      "line 3, field value: value must be a finite real number, got nan"),
     (["naive,1,0,m,0.5,false", "naive,1,1,m,0.25,false"], "no row has is_target_class true"),
+    (["naive,1,0,m,0.25,true", "naive,1,0,m,9.0,true"],
+     "report repeats the m value for strategy 'naive', experience 1, class 0"),
+    (["naive,1,0,m,0.5,true", "naive,1,0,café,0.5,true"],
+     "line 3: not UTF-8 text: invalid continuation byte"),
 ], ids=["negative-class", "five-fields", "bad-experience", "bad-flag", "nan-value",
-        "no-target"])
+        "no-target", "repeated-cell", "latin-1"])
 def test_report_rejects_a_malformed_drift_csv(tmp_path, capsys, records, named):
     path = tmp_path / "drift.csv"
     header = "strategy,experience,class,metric_name,value,is_target_class"
-    path.write_text("\n".join([header] + records) + "\n", encoding="utf-8")
+    # Latin-1, which is UTF-8 for every record but the one that spells café
+    path.write_text("\n".join([header] + records) + "\n", encoding="latin-1")
     assert main(["report", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and named in err, err

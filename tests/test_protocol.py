@@ -408,15 +408,33 @@ def test_bad_buffer_setting_fails_before_any_training(monkeypatch):
             run_protocol(stream, slice_, spec, ["joint", "naive"], saliency_probes=probes)
 
 
+def test_a_frozen_parameter_that_changes_fails_the_run(monkeypatch):
+    # the ESN reservoir never trains: an update that reaches it fails the run by name
+    sgd_step = strategies.sgd_step
+
+    def leaky_step(model, lr):
+        sgd_step(model, lr)
+        if "w" in model.params:
+            model.params["w"].data[0, 0] += 1e-9
+
+    monkeypatch.setattr(strategies, "sgd_step", leaky_step)
+    stream, slice_, _ = lstm_setup()
+    spec = ModelSpec("esn", (6, 4), 4, hidden_size=8)
+    with pytest.raises(RuntimeError, match="frozen parameter w changed during joint training"):
+        run_protocol(stream, slice_, spec, ["naive", "joint"], opt=OptConfig(epochs=1),
+                     shap=ShapConfig(n_samples=2))
+
+
 # -- aggregation ----------------------------------------------------------------------
 
 
 def test_aggregate_curves_and_target_table(image_report):
     agg = aggregate(image_report)
-    assert agg.strategies == ("naive", "er", "gss", "joint")
-    assert agg.metrics == ("m", "m_pool")
+    assert image_report.strategies() == ["naive", "er", "gss", "joint"]
+    assert image_report.metrics() == ["m", "m_pool"]
+    assert set(agg.curves) == {(s, m) for s in STRATEGY_LIST for m in ("m", "m_pool")}
     assert agg.curves[("naive", "m")].shape == (2, 4)
-    assert agg.target_classes == (0, 1)
+    assert image_report.target_classes == (0, 1)
     np.testing.assert_allclose(
         agg.target_table[("naive", "m")][1],
         np.mean([agg.curves[("naive", "m")][1, c] for c in (0, 1)]),
