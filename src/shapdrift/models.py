@@ -22,7 +22,6 @@ from .tensor import (
     lstm,
     matmul,
     no_grad,
-    per_example,
     relu,
     reshape,
     softmax_cross_entropy,
@@ -168,19 +167,26 @@ class Model:
         """Each row's softmax cross-entropy loss gradient as a (rows, P) array.
 
         A row is flattened over ``trainable_parameters()`` in sorted-name
-        order. One taped forward and backward pass in the tape's per-example
-        mode computes every row, each byte-identical to a batch-1 pass of that
-        row alone; every parameter's ``grad`` is left ``None``.
+        order. Each row runs its own batch-1 taped forward and backward pass
+        from ``grad = None``, so a gradient held before the call is dropped;
+        a parameter the pass gives no gradient gets zeros, and every
+        parameter's ``grad`` is left ``None``, also when a pass raises.
         """
-        params = self.trainable_parameters()
-        out = np.empty((len(xs), sum(p.size for p in params.values())))
-        blocks, lo = {}, 0
-        for name in sorted(params):
-            p = params[name]
-            blocks[p] = out[:, lo:lo + p.size].reshape(len(xs), *p.shape)
-            lo += p.size
-        with per_example(blocks):
-            softmax_cross_entropy(self.forward(Tensor(xs)), ys).backward(np.ones(len(xs)))
+        params = [p for _, p in sorted(self.trainable_parameters().items())]
+        out = np.zeros((len(xs), sum(p.size for p in params)))
+        try:
+            for r in range(len(xs)):
+                for p in params:
+                    p.grad = None
+                softmax_cross_entropy(self.forward(Tensor(xs[r:r + 1])), ys[r:r + 1]).backward()
+                lo = 0
+                for p in params:
+                    if p.grad is not None:
+                        out[r, lo:lo + p.size] = p.grad.ravel()
+                    lo += p.size
+        finally:
+            for p in params:
+                p.grad = None
         return out
 
     def state_dict(self) -> dict[str, np.ndarray]:

@@ -165,8 +165,9 @@ def _parse_field(name: str, text: str):
 
 def _read_csv(path, header: list) -> list:
     """The records after the first line of a UTF-8 report CSV, which must be
-    ``header``, each converted field by field; a malformed record raises a
-    ValueError that names the file, the line and the field."""
+    ``header``, each converted field by field; an empty file, a wrong header
+    or a malformed record raises a ValueError that names the file, the line
+    and (for a record) the field."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -176,8 +177,10 @@ def _read_csv(path, header: list) -> list:
         raise ValueError(f"{path}, line {line}: not UTF-8 text: {exc.reason}") from None
     records = []
     found = next(reader, None)
+    if found is None:
+        raise ValueError(f"{path}, line 1: empty file, expected the CSV header {header}")
     if found != header:
-        raise ValueError(f"unexpected CSV header {found}, expected {header}")
+        raise ValueError(f"{path}, line 1: unexpected CSV header {found}, expected {header}")
     for record in reader:
         where = f"{path}, line {reader.line_num}"
         if len(record) != len(header):

@@ -76,8 +76,8 @@ class ReplayBuffer:
     between its loss gradient and those of ``gss_n_sim`` randomly chosen
     stored entries stays below ``gss_tau``, in which case it replaces the
     stored entry with the highest recorded similarity score. Scoring is one
-    ``Model.example_gradients`` call per candidate (see ``gss_admit``); an
-    unscored entry (``scored=False``) holds NaN.
+    ``Model.example_gradients`` call per candidate, one batch-1 taped pass
+    per row (see ``gss_admit``); an unscored entry (``scored=False``) holds NaN.
     """
 
     def __init__(self, capacity: int, policy: str = "class_balanced",
@@ -175,8 +175,8 @@ def gss_admit(buffer: ReplayBuffer, x: np.ndarray, y: int, model: Model,
     gradients (at current weights) of up to ``gss_n_sim`` stored entries,
     all scored in one stacked product.
     The candidate's and the sampled entries' gradients come from one
-    ``model.example_gradients`` call: one taped pass over all rows in the
-    tape's per-example mode, for every architecture. A non-full buffer always
+    ``model.example_gradients`` call: one batch-1 taped forward and backward
+    pass per row, for every architecture. A non-full buffer always
     admits; a full one admits only scores below ``gss_tau`` and evicts the
     stored entry with the highest score. Entries are written in place into
     (capacity, ...) arrays allocated at the first admission.

@@ -7,20 +7,13 @@ and a fused softmax cross-entropy. Operations whose inputs require
 gradients are recorded on an implicit tape (the operation graph);
 ``backward`` replays it in reverse topological order from a seed gradient
 and releases it, or keeps it for a further pass from another seed.
-
-In ``per_example`` mode each row keeps its own parameter gradient, byte for
-byte a batch-1 pass of that row (Goodfellow 2015, arXiv:1510.01799): products
-with a weight (``matmul``'s right operand) take the rows as a stack of batch-1
-operands, which ``np.matmul`` runs with the batch-1 kernel, and gradients of
-operands without rows keep a rows axis instead of a sum over it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import threading
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,41 +22,9 @@ Arrayish = Union[np.ndarray, float, int, Sequence]
 
 class _State(threading.local):
     grad_enabled = True
-    blocks = None  # per-example mode: {parameter: its (rows, *shape) gradient block}
 
 
 _state = _State()
-
-
-@contextlib.contextmanager
-def per_example(blocks: dict) -> Iterator[None]:
-    """Per-example mode for one taped pass, its loss seeded with one 1 per row.
-
-    Each parameter's gradient is written into, then added to, its (rows,
-    *shape) array in ``blocks``. On exit, also by an exception, the mode is
-    off, every ``grad`` is None, and blocks that got no gradient hold zeros.
-    """
-    for p in blocks:
-        p.grad = None
-    _state.blocks = blocks
-    try:
-        yield
-    finally:
-        _state.blocks = None
-        for p, block in blocks.items():
-            if p.grad is None:
-                block[...] = 0.0
-            p.grad = None
-
-
-def _take_block(t: Tensor) -> Optional[np.ndarray]:
-    """The per-example block that takes parameter ``t``'s first gradient, now
-    also its ``grad``, or None; call it only while ``t.grad`` is None."""
-    blocks = _state.blocks
-    block = blocks.get(t) if blocks else None
-    if block is not None:
-        t.grad = block
-    return block
 
 
 def grad_enabled() -> bool:
@@ -118,8 +79,6 @@ class Tensor:
         copied, so no two tensors' gradients share memory."""
         if self.grad is not None:
             self.grad += g
-        elif (block := _take_block(self)) is not None:
-            block[...] = g
         elif fresh:
             self.grad = g
         else:
@@ -200,19 +159,12 @@ def _make(data: np.ndarray, parents: tuple) -> Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum gradient over axes that were broadcast in the forward pass.
-
-    In per-example mode an operand without rows keeps the rows axis: each row
-    sums over its own size-1 batch axis, as a batch of one does (which turns
-    a -0.0 into +0.0)."""
+    """Sum gradient over axes that were broadcast in the forward pass."""
     if g.shape == shape:
         return g
-    lead = 0
-    if g.ndim > len(shape) and _state.blocks is not None:
-        g, lead = g[:, None], 1
-    while g.ndim > len(shape) + lead:
-        g = g.sum(axis=lead)
-    for axis, extent in enumerate(shape, lead):
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, extent in enumerate(shape):
         if extent == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
     return g
@@ -259,32 +211,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul supports 2D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: inner dimensions differ: {a.shape} @ {b.shape}")
-    rows = _state.blocks is not None  # per-example: each row a (1, K) operand
     a_data, b_data = a.data, b.data
-    out = _make((a_data[:, None] @ b_data)[:, 0] if rows else a_data @ b_data, (a, b))
+    out = _make(a_data @ b_data, (a, b))
     if out.requires_grad:
         def _bw(g):
             if a.requires_grad:
-                a._accumulate((g[:, None] @ b_data.T)[:, 0] if rows else g @ b_data.T, fresh=True)
+                a._accumulate(g @ b_data.T, fresh=True)
             if b.requires_grad:
-                _accumulate_product(b, a_data, g, rows)
+                b._accumulate(a_data.T @ g, fresh=True)
         out._backward = _bw
     return out
-
-
-def _accumulate_product(p: Tensor, a: np.ndarray, g: np.ndarray, rows: bool,
-                        scratch: Optional[np.ndarray] = None) -> None:
-    """Add the weight gradient ``aᵀ @ g`` to p's gradient; in per-example mode,
-    each row's own outer product ``a[r]ᵀ g[r]``. No index is summed there, so
-    each entry is one rounded product, as in the batch-1 (K, 1) @ (1, N);
-    ``np.einsum`` forms it faster than a ``np.matmul`` stack, into ``scratch``
-    when the caller passes a (rows, *p.shape) array to reuse."""
-    if not rows:
-        p._accumulate(a.T @ g, fresh=True)
-    elif p.grad is None and (block := _take_block(p)) is not None:
-        np.einsum("rk,rn->rkn", a, g, out=block)
-    else:
-        p._accumulate(np.einsum("rk,rn->rkn", a, g, out=scratch), fresh=scratch is None)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -329,9 +265,9 @@ def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
     out = _make(data, (a,))
     if out.requires_grad:
-        orig, ndim = a.shape, data.ndim
-        def _bw(g):  # leading axes beyond the output's are per-example rows; they stay
-            a._accumulate(g.reshape(g.shape[:g.ndim - ndim] + orig))
+        orig = a.shape
+        def _bw(g):
+            a._accumulate(g.reshape(orig))
         out._backward = _bw
     return out
 
@@ -410,11 +346,8 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
                          f"do not fit input {x.shape} and hidden size {hs}")
     parents = (x, w_ih, w_hh, bias)
     track = _state.grad_enabled and any(p.requires_grad for p in parents)
-    rows = _state.blocks is not None  # per-example: each row's products as batch-1 operands
     x_data, w_ih_data, w_hh_data = x.data, w_ih.data, w_hh.data
-    x_in = x_data[:, :, None] if rows else x_data  # step t's input operand: x_in[:, t]
     h = np.zeros((batch, hs))
-    h_in = h[:, None] if rows else h  # the recurrent product's view of h
     c = np.zeros((batch, hs))
     # one block per call: fresh arrays each step, freed at once, made malloc trim the heap;
     # `shapdrift run` fixes malloc's thresholds, but library callers run without that.
@@ -425,8 +358,8 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
         s = cache[t if track else 0]
         if track:
             s[0], s[5] = h, c
-        z = x_in[:, t] @ w_ih_data
-        z += h_in @ w_hh_data
+        z = x_data[:, t] @ w_ih_data
+        z += h @ w_hh_data
         z += bias.data
         z4 = z.reshape(batch, 4, hs)
         gates = s[1:4]  # i, f, o = 1 / (1 + exp(-z))
@@ -450,12 +383,6 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
             r = np.empty((3, batch, hs))  # dc, dc, dh, then the sigmoid gates' errors
             one_minus = np.empty((3, batch, hs))
             r[2] = grad
-            # per-example mode stacks each row's operands of the products below
-            dz_in, dh_out = (dz[:, None], r[2][:, None]) if rows else (dz, r[2])
-            dx_out = dx[:, :, None] if rows and dx is not None else dx
-            # and forms each later step's weight outer products in one scratch pair
-            ih_scratch, hh_scratch = (np.empty((batch,) + w.shape) if rows and w.requires_grad
-                                      else None for w in (w_ih, w_hh))
             dc_next = None
             for t in range(steps - 1, -1, -1):
                 s = cache[t]
@@ -473,15 +400,15 @@ def lstm(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
                 # one _accumulate per step, latest step first, as the per-step
                 # tape adds its terms into a leaf that may already hold a gradient
                 if w_ih.requires_grad:
-                    _accumulate_product(w_ih, x_data[:, t], dz, rows, ih_scratch)
+                    w_ih._accumulate(x_data[:, t].T @ dz, fresh=True)
                 if w_hh.requires_grad:
-                    _accumulate_product(w_hh, h_prev, dz, rows, hh_scratch)
+                    w_hh._accumulate(h_prev.T @ dz, fresh=True)
                 if bias.requires_grad:
-                    bias._accumulate(dz_in.sum(axis=-2), fresh=True)
+                    bias._accumulate(dz.sum(axis=0), fresh=True)
                 if dx is not None:
-                    np.matmul(dz_in, w_ih_data.T, out=dx_out[:, t])
+                    np.matmul(dz, w_ih_data.T, out=dx[:, t])
                 if t:
-                    np.matmul(dz_in, w_hh_data.T, out=dh_out)  # dh of step t - 1
+                    np.matmul(dz, w_hh_data.T, out=r[2])  # dh of step t - 1
                     dc_next = dc * f
             if dx is not None:
                 x._accumulate(dx, fresh=True)
@@ -548,10 +475,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if kh > h or kw > wd:
         raise ValueError(f"conv2d: kernel {(kh, kw)} larger than input {(h, wd)}")
     oh, ow = h - kh + 1, wd - kw + 1
-    # per-example mode multiplies each row's (oh*ow, K) window matrix on its own
-    rows = (batch,) if _state.blocks is not None else ()
 
-    cols = _im2col(x.data, kh, kw).reshape(rows + (-1, in_ch * kh * kw))
+    cols = _im2col(x.data, kh, kw).reshape(-1, in_ch * kh * kw)
     wmat = w.data.reshape(out_ch, in_ch * kh * kw)
     res = (cols @ wmat.T).reshape(batch, oh, ow, out_ch).transpose(0, 3, 1, 2)
     res += b.data.reshape(1, out_ch, 1, 1)  # in the fresh product, still channel-last
@@ -559,16 +484,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = _make(res, (x, w, b))
     if out.requires_grad:
         def _bw(g):
-            if rows:  # in C order, as a batch-1 error is; the sums below follow it
-                g = np.ascontiguousarray(g)
-            g2 = g.transpose(0, 2, 3, 1).reshape(rows + (-1, out_ch))
+            g2 = g.transpose(0, 2, 3, 1).reshape(-1, out_ch)
             if w.requires_grad:
-                w._accumulate((np.swapaxes(g2, -1, -2) @ cols).reshape(rows + w.shape), fresh=True)
+                w._accumulate((g2.T @ cols).reshape(w.shape), fresh=True)
             if x.requires_grad:  # copied: kept as is, this block raised the peak RSS
                 # of `shapdrift run` on a cnn2d config by 1 MB (the heap's layout)
                 x._accumulate(_col2im(g2 @ wmat, x.shape, kh, kw))
             if b.requires_grad:
-                b._accumulate(g.sum(axis=(2, 3) if rows else (0, 2, 3)), fresh=True)
+                b._accumulate(g.sum(axis=(0, 2, 3)), fresh=True)
         out._backward = _bw
     return out
 
@@ -681,8 +604,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy between softmax(logits) and integer labels.
 
     logits: (batch, classes); labels: (batch,) ints in [0, classes). Stable
-    via max shift. In per-example mode the loss is each row's own, shaped
-    (batch,), and a row's gradient is that of a batch of one.
+    via max shift.
     """
     if logits.ndim != 2:
         raise ValueError(f"softmax_cross_entropy expects 2D logits, got {logits.shape}")
@@ -694,7 +616,6 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         bad = labels[(labels < 0) | (labels >= classes)][0]
         raise ValueError(f"label {bad} is outside [0, {classes})")
 
-    rows = _state.blocks is not None
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     ez = np.exp(z)
     total = ez.sum(axis=1, keepdims=True)
@@ -702,11 +623,11 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     pick = (np.arange(batch), labels)
     losses = -(z[pick] - np.log(total[:, 0]))
 
-    out = _make(losses if rows else np.asarray(losses.mean()), (logits,))
+    out = _make(np.asarray(losses.mean()), (logits,))
     if out.requires_grad:
         def _bw(g):
             d = softm.copy()
             d[pick] -= 1.0
-            logits._accumulate(g[:, None] * d if rows else g * d / batch, fresh=True)
+            logits._accumulate(g * d / batch, fresh=True)
         out._backward = _bw
     return out

@@ -690,27 +690,33 @@ def test_report_verb_reemits_curves(tmp_path):
     assert main(["report", str(tmp_path / "missing.csv")]) == 1
 
 
-@pytest.mark.parametrize("records, named", [
-    (["naive,1,0,m,0.5,true", "naive,1,-1,m,0.5,false"],
+DRIFT_HEADER = "strategy,experience,class,metric_name,value,is_target_class"
+
+
+@pytest.mark.parametrize("lines, named", [
+    ([DRIFT_HEADER, "naive,1,0,m,0.5,true", "naive,1,-1,m,0.5,false"],
      "line 3, field class: class must be an integer >= 0, got -1"),
-    (["naive,1,0,m,0.5,true", "naive,1,1,m,0.5"], "line 3: 5 fields, expected 6"),
-    (["naive,x,0,m,0.5,true"], "line 2, field experience: invalid literal"),
-    (["naive,1,0,m,0.5,maybe"],
+    ([DRIFT_HEADER, "naive,1,0,m,0.5,true", "naive,1,1,m,0.5"], "line 3: 5 fields, expected 6"),
+    ([DRIFT_HEADER, "naive,x,0,m,0.5,true"], "line 2, field experience: invalid literal"),
+    ([DRIFT_HEADER, "naive,1,0,m,0.5,maybe"],
      "line 2, field is_target_class: expected true or false, got 'maybe'"),
-    (["naive,1,0,m,0.5,true", "naive,1,1,m,nan,false"],
+    ([DRIFT_HEADER, "naive,1,0,m,0.5,true", "naive,1,1,m,nan,false"],
      "line 3, field value: value must be a finite real number, got nan"),
-    (["naive,1,0,m,0.5,false", "naive,1,1,m,0.25,false"], "no row has is_target_class true"),
-    (["naive,1,0,m,0.25,true", "naive,1,0,m,9.0,true"],
+    ([DRIFT_HEADER, "naive,1,0,m,0.5,false", "naive,1,1,m,0.25,false"],
+     "no row has is_target_class true"),
+    ([DRIFT_HEADER, "naive,1,0,m,0.25,true", "naive,1,0,m,9.0,true"],
      "report repeats the m value for strategy 'naive', experience 1, class 0"),
-    (["naive,1,0,m,0.5,true", "naive,1,0,café,0.5,true"],
+    ([DRIFT_HEADER, "naive,1,0,m,0.5,true", "naive,1,0,café,0.5,true"],
      "line 3: not UTF-8 text: invalid continuation byte"),
+    ([], "line 1: empty file"),
+    ([DRIFT_HEADER.replace("metric_name", "metric"), "naive,1,0,m,0.5,true"],
+     "line 1: unexpected CSV header"),
 ], ids=["negative-class", "five-fields", "bad-experience", "bad-flag", "nan-value",
-        "no-target", "repeated-cell", "latin-1"])
-def test_report_rejects_a_malformed_drift_csv(tmp_path, capsys, records, named):
+        "no-target", "repeated-cell", "latin-1", "empty", "wrong-header"])
+def test_report_rejects_a_malformed_drift_csv(tmp_path, capsys, lines, named):
     path = tmp_path / "drift.csv"
-    header = "strategy,experience,class,metric_name,value,is_target_class"
-    # Latin-1, which is UTF-8 for every record but the one that spells café
-    path.write_text("\n".join([header] + records) + "\n", encoding="latin-1")
+    # Latin-1, which is UTF-8 for every line but the one that spells café
+    path.write_text("".join(line + "\n" for line in lines), encoding="latin-1")
     assert main(["report", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and named in err, err

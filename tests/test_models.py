@@ -298,6 +298,8 @@ def test_example_gradients_lay_out_each_rows_tape_gradient(arch):
     xs = rng.normal(size=(3,) + model.spec.input_shape)
     ys = np.array([0, 3, 1])
     before = parameter_snapshot(model)
+    for p in model.trainable_parameters().values():  # a stale gradient does not leak in
+        p.grad = np.ones(p.shape)
     grads = model.example_gradients(xs, ys)
     assert_parameters_untouched(model, before)
     params = model.trainable_parameters()
@@ -381,7 +383,7 @@ def test_conv1d_example_gradients_equal_the_tape_loop(activation, channels, kern
     assert_rows_match_the_tape_loop(model, rows, tape_loop)
 
 
-def test_example_gradients_failing_mid_pass_leave_no_mode_and_no_grad():
+def test_example_gradients_failing_mid_pass_leave_no_grad():
     model = build_model(make_spec("mlp", hidden=(6, 5)))
     rng = np.random.default_rng(4)
     xs, ys = rng.normal(size=(3,) + model.spec.input_shape), np.array([0, 2, 1])
@@ -399,11 +401,6 @@ def test_example_gradients_failing_mid_pass_leave_no_mode_and_no_grad():
     with pytest.raises(RuntimeError, match="failed mid-pass"):
         model.example_gradients(xs, ys)
     assert_parameters_untouched(model, before)
-    model.act = tanh
-    # the mode is off: the loss is a batch mean again, and a pass sums its rows
-    assert softmax_cross_entropy(model.forward(Tensor(xs)), ys).shape == ()
-    assert_same_bytes(matmul(Tensor(xs.reshape(3, -1)), model.params["w0"]).data,
-                      xs.reshape(3, -1) @ model.params["w0"].data)
 
 
 def _batch_layouts(xs):
@@ -423,16 +420,19 @@ def _step_gradients(model, xs, ys):
     return grads
 
 
-@pytest.mark.parametrize("input_shape", [(1, 12, 12), (2, 10, 11)])
-def test_cnn2d_outputs_do_not_depend_on_the_batch_layout(input_shape):
-    model = build_model(make_spec("cnn2d", input_shape=input_shape, num_classes=10))
+@pytest.mark.parametrize("arch, kw", [
+    ("mlp", {}), ("cnn2d", {"input_shape": (1, 12, 12)}), ("cnn2d", {"input_shape": (2, 10, 11)}),
+    ("conv1d", {"conv1d_channels": 6, "conv1d_kernel": 3}), ("lstm", {}), ("esn", {})],
+    ids=["mlp", "cnn2d-1x12x12", "cnn2d-2x10x11", "conv1d", "lstm", "esn"])
+def test_outputs_do_not_depend_on_the_batch_layout(arch, kw):
+    model = build_model(make_spec(arch, num_classes=10, **kw))
     rng = np.random.default_rng(8)
-    xs = rng.uniform(size=(13,) + input_shape)
+    xs = rng.uniform(size=(13,) + model.spec.input_shape)
     ys = rng.integers(0, 10, size=13)
     ref = (model.logits_np(xs), model.example_gradients(xs, ys), _step_gradients(model, xs, ys))
     for name, batch in _batch_layouts(xs).items():
         assert np.array_equal(model.logits_np(batch), ref[0]), name
-        assert np.array_equal(model.example_gradients(batch, ys), ref[1]), name
+        assert_same_bytes(model.example_gradients(batch, ys), ref[1])
         grads = _step_gradients(model, batch, ys)
         for param in ref[2]:
             assert np.array_equal(grads[param], ref[2][param]), (name, param)
@@ -472,14 +472,6 @@ def test_cnn2d_reads_only_its_input_window(activation, input_shape, kernel, wind
     changed[outside] = rng.normal(size=int(outside.sum()))
     assert_same_bytes(model.logits_np(changed), logits)
     assert np.all(grads[outside] == 0.0)
-
-
-def test_conv1d_logits_do_not_depend_on_the_batch_layout():
-    model = build_model(make_spec("conv1d", conv1d_channels=6, conv1d_kernel=3))
-    xs = np.random.default_rng(9).normal(size=(13,) + SEQ_SHAPE)
-    ref = model.logits_np(xs)
-    for name, batch in _batch_layouts(xs).items():
-        assert np.array_equal(model.logits_np(batch), ref), name
 
 
 # -- state dicts -----------------------------------------------------------------------

@@ -274,39 +274,28 @@ def gss_on_a_filling_buffer(data, architecture, **model):
     return decisions, buf
 
 
-def assert_gss_matches_the_tape_loop(admitted, monkeypatch, tape_loop, data=None, **model):
+def assert_gss_decisions(admitted, data=None, **model):
     data = synth_images(10, 60, side=12, seed=0) if data is None else data
-    decisions, fast = gss_on_a_filling_buffer(data, **model)
+    decisions, buffer = gss_on_a_filling_buffer(data, **model)
     # 200 candidates; the rejections and the evictions past slot 120 both happen
     assert len(decisions) == 200 and sum(decisions) == admitted
-    assert len(fast) == fast.capacity
-    monkeypatch.setattr(Model, "example_gradients", tape_loop)
-    loop_decisions, loop = gss_on_a_filling_buffer(data, **model)
-    assert decisions == loop_decisions
-    np.testing.assert_array_equal(fast._inputs, loop._inputs)
-    np.testing.assert_array_equal(fast.labels, loop.labels)
-    np.testing.assert_array_equal(fast._scores, loop._scores)
+    assert len(buffer) == buffer.capacity
 
 
 @pytest.mark.parametrize("activation, hidden, admitted",
                          [("tanh", (32,), 170), ("relu", (16, 8), 172)])
-def test_gss_decisions_on_a_filling_buffer_match_the_tape_loop(
-        activation, hidden, admitted, monkeypatch, tape_loop):
-    assert_gss_matches_the_tape_loop(admitted, monkeypatch, tape_loop, architecture="mlp",
-                                     hidden=hidden, activation=activation)
+def test_gss_decisions_on_a_filling_buffer(activation, hidden, admitted):
+    assert_gss_decisions(admitted, architecture="mlp", hidden=hidden, activation=activation)
 
 
 @pytest.mark.parametrize("activation, admitted", [("tanh", 177), ("relu", 175)])
-def test_cnn2d_gss_decisions_on_a_filling_buffer_match_the_tape_loop(
-        activation, admitted, monkeypatch, tape_loop):
-    assert_gss_matches_the_tape_loop(admitted, monkeypatch, tape_loop, architecture="cnn2d",
-                                     activation=activation)
+def test_cnn2d_gss_decisions_on_a_filling_buffer(activation, admitted):
+    assert_gss_decisions(admitted, architecture="cnn2d", activation=activation)
 
 
-def test_lstm_gss_decisions_on_a_filling_buffer_match_the_tape_loop(monkeypatch, tape_loop):
-    assert_gss_matches_the_tape_loop(167, monkeypatch, tape_loop,
-                                     synth_sequences(10, 60, steps=8, features=6, seed=0),
-                                     architecture="lstm", hidden_size=8)
+def test_lstm_gss_decisions_on_a_filling_buffer():
+    assert_gss_decisions(167, synth_sequences(10, 60, steps=8, features=6, seed=0),
+                         architecture="lstm", hidden_size=8)
 
 
 # 2 stages x 2 epochs over 40 training rows in batches of 13, 13, 13 and 1,

@@ -658,32 +658,6 @@ def test_kept_graph_passes_give_grads_their_own_memory():
         assert_grads_own_their_memory([x, t, u, v], seed)
 
 
-def test_per_example_grads_own_their_memory():
-    rng = np.random.default_rng(6)
-    xs, labels = rng.normal(size=(4, 3)), np.array([0, 1, 1, 0])
-    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    b = Tensor(rng.normal(size=2), requires_grad=True)
-
-    def forward(rows):
-        product = tn.matmul(Tensor(xs[rows]), w)
-        logits = product + b
-        return [product, logits, tn.tanh(logits)]
-
-    want = np.zeros((4, 8))
-    for r in range(4):
-        tn.softmax_cross_entropy(forward(slice(r, r + 1))[-1], labels[r:r + 1]).backward()
-        want[r] = np.concatenate([b.grad, w.grad.ravel()])
-        w.grad = b.grad = None
-    got = np.empty((4, 8))
-    seed = np.ones(4)
-    with tn.per_example({b: got[:, :2], w: got[:, 2:].reshape(4, 3, 2)}):
-        nodes = forward(slice(None))
-        loss = tn.softmax_cross_entropy(nodes[-1], labels)
-        loss.backward(seed)
-        assert_grads_own_their_memory(nodes + [loss, w, b], seed)
-    np.testing.assert_array_equal(got, want)
-
-
 def test_two_layer_net_matches_finite_differences():
     rng = np.random.default_rng(0)
     w1 = Tensor(rng.normal(size=(5, 4)) * 0.5, requires_grad=True)
