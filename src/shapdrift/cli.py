@@ -194,7 +194,10 @@ def _prepare(cfg: dict, seed: int) -> tuple:
     opt = _check_section("optimizer", OptConfig, **cfg["optimizer"])
     shap_config = _check_section("shap", ShapConfig, engine=shap["engine"],
                                  n_samples=shap["n_samples"], noise_std=shap["noise_std"])
-    data = load_benchmark(cfg)
+    try:
+        data = load_benchmark(cfg)
+    except MemoryError as exc:  # a data size that cannot be allocated is a bad setting
+        raise ConfigError(f"data: too large to build: {exc}") from None
     features = int(np.prod(data.inputs.shape[1:]))
     if shap["engine"] == "exact" and features > EXACT_MAX_FEATURES:
         raise ConfigError(f"shap: the exact engine takes at most {EXACT_MAX_FEATURES} "

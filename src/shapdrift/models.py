@@ -14,10 +14,8 @@ import numpy as np
 from .data import require_count, require_real
 from .tensor import (
     Tensor,
-    conv1d,
     conv2d,
     avgpool2d,
-    crop2d,
     grad_enabled,
     lstm,
     matmul,
@@ -265,7 +263,7 @@ class Cnn2d(Model):
     def forward(self, x: Tensor) -> Tensor:
         self._check_batch(x)
         if self._window and not grad_enabled():
-            x = crop2d(x, *self._window)
+            x = Tensor(x.data[..., :self._window[0], :self._window[1]])
         h = self.act(conv2d(x, self.params["conv1_w"], self.params["conv1_b"]))
         h = avgpool2d(h, 2)
         h = self.act(conv2d(h, self.params["conv2_w"], self.params["conv2_b"]))
@@ -276,7 +274,7 @@ class Cnn2d(Model):
 
 
 class Conv1dNet(Model):
-    """Shallow 1D conv over time with feature channels, mean-pooled head."""
+    """Shallow 1D conv over time (``conv2d`` on a unit-height view), mean-pooled head."""
 
     def __init__(self, spec: ModelSpec):
         super().__init__(spec)
@@ -284,14 +282,17 @@ class Conv1dNet(Model):
         self.act = ACTIVATIONS[spec.activation]
         steps, features = spec.input_shape
         c, k = spec.conv1d_channels, spec.conv1d_kernel
-        self._param("conv_w", _uniform_fanin(rng, (c, features, k), features * k))
+        self._param("conv_w", _uniform_fanin(rng, (c, features, 1, k), features * k))
         self._param("conv_b", np.zeros(c))
         self._param("head_w", _uniform_fanin(rng, (c, spec.num_classes), c))
         self._param("head_b", np.zeros(spec.num_classes))
 
     def forward(self, x: Tensor) -> Tensor:
         self._check_batch(x)
-        h = self.act(conv1d(swap_last2(x), self.params["conv_w"], self.params["conv_b"]))
+        batch, steps, features = x.shape
+        h = reshape(swap_last2(x), (batch, features, 1, steps))
+        h = conv2d(h, self.params["conv_w"], self.params["conv_b"])
+        h = self.act(reshape(h, (batch, h.shape[1], h.shape[3])))
         h = tmean(h, axis=2)
         return matmul(h, self.params["head_w"]) + self.params["head_b"]
 

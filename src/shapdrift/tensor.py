@@ -1,6 +1,6 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The substrate for every other module: matrix multiply, 1D/2D convolution,
+The substrate for every other module: matrix multiply, 2D convolution,
 2D average pooling, elementwise nonlinearities, a fused LSTM sequence
 (``lstm``: one tape node per sequence, hand-written backprop through time)
 and a fused softmax cross-entropy. Operations whose inputs require
@@ -135,9 +135,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, _wrap(other))
-
-    def sum(self, axis=None):
-        return tsum(self, axis)
 
 
 def _wrap(x: Tensor | Arrayish) -> Tensor:
@@ -310,14 +307,6 @@ def col_slice(a: Tensor, start: int, stop: int) -> Tensor:
     if a.ndim != 2:
         raise ValueError(f"col_slice expects a 2D tensor, got shape {a.shape}")
     return _slice(a, (slice(None), slice(start, stop)))
-
-
-def crop2d(a: Tensor, h: int, w: int) -> Tensor:
-    """Select the leading h x w window of the trailing two axes; the gradient
-    outside it is +0.0."""
-    if a.ndim < 2 or not (0 < h <= a.shape[-2] and 0 < w <= a.shape[-1]):
-        raise ValueError(f"crop2d: window {(h, w)} does not fit shape {a.shape}")
-    return _slice(a, (..., slice(h), slice(w)))
 
 
 # -- recurrence ---------------------------------------------------------------
@@ -494,23 +483,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 b._accumulate(g.sum(axis=(0, 2, 3)), fresh=True)
         out._backward = _bw
     return out
-
-
-def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Valid 1D convolution, stride 1: conv2d over a unit-height view.
-
-    x: (batch, in_ch, T); w: (out_ch, in_ch, k); b: (out_ch,).
-    """
-    if x.ndim != 3 or w.ndim != 3:
-        raise ValueError(f"conv1d expects 3D input and weights, got {x.shape}, {w.shape}")
-    if x.shape[1] != w.shape[1]:
-        raise ValueError(f"conv1d: channel mismatch: input {x.shape} vs weights {w.shape}")
-    batch, in_ch, steps = x.shape
-    out_ch, _, k = w.shape
-    if k > steps:
-        raise ValueError(f"conv1d: kernel {k} larger than input length {steps}")
-    out = conv2d(reshape(x, (batch, in_ch, 1, steps)), reshape(w, (out_ch, in_ch, 1, k)), b)
-    return reshape(out, (batch, out_ch, steps - k + 1))
 
 
 def avgpool2d(x: Tensor, kernel: int) -> Tensor:

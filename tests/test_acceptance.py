@@ -507,3 +507,32 @@ def test_11_gss_evicts_from_a_full_buffer(monkeypatch):
     assert np.isfinite(buffer._scores[:len(buffer)]).all()
     print(f"PASS: GSS admitted {sum(evictions)} of {len(evictions)} candidates by eviction; "
           f"the 200-slot buffer stays full, every score finite")
+
+
+def _mean_gradient_similarity(model, buffer):
+    """Mean cosine similarity over all pairs of distinct entries' loss gradients."""
+    grads = model.example_gradients(buffer._inputs[:len(buffer)], buffer.labels)
+    grads /= np.linalg.norm(grads, axis=1, keepdims=True)
+    sims = grads @ grads.T
+    n = len(grads)
+    return (sims.sum() - np.trace(sims)) / (n * (n - 1))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_11_gss_buffer_gradients_are_less_similar_than_class_balanced(seed):
+    # GSS evicts the entry most similar to the others, so at the weights it
+    # selected under, its buffer's gradients should be more diverse than a
+    # class-balanced buffer's of the same size; at the ER model's own
+    # weights the order reverses, so both are measured on the GSS model
+    stream = build_stream(synth_images(10, 60, side=12, seed=0), 5)
+    model_seed, train_seed, _ = (int(v) for v in np.random.SeedSequence(seed).generate_state(3))
+    spec = ModelSpec("mlp", (1, 12, 12), 10, hidden=(32,), seed=model_seed)
+    gss, er = ReplayBuffer(200, policy="gss_greedy"), ReplayBuffer(200)
+    gss_model = build_model(spec)
+    train_replay(gss_model, stream, IMAGE_OPT, gss, seed=train_seed)
+    train_replay(build_model(spec), stream, IMAGE_OPT, er, seed=train_seed)
+    assert len(gss) == len(er) == 200
+    gss_sim, er_sim = (_mean_gradient_similarity(gss_model, b) for b in (gss, er))
+    assert gss_sim < er_sim, (gss_sim, er_sim)
+    print(f"PASS: seed {seed}: mean gradient cosine similarity at the GSS weights, "
+          f"GSS {gss_sim:.4f} < class-balanced {er_sim:.4f}")

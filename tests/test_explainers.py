@@ -22,7 +22,7 @@ from shapdrift.explainers import (
     sampling_shapley,
 )
 from shapdrift.models import CHUNK_SIZE, ModelSpec, build_model
-from shapdrift.tensor import Tensor, col_slice
+from shapdrift.tensor import Tensor, col_slice, tsum
 
 
 def mlp(k=8, classes=3, hidden=(6,), seed=0):
@@ -231,7 +231,7 @@ def per_class_expected_gradients(model, xs, bg, cfg, seeds):
     for c in range(classes):
         for lo in range(0, len(points), CHUNK_SIZE):
             x = Tensor(points[lo:lo + CHUNK_SIZE], requires_grad=True)
-            col_slice(model.forward(x), c, c + 1).sum().backward()
+            tsum(col_slice(model.forward(x), c, c + 1)).backward()
             grads[c, lo:lo + CHUNK_SIZE] = x.grad
         phi[c] = (diffs * grads[c]).reshape((len(xs), n) + shape).mean(axis=1)
     for p in params:

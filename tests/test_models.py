@@ -4,8 +4,8 @@ import pytest
 from shapdrift import models as md
 from shapdrift.explainers import ClassLogit
 from shapdrift.models import ModelSpec, build_model
-from shapdrift.tensor import (Tensor, add, crop2d, matmul, mul, no_grad, softmax_cross_entropy,
-                              tanh, time_slice)
+from shapdrift.tensor import (Tensor, add, conv2d, grad_enabled, matmul, mul, no_grad,
+                              softmax_cross_entropy, tanh, time_slice, tsum)
 
 IMAGE_SPEC = ModelSpec("mlp", (1, 8, 8), num_classes=10, seed=0, hidden=(16,))
 SEQ_SHAPE = (12, 5)
@@ -255,7 +255,7 @@ def test_input_gradient_matches_finite_differences(arch):
     x = Tensor(x_data, requires_grad=True)
     sel = np.zeros((spec.num_classes, 1))
     sel[1, 0] = 1.0
-    scalar = matmul(model.forward(x), Tensor(sel)).sum()
+    scalar = tsum(matmul(model.forward(x), Tensor(sel)))
     scalar.backward()
     grad = x.grad.copy()
 
@@ -449,23 +449,24 @@ def test_cnn2d_reads_only_its_input_window(activation, input_shape, kernel, wind
     # Cropping changes each conv product's row count, and the BLAS may sum a
     # product's rows differently at another row count, so the logits agree
     # with the full geometry's to rounding, not always bit for bit
-    crops = []
+    conv1_inputs = []  # (input shape, taped) of every conv1 pass
 
-    def recorded_crop(a, h, w):
-        crops.append((a.shape, (h, w)))
-        return crop2d(a, h, w)
+    def recorded_conv2d(x, w, b):
+        if w is model.params["conv1_w"]:
+            conv1_inputs.append((x.shape, grad_enabled()))
+        return conv2d(x, w, b)
 
-    monkeypatch.setattr(md, "crop2d", recorded_crop)
+    monkeypatch.setattr(md, "conv2d", recorded_conv2d)
     model = build_model(make_spec("cnn2d", input_shape=input_shape, conv_kernel=kernel,
                                   num_classes=10, activation=activation))
     rng = np.random.default_rng(sum(input_shape) + kernel)
     xs = rng.normal(size=(7,) + input_shape)
     logits = model.logits_np(xs)
-    assert crops == ([((7,) + input_shape, window)] if window != input_shape[1:] else [])
-    crops.clear()
+    assert conv1_inputs == [((7, input_shape[0]) + window, False)]
+    conv1_inputs.clear()
     np.testing.assert_allclose(logits, model.forward(Tensor(xs)).data, rtol=1e-12, atol=1e-15)
     grads = ClassLogit(model, 3).gradient(xs)
-    assert crops == []
+    assert conv1_inputs == [(xs.shape, True)] * 2
     outside = np.ones(xs.shape, dtype=bool)
     outside[..., :window[0], :window[1]] = False
     changed = xs.copy()

@@ -161,7 +161,7 @@ def test_avgpool_backward_matches_window_loop(shape):
     x = Tensor(rng.normal(size=shape), requires_grad=True)
     out = tn.avgpool2d(x, 4)
     g = rng.normal(size=out.shape)
-    (out * Tensor(g)).sum().backward()
+    tn.tsum(out * Tensor(g)).backward()
     assert np.array_equal(x.grad, _avgpool_backward_loop(g, shape, 4))
 
 
@@ -235,7 +235,7 @@ def test_zscore_rejects_a_taped_input():
     assert np.array_equal(out.data, tn.normalize_zscore(Tensor(x.data)).data)
 
 
-# -- conv1d and slices -------------------------------------------------------------
+# -- convolution and slices -------------------------------------------------------
 
 
 def _col2im_nchw_loop(dcols, shape, kh, kw):
@@ -329,7 +329,18 @@ def test_cnn2d_pools_channel_last_and_matches_window_mean(conv_channels):
 def test_conv1d_matches_windowed_sum():
     rng = np.random.default_rng(6)
     x, w, b = rng.normal(size=(2, 3, 9)), rng.normal(size=(4, 3, 3)), rng.normal(size=4)
-    out = tn.conv1d(Tensor(x), Tensor(w), Tensor(b)).data
+    model = build_model(ModelSpec("conv1d", (9, 3), 2, conv1d_channels=4, conv1d_kernel=3))
+    model.params["conv_w"].data = w.reshape(4, 3, 1, 3)
+    model.params["conv_b"].data = b
+    stages = []
+
+    def record(h):  # Conv1dNet's one activation reads the conv stage's output
+        stages.append(h.data)
+        return h
+
+    model.act = record
+    model.forward(Tensor(x.swapaxes(1, 2)))
+    out, = stages
     ref = np.stack([np.einsum("bcj,ocj->bo", x[:, :, t:t + 3], w) + b for t in range(7)],
                    axis=2)
     assert out.shape == (2, 4, 7)
@@ -343,8 +354,8 @@ def test_slice_gradients_accumulate_into_parent(slices_first):
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
     a, b, c = rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), rng.normal(size=(2, 4, 3))
-    sliced = (tn.time_slice(x, 1) * Tensor(a)).sum() + (tn.time_slice(x, 3) * Tensor(b)).sum()
-    full = (x * Tensor(c)).sum()
+    sliced = tn.tsum(tn.time_slice(x, 1) * Tensor(a)) + tn.tsum(tn.time_slice(x, 3) * Tensor(b))
+    full = tn.tsum(x * Tensor(c))
     (sliced + full if slices_first else full + sliced).backward()
     expected = c.copy()
     expected[:, 1] += a
@@ -400,7 +411,7 @@ def test_lstm_matches_cell_composition(shape, case):
             for leaf, p in zip(leaves, prior):
                 leaf.grad = p.copy()
         h = fn(*leaves)
-        (h * Tensor(head)).sum().backward()
+        tn.tsum(h * Tensor(head)).backward()
         results.append((h.data, [leaf.grad for leaf in leaves]))
     (ref_h, ref_grads), (h, grads) = results
     assert np.array_equal(h, ref_h)
@@ -417,7 +428,7 @@ def test_lstm_matches_finite_differences():
     head = Tensor(rng.normal(size=(3, 3)))
 
     def make_loss():
-        return (tn.lstm(x, w_ih, w_hh, bias) * head).sum()
+        return tn.tsum(tn.lstm(x, w_ih, w_hh, bias) * head)
 
     fd_check(make_loss, [x, w_ih, w_hh, bias], rng, coords_per_leaf=6)
 
@@ -468,14 +479,14 @@ def test_lstm_shape_errors_name_the_shapes():
 def test_backward_linear_form():
     w = Tensor([1.5, -2.0, 0.5], requires_grad=True)
     x = Tensor([3.0, 1.0, -1.0])
-    loss = (w * x).sum()
+    loss = tn.tsum(w * x)
     loss.backward()
     assert np.allclose(w.grad, x.data)
 
 
 def test_backward_square():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    loss = (x * x).sum()
+    loss = tn.tsum(x * x)
     loss.backward()
     assert np.allclose(x.grad, [2.0, 4.0])
 
@@ -491,7 +502,7 @@ def test_backward_diamond_visits_each_node_once():
     # x feeds two branches; the accumulated gradient is the sum of both paths
     x = Tensor([2.0], requires_grad=True)
     y = x * 3.0
-    loss = (y * y + y).sum()  # d/dx = (2*y)*3 + 3 = 39 at x=2
+    loss = tn.tsum(y * y + y)  # d/dx = (2*y)*3 + 3 = 39 at x=2
     loss.backward()
     assert np.allclose(x.grad, [39.0])
 
@@ -534,7 +545,7 @@ def test_default_backward_consumes_the_tape():
     y = x * 3.0
     y.backward(np.ones(2), keep_graph=True)
     assert y._prev and y._backward is not None
-    (y * y).sum().backward()
+    tn.tsum(y * y).backward()
     assert y._prev == () and y._backward is None
 
 
@@ -546,22 +557,6 @@ def test_no_grad_blocks_tape():
         out = w * 2.0
     assert tn.grad_enabled()
     assert not out.requires_grad
-
-
-def test_crop2d_selects_the_leading_window():
-    rng = np.random.default_rng(12)
-    x = Tensor(rng.normal(size=(2, 3, 6, 5)), requires_grad=True)
-    out = tn.crop2d(x, 4, 3)
-    assert np.array_equal(out.data, x.data[..., :4, :3])
-    g = rng.normal(size=out.shape)
-    out.backward(g)
-    assert np.array_equal(x.grad[..., :4, :3], g)
-    outside = np.ones(x.shape, dtype=bool)
-    outside[..., :4, :3] = False
-    assert np.all(x.grad[outside] == 0.0) and not np.any(np.signbit(x.grad[outside]))
-    for window in ((0, 3), (4, 6), (7, 1)):
-        with pytest.raises(ValueError, match="crop2d"):
-            tn.crop2d(x, *window)
 
 
 # -- gradient ownership --------------------------------------------------------
@@ -595,7 +590,7 @@ def _node_consumed_twice(rng):
     t = tn.tanh(x)
     u = t * t
     v = u + t
-    loss = v.sum()
+    loss = tn.tsum(v)
     seed = np.array(0.5)
     dt = 0.5 * (2.0 * t.data + 1.0)
     return loss, seed, {loss: seed, v: np.full(4, 0.5), u: np.full(4, 0.5), t: dt,
@@ -667,7 +662,7 @@ def test_two_layer_net_matches_finite_differences():
 
     def make_loss():
         y = tn.matmul(tn.tanh(tn.matmul(x, w1) + b1), w2)
-        return (y * y).sum()
+        return tn.tsum(y * y)
 
     fd_check(make_loss, [w1, b1, w2, x], rng, coords_per_leaf=5)
 
@@ -682,16 +677,17 @@ def test_primitive_gradients_match_finite_differences(seed):
     def conv_loss():
         h = tn.conv2d(img, kern, kb)
         h = tn.avgpool2d(h, 2)
-        return (sigmoid(h) * tn.tanh(h)).sum()
+        return tn.tsum(sigmoid(h) * tn.tanh(h))
 
     fd_check(conv_loss, [img, kern, kb], rng)
 
-    seq = Tensor(rng.normal(size=(2, 3, 9)), requires_grad=True)
-    k1 = Tensor(rng.normal(size=(4, 3, 3)) * 0.3, requires_grad=True)
+    seq = Tensor(rng.normal(size=(2, 9, 3)), requires_grad=True)
+    k1 = Tensor(rng.normal(size=(4, 3, 1, 3)) * 0.3, requires_grad=True)
     k1b = Tensor(rng.normal(size=4) * 0.1, requires_grad=True)
 
-    def conv1d_loss():
-        h = tn.conv1d(seq, k1, k1b)
+    def conv1d_loss():  # Conv1dNet's conv stage
+        h = tn.conv2d(tn.reshape(tn.swap_last2(seq), (2, 3, 1, 9)), k1, k1b)
+        h = tn.reshape(h, (2, 4, 7))
         return tn.tmean(tn.tanh(h * 0.5) + sigmoid(h * h))
 
     fd_check(conv1d_loss, [seq, k1, k1b], rng)
@@ -710,7 +706,7 @@ def test_primitive_gradients_match_finite_differences(seed):
         a = tn.time_slice(cube, 1)
         b = tn.col_slice(a, 0, 2)
         c = tn.swap_last2(cube)
-        return (b * b).sum() + tn.tmean(c, axis=2).sum()
+        return tn.tsum(b * b) + tn.tsum(tn.tmean(c, axis=2))
 
     fd_check(slice_loss, [cube], rng)
 
@@ -735,7 +731,7 @@ def test_determinism_bit_identical():
     def run(rng):
         a = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
         b = Tensor(rng.normal(size=(6, 6)))
-        loss = (tn.tanh(tn.matmul(a, b))).sum()
+        loss = tn.tsum(tn.tanh(tn.matmul(a, b)))
         loss.backward()
         return float(loss.data), a.grad.copy()
 
