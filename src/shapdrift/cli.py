@@ -121,7 +121,7 @@ def validate_config(raw: dict) -> dict:
     if cfg["benchmark"] not in BENCHMARKS:
         raise ConfigError(
             f"benchmark: unknown value {cfg['benchmark']!r}, expected one of {tuple(BENCHMARKS)}")
-    cfg["data"] = _merge_section(cfg["data"] or {},
+    cfg["data"] = _merge_section({} if cfg["data"] is None else cfg["data"],
                                  BENCHMARKS[cfg["benchmark"]][1], "data")
     synthetic = cfg["benchmark"].startswith("synth-")
     for key, value in cfg["data"].items():
@@ -133,7 +133,8 @@ def validate_config(raw: dict) -> dict:
         elif not (isinstance(value, str) and Path(value).is_file()):
             raise ConfigError(f"data.{key}: must be an existing file, got {value!r}")
 
-    cfg["model"] = _merge_section(cfg["model"] or {}, _MODEL_DEFAULTS, "model")
+    cfg["model"] = _merge_section({} if cfg["model"] is None else cfg["model"],
+                                  _MODEL_DEFAULTS, "model")
     for section in ("optimizer", "shap", "gss"):
         cfg[section] = _merge_section(cfg[section], _TOP_DEFAULTS[section], section)
 

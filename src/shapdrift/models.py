@@ -26,7 +26,7 @@ from .tensor import (
     swap_last2,
     tanh,
     time_slice,
-    tmean,
+    tsum,
 )
 
 ARCHITECTURES = ("mlp", "cnn2d", "conv1d", "lstm", "esn")
@@ -274,7 +274,7 @@ class Cnn2d(Model):
 
 
 class Conv1dNet(Model):
-    """Shallow 1D conv over time (``conv2d`` on a unit-height view), mean-pooled head."""
+    """Shallow 1D conv over time (``conv2d`` on a unit-height view), time-averaged head."""
 
     def __init__(self, spec: ModelSpec):
         super().__init__(spec)
@@ -293,7 +293,7 @@ class Conv1dNet(Model):
         h = reshape(swap_last2(x), (batch, features, 1, steps))
         h = conv2d(h, self.params["conv_w"], self.params["conv_b"])
         h = self.act(reshape(h, (batch, h.shape[1], h.shape[3])))
-        h = tmean(h, axis=2)
+        h = tsum(h, axis=2) * (1.0 / h.shape[2])
         return matmul(h, self.params["head_w"]) + self.params["head_b"]
 
 

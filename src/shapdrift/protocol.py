@@ -28,7 +28,7 @@ from .strategies import (
     train_naive,
     train_replay,
 )
-from .tensor import Tensor, avgpool2d, no_grad, normalize_zscore, relu
+from .tensor import Tensor, avgpool2d, normalize_zscore, relu
 
 POOL_KERNEL = 4
 POOL_ORDERS = ("normalize_then_clamp", "clamp_then_normalize")
@@ -62,13 +62,12 @@ def _pooled(maps: np.ndarray, order: str) -> np.ndarray:
     """z-score each map over its trailing two axes, clamp at zero (``order``
     says which comes first), then average-pool."""
     _check_pool_order(order)
-    with no_grad():
-        x = Tensor(maps)
-        if order == "normalize_then_clamp":
-            x = relu(normalize_zscore(x))
-        else:
-            x = normalize_zscore(relu(x))
-        return avgpool2d(x, POOL_KERNEL).data
+    x = Tensor(maps)
+    if order == "normalize_then_clamp":
+        x = relu(normalize_zscore(x))
+    else:
+        x = normalize_zscore(relu(x))
+    return avgpool2d(x, POOL_KERNEL).data
 
 
 def _pooled_drift(ps: np.ndarray, pj: np.ndarray) -> np.ndarray:

@@ -54,7 +54,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._prev: tuple = ()
+        self._prev: Optional[tuple] = ()  # None once a walk has consumed the node
         self._backward = None
 
     # -- basic introspection -------------------------------------------------
@@ -85,13 +85,13 @@ class Tensor:
             self.grad = np.array(g, dtype=np.float64, copy=True)
 
     def backward(self, grad: Optional[np.ndarray] = None, keep_graph: bool = False) -> None:
-        """Backpropagate ``grad`` (ones for a scalar) from this tensor; each
-        interior tape node is visited exactly once, and leaf gradients accumulate.
+        """Backpropagate ``grad`` (ones for a scalar) from this tensor. Every walk
+        visits each interior tape node it reaches once, clearing its ``grad``
+        first, and adds the seed and every other gradient into leaf gradients.
 
-        By default the tape is consumed: closures and parent links of visited
-        interior nodes are dropped afterwards. With ``keep_graph`` they are
-        kept and every interior node's ``grad`` is cleared first, so each
-        further pass over the same graph starts from its own seed alone.
+        By default the walk consumes the tape: each interior node drops its
+        closure and is marked consumed once its backward runs, and a later walk
+        that reaches it raises. ``keep_graph`` keeps the tape for another seed.
         """
         if grad is None:
             if self.size != 1:
@@ -104,7 +104,7 @@ class Tensor:
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:  # pushes interior nodes only: a leaf has no backward to run
+        while stack:  # pushes no leaf, which has no backward to run
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
@@ -112,21 +112,23 @@ class Tensor:
             if id(node) in visited:
                 continue
             visited.add(id(node))
-            if keep_graph and node._prev:
+            if node._prev is None:
+                raise ValueError("backward reached a node an earlier pass consumed; "
+                                 "pass keep_graph=True to all passes over a graph but the last")
+            if node._prev:
                 node.grad = None
             stack.append((node, True))
             for parent in node._prev:
-                if parent._prev and id(parent) not in visited:
+                if parent._prev != () and id(parent) not in visited:
                     stack.append((parent, False))
 
-        self.grad = (np.ones_like(self.data) if grad is None
-                     else np.array(grad, dtype=np.float64, copy=True))
+        self._accumulate(np.ones_like(self.data) if grad is None else grad, fresh=grad is None)
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
                 if not keep_graph:
                     node._backward = None
-                    node._prev = ()
+                    node._prev = None  # consumed
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -251,11 +253,6 @@ def tsum(a: Tensor, axis=None) -> Tensor:
                 a._accumulate(np.broadcast_to(np.expand_dims(g, axis), shape))
         out._backward = _bw
     return out
-
-
-def tmean(a: Tensor, axis=None) -> Tensor:
-    n = a.size if axis is None else a.shape[axis]
-    return tsum(a, axis) * (1.0 / n)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -302,6 +302,11 @@ def test_validate_verb(tmp_path, capsys):
     # sizes numpy refuses to allocate (petabytes), so the check itself takes no memory
     ({"data": {"classes": 4, "per_class": 10 ** 12, "side": 8, "seed": 0}}, "data"),
     ({"data": {"classes": 4, "per_class": 12, "side": 10 ** 8, "seed": 0}}, "data"),
+    # only null stands for a section's defaults
+    ({"model": []}, "section 'model'"),
+    ({"model": 0}, "section 'model'"),
+    ({"data": False}, "section 'data'"),
+    ({"data": ""}, "section 'data'"),
 ])
 def test_both_verbs_reject_a_bad_setting_by_name(tmp_path, capsys, overrides, field):
     path = write_config(tmp_path, tiny_config(output_dir=str(tmp_path / "out"), **overrides))

@@ -508,7 +508,12 @@ def test_backward_diamond_visits_each_node_once():
 
 
 @pytest.mark.parametrize("spec", [ModelSpec("esn", (5, 3), 4, seed=1, hidden_size=6),
-                                  ModelSpec("lstm", (5, 3), 4, seed=2, hidden_size=6)],
+                                  ModelSpec("lstm", (5, 3), 4, seed=2, hidden_size=6),
+                                  ModelSpec("mlp", (5, 3), 4, seed=3, hidden=(6,)),
+                                  ModelSpec("cnn2d", (1, 12, 12), 4, seed=4,
+                                            conv_channels=(2, 3), dense_width=5),
+                                  ModelSpec("conv1d", (5, 3), 4, seed=5, conv1d_channels=4,
+                                            conv1d_kernel=3)],
                          ids=lambda spec: spec.architecture)
 def test_kept_graph_passes_equal_fresh_graphs(spec):
     # each keep_graph pass gives the leaf gradients of a fresh graph with its seed
@@ -546,7 +551,35 @@ def test_default_backward_consumes_the_tape():
     y.backward(np.ones(2), keep_graph=True)
     assert y._prev and y._backward is not None
     tn.tsum(y * y).backward()
-    assert y._prev == () and y._backward is None
+    assert y._prev is None and y._backward is None  # marked consumed
+
+
+def test_every_walk_clears_the_interior_gradients_it_visits():
+    # y keeps the seed of the kept pass; the default pass must not add it again
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = x * 3.0
+    y.backward(np.ones(2), keep_graph=True)
+    tn.tsum(y * y).backward()
+    np.testing.assert_array_equal(x.grad, [3.0 + 18.0, 3.0 + 36.0])
+
+
+def test_the_seed_adds_into_a_leaf_root():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    (x * 1.0).backward(np.ones(2))
+    x.backward(np.array([5.0, 5.0]))
+    np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+
+
+def test_a_walk_through_a_consumed_node_raises():
+    # a and b share y; the default pass from a consumes y, so b's pass cannot reach x
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = x * 3.0
+    a, b = tn.tsum(y * y), tn.tsum(y)
+    a.backward()
+    with pytest.raises(ValueError, match="keep_graph"):
+        b.backward()
+    with pytest.raises(ValueError, match="keep_graph"):
+        a.backward()
 
 
 def test_no_grad_blocks_tape():
@@ -613,8 +646,8 @@ def _swap_last2(rng):
 
 def _tmean(rng):
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    out = tn.tmean(x, axis=0)
-    total = out._prev[0]  # tmean is a sum times 1/3
+    total = tn.tsum(x, axis=0)
+    out = total * (1.0 / 3)  # a mean over axis 0, as Conv1dNet takes its time mean
     seed = rng.normal(size=4)
     return out, seed, {out: seed, total: seed / 3.0, x: np.broadcast_to(seed / 3.0, (3, 4))}
 
@@ -688,7 +721,7 @@ def test_primitive_gradients_match_finite_differences(seed):
     def conv1d_loss():  # Conv1dNet's conv stage
         h = tn.conv2d(tn.reshape(tn.swap_last2(seq), (2, 3, 1, 9)), k1, k1b)
         h = tn.reshape(h, (2, 4, 7))
-        return tn.tmean(tn.tanh(h * 0.5) + sigmoid(h * h))
+        return tn.tsum(tn.tanh(h * 0.5) + sigmoid(h * h)) * (1.0 / h.size)
 
     fd_check(conv1d_loss, [seq, k1, k1b], rng)
 
@@ -706,7 +739,7 @@ def test_primitive_gradients_match_finite_differences(seed):
         a = tn.time_slice(cube, 1)
         b = tn.col_slice(a, 0, 2)
         c = tn.swap_last2(cube)
-        return tn.tsum(b * b) + tn.tsum(tn.tmean(c, axis=2))
+        return tn.tsum(b * b) + tn.tsum(tn.tsum(c, axis=2) * (1.0 / c.shape[2]))
 
     fd_check(slice_loss, [cube], rng)
 
