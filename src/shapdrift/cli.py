@@ -86,7 +86,9 @@ _TOP_DEFAULTS = {
 }
 
 
-def _merge_section(raw: dict, defaults: dict, section: str) -> dict:
+def _merge_section(raw: dict | None, defaults: dict, section: str) -> dict:
+    """``defaults`` updated by ``raw``; a null section means the defaults."""
+    raw = {} if raw is None else raw
     if not isinstance(raw, dict):
         raise ConfigError(f"section '{section}' must be an object, got {type(raw).__name__}")
     unknown = sorted(set(raw) - set(defaults))
@@ -121,8 +123,7 @@ def validate_config(raw: dict) -> dict:
     if cfg["benchmark"] not in BENCHMARKS:
         raise ConfigError(
             f"benchmark: unknown value {cfg['benchmark']!r}, expected one of {tuple(BENCHMARKS)}")
-    cfg["data"] = _merge_section({} if cfg["data"] is None else cfg["data"],
-                                 BENCHMARKS[cfg["benchmark"]][1], "data")
+    cfg["data"] = _merge_section(cfg["data"], BENCHMARKS[cfg["benchmark"]][1], "data")
     synthetic = cfg["benchmark"].startswith("synth-")
     for key, value in cfg["data"].items():
         if value is None:
@@ -133,8 +134,7 @@ def validate_config(raw: dict) -> dict:
         elif not (isinstance(value, str) and Path(value).is_file()):
             raise ConfigError(f"data.{key}: must be an existing file, got {value!r}")
 
-    cfg["model"] = _merge_section({} if cfg["model"] is None else cfg["model"],
-                                  _MODEL_DEFAULTS, "model")
+    cfg["model"] = _merge_section(cfg["model"], _MODEL_DEFAULTS, "model")
     for section in ("optimizer", "shap", "gss"):
         cfg[section] = _merge_section(cfg[section], _TOP_DEFAULTS[section], section)
 

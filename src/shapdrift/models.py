@@ -16,7 +16,6 @@ from .tensor import (
     Tensor,
     conv2d,
     avgpool2d,
-    grad_enabled,
     lstm,
     matmul,
     no_grad,
@@ -233,10 +232,10 @@ class Cnn2d(Model):
     """Two valid 3x3 convolutions with 2x2 pooling, then two dense layers.
 
     Each floor pool drops its remainder, so the logits read only a leading
-    window of the input. A pass off the tape (``no_grad``) crops its input to
-    that window first, with the same logit bytes. A taped pass keeps the full
-    geometry: in training, the remainder's exact zeros still move where the
-    BLAS reduction splits each conv weight gradient sum.
+    window of the input. A pass whose input needs no gradient (training, GSS,
+    ``no_grad``) crops its input to that window first; an input-gradient pass
+    keeps the full geometry, so its gradient has the input's shape. The rows
+    dropped hold exact zeros, so parameter gradients move only by rounding.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -262,7 +261,7 @@ class Cnn2d(Model):
 
     def forward(self, x: Tensor) -> Tensor:
         self._check_batch(x)
-        if self._window and not grad_enabled():
+        if self._window and not x.requires_grad:
             x = Tensor(x.data[..., :self._window[0], :self._window[1]])
         h = self.act(conv2d(x, self.params["conv1_w"], self.params["conv1_b"]))
         h = avgpool2d(h, 2)

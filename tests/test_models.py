@@ -410,9 +410,10 @@ def _batch_layouts(xs):
     return {"c-order": xs, "fortran": np.asfortranarray(xs), "batch-slice": wide[::2]}
 
 
-def _step_gradients(model, xs, ys):
-    """Each parameter's gradient after one taped loss forward and backward pass."""
-    softmax_cross_entropy(model.forward(Tensor(xs)), ys).backward()
+def _step_gradients(model, xs, ys, full=False):
+    """Each parameter's gradient after one taped loss forward and backward pass;
+    ``full`` lets the input need a gradient, which keeps a cnn2d's full geometry."""
+    softmax_cross_entropy(model.forward(Tensor(xs, requires_grad=full)), ys).backward()
     params = model.trainable_parameters()
     grads = {name: p.grad for name, p in params.items()}
     for p in params.values():
@@ -438,17 +439,21 @@ def test_outputs_do_not_depend_on_the_batch_layout(arch, kw):
             assert np.array_equal(grads[param], ref[2][param]), (name, param)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-@pytest.mark.parametrize("input_shape, kernel, window", [
+CNN2D_WINDOWS = pytest.mark.parametrize("input_shape, kernel, window", [
     ((1, 12, 12), 3, (10, 10)), ((1, 13, 13), 3, (10, 10)), ((1, 14, 14), 3, (14, 14)),
     ((1, 15, 15), 3, (14, 14)), ((2, 13, 15), 2, (11, 15)), ((2, 12, 15), 3, (10, 14))])
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@CNN2D_WINDOWS
 def test_cnn2d_reads_only_its_input_window(activation, input_shape, kernel, window,
                                            monkeypatch):
     # each floor pool drops a remainder, so the logits never read the last
-    # rows and columns; a pass off the tape skips them, a taped one does not.
-    # Cropping changes each conv product's row count, and the BLAS may sum a
-    # product's rows differently at another row count, so the logits agree
-    # with the full geometry's to rounding, not always bit for bit
+    # rows and columns; a pass whose input needs no gradient skips them, an
+    # input-gradient pass does not. Cropping changes each conv product's row
+    # count, and the BLAS may sum a product's rows differently at another row
+    # count, so the logits agree with the full geometry's to rounding, not
+    # always bit for bit
     conv1_inputs = []  # (input shape, taped) of every conv1 pass
 
     def recorded_conv2d(x, w, b):
@@ -461,18 +466,51 @@ def test_cnn2d_reads_only_its_input_window(activation, input_shape, kernel, wind
                                   num_classes=10, activation=activation))
     rng = np.random.default_rng(sum(input_shape) + kernel)
     xs = rng.normal(size=(7,) + input_shape)
+    cropped = (7, input_shape[0]) + window
     logits = model.logits_np(xs)
-    assert conv1_inputs == [((7, input_shape[0]) + window, False)]
+    assert conv1_inputs == [(cropped, False)]
     conv1_inputs.clear()
     np.testing.assert_allclose(logits, model.forward(Tensor(xs)).data, rtol=1e-12, atol=1e-15)
+    assert conv1_inputs == [(cropped, True)]
+    conv1_inputs.clear()
+    model.example_gradients(xs[:2], np.array([3, 5]))
+    assert conv1_inputs == [((1,) + cropped[1:], True)] * 2
+    conv1_inputs.clear()
     grads = ClassLogit(model, 3).gradient(xs)
-    assert conv1_inputs == [(xs.shape, True)] * 2
+    assert conv1_inputs == [(xs.shape, True)]
     outside = np.ones(xs.shape, dtype=bool)
     outside[..., :window[0], :window[1]] = False
     changed = xs.copy()
     changed[outside] = rng.normal(size=int(outside.sum()))
     assert_same_bytes(model.logits_np(changed), logits)
     assert np.all(grads[outside] == 0.0)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@CNN2D_WINDOWS
+def test_cnn2d_cropped_training_passes_equal_the_full_geometry(activation, input_shape, kernel,
+                                                               window):
+    # an input that needs a gradient keeps the full geometry; the rows the
+    # crop drops carry exact zeros, so only the BLAS summation order differs
+    model = build_model(make_spec("cnn2d", input_shape=input_shape, conv_kernel=kernel,
+                                  num_classes=10, activation=activation))
+    rng = np.random.default_rng(sum(input_shape) + kernel)
+    xs = rng.normal(size=(9,) + input_shape)
+    ys = rng.integers(0, 10, size=9)
+
+    def assert_rounding_close(actual, desired, name):
+        # an entry that sums cancelling terms is exact only to its array's
+        # scale, so the absolute floor is a rounding step of the largest entry
+        np.testing.assert_allclose(actual, desired, rtol=1e-12,
+                                   atol=1e-14 * np.abs(desired).max(), err_msg=name)
+
+    cropped, full = _step_gradients(model, xs, ys), _step_gradients(model, xs, ys, full=True)
+    for name in cropped:
+        assert_rounding_close(cropped[name], full[name], name)
+    full_rows = np.stack([np.concatenate([g.ravel() for _, g in sorted(
+        _step_gradients(model, xs[r:r + 1], ys[r:r + 1], full=True).items())])
+        for r in range(len(xs))])
+    assert_rounding_close(model.example_gradients(xs, ys), full_rows, "example_gradients")
 
 
 # -- state dicts -----------------------------------------------------------------------

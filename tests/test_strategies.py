@@ -288,7 +288,7 @@ def test_gss_decisions_on_a_filling_buffer(activation, hidden, admitted):
     assert_gss_decisions(admitted, architecture="mlp", hidden=hidden, activation=activation)
 
 
-@pytest.mark.parametrize("activation, admitted", [("tanh", 177), ("relu", 175)])
+@pytest.mark.parametrize("activation, admitted", [("tanh", 178), ("relu", 174)])
 def test_cnn2d_gss_decisions_on_a_filling_buffer(activation, admitted):
     assert_gss_decisions(admitted, architecture="cnn2d", activation=activation)
 
