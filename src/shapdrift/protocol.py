@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .strategies import (
     STRATEGIES,
     OptConfig,
     ReplayBuffer,
+    TrainLog,
     train_joint,
     train_naive,
     train_replay,
@@ -46,10 +48,10 @@ ACCURACY_CSV_HEADER = ["strategy", "experience_trained", "experience_evaluated",
 # single-pair metrics are the same formulas on a stack of one.
 
 
-def _mass_drift(s: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """(1/K)(sum S - sum J)^2 for maps flattened along the last axis."""
-    diff = s.sum(axis=-1) - j.sum(axis=-1)
-    return diff * diff / s.shape[-1]
+def _mass_drift(s_mass: np.ndarray, j_mass: np.ndarray, k: int) -> np.ndarray:
+    """(1/K)(sum S - sum J)^2 from the sums of maps of K values each."""
+    diff = s_mass - j_mass
+    return diff * diff / k
 
 
 def _check_pool_order(order: str) -> None:
@@ -85,7 +87,7 @@ def metric_m(s_map, j_map) -> float:
     j = np.asarray(j_map, dtype=np.float64)
     if s.size != j.size:
         raise ValueError(f"map sizes differ: {s.size} != {j.size}")
-    return float(_mass_drift(s.ravel(), j.ravel()))
+    return float(_mass_drift(s.ravel().sum(), j.ravel().sum(), s.size))
 
 
 def metric_m_pool(s_map, j_map, order: str = "normalize_then_clamp") -> float:
@@ -112,6 +114,23 @@ def _is_spatial(inputs: np.ndarray) -> bool:
             and min(inputs.shape[2:]) >= POOL_KERNEL)
 
 
+def _summary(maps: np.ndarray, pool_order: str) -> dict:
+    """All that scoring reads of raw (classes, probes, *input shape) maps: each
+    map's positive mass and, for single-channel images, its pooled map."""
+    summary = {"m": np.maximum(maps, 0.0).reshape(maps.shape[:2] + (-1,)).sum(axis=-1)}
+    if _is_spatial(maps[0]):
+        summary["m_pool"] = _pooled(maps[:, :, 0], pool_order)
+    return summary
+
+
+def _drift(summary: dict, joint: dict, k: int) -> dict:
+    """Each class's probe-mean drift from joint's summary, for maps of k values."""
+    scores = {"m": _mass_drift(summary["m"], joint["m"], k).mean(axis=-1)}
+    if "m_pool" in summary:
+        scores["m_pool"] = _pooled_drift(summary["m_pool"], joint["m_pool"]).mean(axis=-1)
+    return scores
+
+
 def score_snapshot(maps, joint_maps, pool_order: str = "normalize_then_clamp") -> dict:
     """Each class's probe-mean drift of one snapshot's raw (classes, probes,
     *input shape) maps from the joint ones, as ``{metric: (classes,) array}``:
@@ -124,13 +143,7 @@ def score_snapshot(maps, joint_maps, pool_order: str = "normalize_then_clamp") -
     j = np.asarray(joint_maps, dtype=np.float64)
     if s.shape != j.shape:
         raise ValueError(f"map stack shapes differ: {s.shape} != {j.shape}")
-    stack = s.shape[:2] + (-1,)
-    scores = {"m": _mass_drift(np.maximum(s, 0.0).reshape(stack),
-                               np.maximum(j, 0.0).reshape(stack)).mean(axis=-1)}
-    if _is_spatial(s[0]):
-        scores["m_pool"] = _pooled_drift(_pooled(s[:, :, 0], pool_order),
-                                         _pooled(j[:, :, 0], pool_order)).mean(axis=-1)
-    return scores
+    return _drift(_summary(s, pool_order), _summary(j, pool_order), s[0, 0].size)
 
 
 # -- report rows and CSV schema -----------------------------------------------------
@@ -273,7 +286,7 @@ def load_accuracy_csv(path) -> list:
 
 def check_settings(strategies, pool_order: str, saliency_probes: int) -> None:
     """Raise an error naming the first of run_protocol's own settings that it
-    cannot run; run_protocol calls this before any training."""
+    cannot run; a SeedPlan calls this when it is made."""
     if not isinstance(strategies, (list, tuple)) or not strategies:
         raise ValueError(f"strategies: must be a nonempty list, got {strategies!r}")
     unknown = [s for s in strategies if s not in STRATEGIES]
@@ -316,96 +329,111 @@ def _train_strategy(strategy: str, spec: ModelSpec, stream: ExperienceStream,
     return model, log
 
 
-def run_protocol(
-    stream: ExperienceStream,
-    eval_slice: EvaluationSlice,
-    model_spec: ModelSpec,
-    strategies: list,
-    *,
-    opt: OptConfig | None = None,
-    shap: ShapConfig | None = None,
-    buffer_capacity: int = 2000,
-    gss_n_sim: int = 10,
-    gss_tau: float = 0.95,
-    gss_candidates: int = 2,
-    pool_order: str = "normalize_then_clamp",
-    seed: int = 0,
-    saliency_probes: int = 0,
-) -> DriftReport:
-    """Train every strategy plus the joint reference, attribute after each
-    experience, and assemble the full drift grid.
+def tasks_of(strategies) -> tuple:
+    """One seed's tasks in run_protocol's order: joint, requested or not, then the rest."""
+    return ("joint",) + tuple(s for s in STRATEGIES if s in strategies and s != "joint")
 
-    All randomness (weight init, batch order, estimator draws) derives from
-    ``seed``; identical arguments reproduce the report bit for bit. Strategies
-    are compared against joint maps computed once from the joint snapshot, so
-    joint-vs-joint rows are exactly zero.
 
-    Joint trains first, then the other strategies in ``STRATEGIES`` order; the
-    report lists them in the caller's order. Each snapshot is scored by
-    ``score_snapshot`` as soon as it is attributed. ER's first stage is naive's
-    bit for bit (see ``strategies``), so when both run, ER starts from naive's
-    log and takes its experience-1 scores. The report is the one each would
-    give on its own.
-    """
-    check_settings(strategies, pool_order, saliency_probes)
-    opt = opt or OptConfig()
-    shap = shap or ShapConfig()
+@dataclass(frozen=True)
+class SeedPlan:
+    """run_protocol's arguments, checked when the plan is made, so a bad setting
+    raises before any training. All randomness (weight init, batch order,
+    estimator draws) derives from ``seed``."""
 
-    # built before any training, so a bad buffer setting fails at once
-    replay_settings = {"er": {}, "gss": {"policy": "gss_greedy", "gss_n_sim": gss_n_sim,
-                                         "gss_tau": gss_tau, "gss_candidates": gss_candidates}}
-    buffers = {s: ReplayBuffer(buffer_capacity, **replay_settings[s])
-               for s in strategies if s in replay_settings}
+    stream: ExperienceStream
+    eval_slice: EvaluationSlice
+    model_spec: ModelSpec
+    strategies: list
+    opt: OptConfig = field(default_factory=OptConfig)
+    shap: ShapConfig = field(default_factory=ShapConfig)
+    buffer_capacity: int = 2000
+    gss_n_sim: int = 10
+    gss_tau: float = 0.95
+    gss_candidates: int = 2
+    pool_order: str = "normalize_then_clamp"
+    seed: int = 0
+    saliency_probes: int = 0
 
-    state = np.random.SeedSequence(seed).generate_state(3)
-    model_seed, train_seed, shap_seed = (int(x) for x in state)
-    spec = replace(model_spec, seed=model_seed)
-    shap = replace(shap, seed=shap_seed)
+    def __post_init__(self):
+        check_settings(self.strategies, self.pool_order, self.saliency_probes)
+        for strategy in self.strategies:
+            self.buffer(strategy)
 
-    probes, background = eval_slice.probes, eval_slice.background.inputs
+    def buffer(self, strategy: str) -> ReplayBuffer | None:
+        """A fresh replay buffer for ``strategy``; None for the others."""
+        if strategy == "gss":
+            return ReplayBuffer(self.buffer_capacity, "gss_greedy", self.gss_n_sim,
+                                self.gss_tau, self.gss_candidates)
+        return ReplayBuffer(self.buffer_capacity) if strategy == "er" else None
+
+
+class StrategyRun(NamedTuple):
+    log: TrainLog
+    summaries: list                # a score summary per snapshot
+    saliency: np.ndarray | None    # the last snapshot's first maps, clamped at zero
+
+
+def run_strategy(plan: SeedPlan, strategy: str, first: StrategyRun | None = None) -> StrategyRun:
+    """One strategy's task, which needs no other: a fresh model, trained and
+    attributed after each experience. ER takes the first stage, summary and (on
+    a one-experience stream) saliency of ``first``, naive's run: ER's first
+    stage is naive's bit for bit (see ``strategies``)."""
+    model_seed, train_seed, shap_seed = (
+        int(x) for x in np.random.SeedSequence(plan.seed).generate_state(3))
+    probes, background = plan.eval_slice.probes, plan.eval_slice.background.inputs
+    keep_saliency = plan.saliency_probes > 0 and _is_spatial(probes.inputs)
+    model, log = _train_strategy(strategy, replace(plan.model_spec, seed=model_seed),
+                                 plan.stream, plan.opt, train_seed, plan.buffer(strategy),
+                                 first and first.log)
+    summaries, saliency = (first.summaries[:1], first.saliency) if first else ([], None)
+    for snapshot in log.snapshots[len(summaries):]:
+        model.load_state_dict(snapshot)
+        maps = _snapshot_maps(model, probes, background, replace(plan.shap, seed=shap_seed))[0]
+        summaries.append(_summary(maps, plan.pool_order))
+        if keep_saliency and snapshot is log.snapshots[-1]:
+            saliency = np.maximum(maps[:, :plan.saliency_probes, 0], 0.0)
+    return StrategyRun(log, summaries, saliency)
+
+
+def assemble(plan: SeedPlan, runs: dict) -> DriftReport:
+    """One seed's report from the StrategyRun of each of its ``tasks_of``; each
+    snapshot is scored against joint's, so joint rows are exactly zero."""
+    stream, probes = plan.stream, plan.eval_slice.probes
     num_classes, num_experiences = stream.num_classes, len(stream)
     target_classes = tuple(stream.experiences[0].classes)
-    keep_saliency = saliency_probes > 0 and _is_spatial(probes.inputs)
-
-    def saliency_of(maps):
-        return (probes.inputs[:saliency_probes].copy(),
-                np.maximum(maps[:, :saliency_probes, 0], 0.0)) if keep_saliency else None
-
-    joint_model, joint_log = _train_strategy("joint", spec, stream, opt, train_seed)
-    joint_maps = _snapshot_maps(joint_model, probes, background, shap)[0]
-    # per strategy: its log, its scores after each experience, its final saliency stack
-    logs, stacks = {"joint": joint_log}, {"joint": saliency_of(joint_maps)}
-    scores = {"joint": [score_snapshot(joint_maps, joint_maps, pool_order)] * num_experiences}
-    for strategy in (s for s in STRATEGIES if s in strategies and s != "joint"):
-        # ER takes naive's first stage, experience-1 scores and, on a one-experience
-        # stream, saliency; buffers are popped, so none outlives its training
-        shared = strategy == "er" and "naive" in logs
-        model, logs[strategy] = _train_strategy(strategy, spec, stream, opt, train_seed,
-                                                buffers.pop(strategy, None),
-                                                logs["naive"] if shared else None)
-        scores[strategy] = scores["naive"][:1] if shared else []
-        stacks[strategy] = stacks["naive"] if shared else None
-        for e in range(len(scores[strategy]), num_experiences):
-            model.load_state_dict(logs[strategy].snapshots[e])
-            maps = _snapshot_maps(model, probes, background, shap)[0]
-            scores[strategy].append(score_snapshot(maps, joint_maps, pool_order))
-            if e == num_experiences - 1:
-                stacks[strategy] = saliency_of(maps)
-
+    joint = runs["joint"].summaries[0]
     rows, accuracy_rows = [], []
-    for strategy in strategies:
-        for e, values in enumerate(scores[strategy]):
+    for strategy in plan.strategies:
+        log, summaries, _ = runs[strategy]
+        # joint's one stage ends the stream, and its snapshot scores every experience
+        for e, summary in enumerate(summaries * (num_experiences if strategy == "joint" else 1)):
+            values = _drift(summary, joint, probes.inputs[0].size)
             rows.extend(MetricRow(strategy, e + 1, c, metric, float(values[metric][c]),
                                   c in target_classes)
                         for c in range(num_classes) for metric in values)
-        # a run's last stage ends the stream, so joint's one stage is experience N
-        accuracy = logs[strategy].accuracy
-        first_trained = num_experiences - len(accuracy) + 1
+        first_trained = num_experiences - len(log.accuracy) + 1
         accuracy_rows.extend(AccuracyRow(strategy, first_trained + i, j + 1, float(a))
-                             for (i, j), a in np.ndenumerate(accuracy))
+                             for (i, j), a in np.ndenumerate(log.accuracy))
     return DriftReport(rows, accuracy_rows, num_classes, num_experiences, target_classes,
-                       train_logs={s: logs[s] for s in strategies},
-                       saliency={s: stacks[s] for s in strategies if stacks[s] is not None})
+                       train_logs={s: runs[s].log for s in plan.strategies},
+                       saliency={s: (probes.inputs[:plan.saliency_probes].copy(),
+                                     runs[s].saliency)
+                                 for s in plan.strategies if runs[s].saliency is not None})
+
+
+def run_protocol(stream: ExperienceStream, eval_slice: EvaluationSlice,
+                 model_spec: ModelSpec, strategies: list, **settings) -> DriftReport:
+    """Train every strategy plus the joint reference, attribute after each
+    experience, and assemble the full drift grid; ``settings`` are the rest of
+    ``SeedPlan``'s fields. Identical arguments reproduce the report bit for bit.
+    It runs the tasks serially, ER taking naive's first stage when both run;
+    each strategy's rows are the ones it gives alone."""
+    plan = SeedPlan(stream, eval_slice, model_spec, strategies, **settings)
+    runs: dict = {}
+    for strategy in tasks_of(strategies):
+        runs[strategy] = run_strategy(plan, strategy, runs.get("naive") if strategy == "er"
+                                      else None)
+    return assemble(plan, runs)
 
 
 # -- aggregation ----------------------------------------------------------------------

@@ -27,11 +27,6 @@ class _State(threading.local):
 _state = _State()
 
 
-def grad_enabled() -> bool:
-    """Whether the tape records on the current thread (False inside ``no_grad``)."""
-    return _state.grad_enabled
-
-
 class no_grad:
     """Context manager that disables tape recording on the current thread."""
 

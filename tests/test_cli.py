@@ -573,50 +573,92 @@ def test_run_rejects_a_bad_override_before_writing(tmp_path, capsys, flags, name
 
 
 def test_parallel_workers_match_serial(tmp_path):
-    serial_out = tmp_path / "serial"
-    par_out = tmp_path / "par"
-    cfg = tiny_config(seeds=[0, 1])
-    p1 = write_config(tmp_path, dict(cfg, output_dir=str(serial_out)))
-    assert main(["run", str(p1)]) == 0
-    p2 = write_config(tmp_path, dict(cfg, output_dir=str(par_out)))
-    assert main(["run", str(p2), "--workers", "2"]) == 0
-    for seed in (0, 1):
-        a = (serial_out / f"seed_{seed}" / "drift.csv").read_bytes()
-        b = (par_out / f"seed_{seed}" / "drift.csv").read_bytes()
-        assert a == b
+    # all four strategies, so that ER in a helper trains its own first stage
+    # while the in-process run takes naive's, and two seeds; 8 workers, more
+    # than the cores, run each of the 8 tasks once or the run fails
+    cfg = tiny_config(seeds=[0, 1], strategies=["naive", "er", "gss", "joint"])
+    trees = []
+    for flags in ([], ["--workers", "1"], ["--workers", "3"], ["--workers", "8"]):
+        out = tmp_path / f"out_{len(trees)}"
+        assert main(["run", str(write_config(tmp_path, dict(cfg, output_dir=str(out)))),
+                     *flags]) == 0
+        trees.append({str(f.relative_to(out)): f.read_bytes()
+                      for f in sorted(out.rglob("*")) if f.is_file()})
+    names = {"manifest.json"} | {
+        f"seed_{seed}/{name}" for seed in (0, 1)
+        for name in ["drift.csv", "accuracy.csv", "curves.svg"]
+        + [f"{kind}_{s}.{ext}" for s in ("naive", "er", "gss", "joint")
+           for kind, ext in (("trainlog", "json"), ("saliency", "pgm"))]}
+    assert set(trees[0]) == names
+    assert trees[0] == trees[1] == trees[2] == trees[3]
 
 
-@pytest.mark.parametrize("seeds, flags, pools", [([0, 1], ["--workers", "8"], [2]),
-                                                 ([0, 1], ["--workers", "8", "--seed", "1"], []),
-                                                 ([0], ["--workers", "3"], [])])
-def test_workers_are_capped_at_the_seed_count(tmp_path, monkeypatch, seeds, flags, pools):
-    import concurrent.futures
+@pytest.mark.parametrize("failure", ["raises", "exits"])
+def test_a_task_that_fails_in_a_helper_fails_the_run(tmp_path, monkeypatch, capsys, failure):
+    run_strategy, parent = cli.run_strategy, os.getpid()
 
-    started = []
+    def helpers_fail(plan, strategy):
+        # the two helpers take the first two of the three tasks, and this process the last
+        if os.getpid() == parent:
+            return run_strategy(plan, strategy)
+        if failure == "exits":
+            os._exit(3)
+        raise RuntimeError(f"{strategy} failed in a helper")
 
-    class InlinePool:
-        """Records its worker count and runs each task in this process."""
+    monkeypatch.setattr(cli, "run_strategy", helpers_fail)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, tiny_config(output_dir=str(out)))
+    assert main(["run", str(path), "--workers", "3"]) == 1
+    named = "failed in a helper" if failure == "raises" else "exited before sending"
+    assert named in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["files"]) == ("incomplete: RuntimeError", [])
+    with pytest.raises(ChildProcessError):  # every helper was reaped
+        os.waitpid(-1, os.WNOHANG)
 
-        def __init__(self, max_workers, initializer=None):
-            started.append(max_workers)
 
-        def __enter__(self):
-            return self
+@pytest.mark.parametrize("seeds, flags, cpus, helpers", [
+    ([0, 1], ["--workers", "8"], 1, [5]),
+    ([0, 1], ["--workers", "8", "--seed", "1"], 1, [2]),
+    ([0], ["--workers", "3"], 1, [2]),
+    ([0], ["--workers", "1"], 4, []),
+    ([0], [], 4, [2]),
+    ([0, 1], [], 2, [1]),
+    ([0], [], 1, []),
+], ids=["two-seeds", "seed-flag", "one-seed", "one-worker", "default-4-cpus",
+        "default-2-cpus", "default-1-cpu"])
+def test_workers_are_capped_at_the_task_count(tmp_path, monkeypatch, seeds, flags, cpus,
+                                              helpers):
+    # three tasks per seed (naive, er, joint); the default is the usable CPUs,
+    # and a one-worker run is the in-process serial one
+    started, run_tasks = [], cli._run_tasks
 
-        def __exit__(self, *exc):
-            return False
+    def in_process(cfg, count, plans, on_report):
+        started.append(count)
+        run_tasks(cfg, 0, plans, on_report)
 
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "_run_tasks", in_process)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     out = tmp_path / "out"
     path = write_config(tmp_path, tiny_config(output_dir=str(out), seeds=seeds))
     assert main(["run", str(path), *flags]) == 0
-    assert started == pools
+    assert started == helpers
     assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
+
+
+def test_runs_off_linux_use_one_process(tmp_path, monkeypatch):
+    # helpers are forked, which is left to Linux
+    monkeypatch.setattr(sys, "platform", "darwin")
+    monkeypatch.setattr(cli, "_run_tasks", lambda *args: pytest.fail("forked helpers"))
+    path = write_config(tmp_path, tiny_config(output_dir=str(tmp_path / "out")))
+    assert main(["run", str(path), "--workers", "4"]) == 0
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, usable in ((3, 3), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert cli._usable_cpus() == usable
 
 
 def _no_libc():

@@ -583,13 +583,14 @@ def test_a_walk_through_a_consumed_node_raises():
 
 
 def test_no_grad_blocks_tape():
+    # a node made inside no_grad records no parents; the tape records again after it
     w = Tensor([1.0], requires_grad=True)
-    assert tn.grad_enabled()
+    assert (w * 2.0)._prev[0] is w
     with tn.no_grad():
-        assert not tn.grad_enabled()
         out = w * 2.0
-    assert tn.grad_enabled()
+    assert out._prev == ()
     assert not out.requires_grad
+    assert (w * 2.0)._prev[0] is w
 
 
 # -- gradient ownership --------------------------------------------------------
