@@ -19,11 +19,7 @@ import functools
 import hashlib
 import json
 import os
-import pickle
-import queue
-import signal
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +38,9 @@ from .data import (
 )
 from .explainers import EXACT_MAX_FEATURES, ShapConfig
 from .models import ModelSpec
-from .protocol import (POOL_ORDERS, DriftReport, SeedPlan, aggregate, assemble, check_settings,
-                       run_protocol, run_strategy, tasks_of)
+from .protocol import POOL_ORDERS, DriftReport, SeedPlan, aggregate, check_settings, run_seeds
+# not called here: perfbench's tracer patches this name
+from .protocol import run_protocol  # noqa: F401
 from .strategies import STRATEGIES, OptConfig, ReplayBuffer
 
 
@@ -298,15 +295,16 @@ def emit_curves(report: DriftReport, path, metric: str = "m") -> None:
 # -- run orchestration ---------------------------------------------------------------
 
 
-def _protocol_settings(cfg: dict, seed: int, prepared: tuple | None = None) -> dict:
-    """run_protocol's arguments, by name, for one seed of a validated config.
-    ``prepared`` is ``_prepare(cfg, seed)`` when the caller already has it."""
+def _plan(cfg: dict, seed: int, prepared: tuple | None = None) -> SeedPlan:
+    """One seed's SeedPlan for a validated config. ``prepared`` is
+    ``_prepare(cfg, seed)`` when the caller already has it."""
     opt, shap, stream, slice_, spec = prepared or _prepare(cfg, seed)
-    return dict(stream=stream, eval_slice=slice_, model_spec=spec,
-                strategies=list(cfg["strategies"]), opt=opt, shap=shap,
-                buffer_capacity=cfg["buffer_capacity"], gss_n_sim=cfg["gss"]["n_sim"],
-                gss_tau=cfg["gss"]["tau"], gss_candidates=cfg["gss"]["candidates"],
-                pool_order=cfg["pool_order"], seed=seed, saliency_probes=cfg["saliency_probes"])
+    return SeedPlan(stream=stream, eval_slice=slice_, model_spec=spec,
+                    strategies=list(cfg["strategies"]), opt=opt, shap=shap,
+                    buffer_capacity=cfg["buffer_capacity"], gss_n_sim=cfg["gss"]["n_sim"],
+                    gss_tau=cfg["gss"]["tau"], gss_candidates=cfg["gss"]["candidates"],
+                    pool_order=cfg["pool_order"], seed=seed,
+                    saliency_probes=cfg["saliency_probes"])
 
 
 def _write_seed(report: DriftReport, seed: int, outdir: Path) -> list:
@@ -321,103 +319,6 @@ def _write_seed(report: DriftReport, seed: int, outdir: Path) -> list:
     for name, write in writers.items():
         write(seed_dir / name)
     return [f"seed_{seed}/{name}" for name in writers]
-
-
-def _outcome(cfg: dict, plans: dict, seed: int, strategy: str):
-    """One task's StrategyRun, or its exception; ``plans`` caches this process's plans."""
-    try:
-        if seed not in plans:
-            plans[seed] = SeedPlan(**_protocol_settings(cfg, seed))
-        return run_strategy(plans[seed], strategy)
-    except Exception as exc:
-        return exc
-
-
-def _helper(cfg: dict, plans: dict, tasks: list, inbox: int, outbox: int) -> None:
-    """A forked helper: run each task whose index arrives, until -1, and send
-    back (index, outcome). Tasks come seed by seed, so it keeps one seed's plan."""
-    with os.fdopen(inbox, "rb") as indices, os.fdopen(outbox, "wb") as records:
-        for i in map(int, indices):
-            if i < 0:
-                return
-            if tasks[i][0] not in plans:
-                plans.clear()
-            pickle.dump((i, _outcome(cfg, plans, *tasks[i])), records)
-            records.flush()
-
-
-def _run_tasks(cfg: dict, helpers: int, plans: dict, on_report) -> None:
-    """Run every (seed, strategy) task here and in ``helpers`` forked processes,
-    seed by seed and the longest first, and call ``on_report(seed, report)`` as
-    soon as a seed's tasks are done. A thread per helper hands it tasks and
-    queues its results; this process runs a task whenever no result waits.
-    ER trains its own first stage, naive's bit for bit. A seed with failed tasks
-    raises the error a serial run meets first. Every helper is reaped here.
-    """
-    order = tasks_of(cfg["strategies"])[::-1]
-    tasks = [(seed, strategy) for seed in cfg["seeds"] for strategy in order]
-    unclaimed, lock, results = iter(range(len(tasks))), threading.Lock(), queue.SimpleQueue()
-
-    def claim() -> int:  # the next task's index, or -1
-        with lock:
-            return next(unclaimed, -1)
-
-    def serve(inbox: int, outbox: int, i: int) -> None:  # one helper's tasks; then None
-        try:
-            with (os.fdopen(inbox, "wb", buffering=0) as indices,
-                  os.fdopen(outbox, "rb") as records):
-                while indices.write(b"%d\n" % i) and i >= 0:  # -1 ends the helper
-                    results.put(pickle.load(records))
-                    i = claim()
-        except (OSError, EOFError, pickle.UnpicklingError):
-            pass  # the helper has exited, and its last task's result is lost
-        finally:
-            results.put(None)
-
-    pids, ends, threads, outcomes, left, ended = [], [], [], {}, len(tasks), 0
-    try:
-        for _ in range(helpers):
-            (task_out, task_in), (result_out, result_in) = os.pipe(), os.pipe()
-            pids.append(os.fork())
-            if not pids[-1]:
-                try:
-                    os.close(task_in)
-                    os.close(result_out)
-                    _helper(cfg, plans, tasks, task_out, result_in)
-                finally:
-                    os._exit(0)
-            os.close(task_out)
-            os.close(result_in)
-            ends.append((task_in, result_out))
-        # the helpers take the first, longest tasks; threads start only after every fork
-        threads = [threading.Thread(target=serve, args=(*pair, claim())) for pair in ends]
-        for thread in threads:
-            thread.start()
-        while left:
-            if results.empty() and (i := claim()) >= 0:
-                outcomes[i] = _outcome(cfg, plans, *tasks[i])
-            elif ended == helpers:
-                raise RuntimeError("a worker process exited before sending its task's result")
-            elif (record := results.get()) is None:
-                ended += 1
-                continue
-            else:
-                i, outcomes[i] = record
-            left, first = left - 1, i - i % len(order)
-            if all(j in outcomes for j in range(first, first + len(order))):
-                runs = {strategy: outcomes.pop(first + k) for k, strategy in enumerate(order)}
-                failed = [runs[s] for s in order[::-1] if isinstance(runs[s], Exception)]
-                if failed:
-                    raise failed[0]
-                seed = tasks[i][0]
-                on_report(seed, assemble(plans.pop(seed, None)
-                                         or SeedPlan(**_protocol_settings(cfg, seed)), runs))
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGTERM)
-            os.waitpid(pid, 0)
-        for thread in threads:
-            thread.join()
 
 
 def _write_manifest(outdir: Path, cfg: dict, status: str, files: list) -> None:
@@ -461,28 +362,17 @@ def cmd_run(args) -> int:
         cfg["output_dir"] = args.output_dir
     if args.seed is not None:  # checked as the config's own seeds are
         cfg = validate_config(dict(cfg, seeds=[args.seed]))
-    # every check validate makes, before anything is written; the first seed reuses it
-    first = _prepare(cfg, cfg["seeds"][0])
+    # every check validate makes, before anything is written; the first seed's plan reuses it
+    prepared = {cfg["seeds"][0]: _prepare(cfg, cfg["seeds"][0])}
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     _write_manifest(outdir, cfg, "incomplete", [])
 
     written: list = []
-    # at most one worker per (seed, strategy) task, this process one of them; helpers
-    # are forked, so only on Linux: Windows cannot fork, and macOS system libraries
-    # may break in a forked child (why macOS multiprocessing defaults to spawn)
-    tasks = len(cfg["seeds"]) * len(tasks_of(cfg["strategies"]))
-    workers = min(args.workers or _usable_cpus(), tasks) if sys.platform == "linux" else 1
     try:
-        if workers > 1:
-            plans = {cfg["seeds"][0]: SeedPlan(**_protocol_settings(cfg, cfg["seeds"][0], first))}
-            _run_tasks(cfg, workers - 1, plans,
-                       lambda seed, report: written.extend(_write_seed(report, seed, outdir)))
-        else:
-            for s in cfg["seeds"]:
-                report = run_protocol(**_protocol_settings(cfg, s, first))
-                written.extend(_write_seed(report, s, outdir))
-                first = None  # later seeds prepare their own; the first seed's data can go
+        run_seeds(cfg["seeds"], lambda seed: _plan(cfg, seed, prepared.pop(seed, None)),
+                  lambda seed, report: written.extend(_write_seed(report, seed, outdir)),
+                  workers=args.workers)
     except Exception as exc:
         _write_manifest(outdir, cfg, f"incomplete: {type(exc).__name__}", written)
         raise
@@ -509,12 +399,6 @@ def cmd_report(args) -> int:
         raise ValueError(f"{args.csv}: {exc}") from None
     print(f"wrote {out}")
     return 0
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; all of them where the platform cannot say."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _worker_count(text: str) -> int:

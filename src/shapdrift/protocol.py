@@ -13,6 +13,12 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import pickle
+import queue
+import signal
+import sys
+import threading
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -421,19 +427,150 @@ def assemble(plan: SeedPlan, runs: dict) -> DriftReport:
                                  for s in plan.strategies if runs[s].saliency is not None})
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; all of them where the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _outcome(plans: dict, plan_of, seed: int, strategy: str):
+    """One task's StrategyRun, or its exception; ``plans`` caches this process's plans."""
+    try:
+        if seed not in plans:
+            plans[seed] = plan_of(seed)
+        return run_strategy(plans[seed], strategy)
+    except Exception as exc:
+        return exc
+
+
+def _helper(plans: dict, plan_of, tasks: list, inbox: int, outbox: int) -> None:
+    """A forked helper: run each task whose index arrives, until -1, and send
+    back (index, outcome). Tasks come seed by seed, so it keeps one seed's plan."""
+    with os.fdopen(inbox, "rb") as indices, os.fdopen(outbox, "wb") as records:
+        for i in map(int, indices):
+            if i < 0:
+                return
+            if tasks[i][0] not in plans:
+                plans.clear()
+            pickle.dump((i, _outcome(plans, plan_of, *tasks[i])), records)
+            records.flush()
+
+
+def _run_tasks(helpers: int, seeds: list, order: tuple, plans: dict, plan_of,
+               on_report) -> None:
+    """Run every (seed, strategy) task here and in ``helpers`` forked processes,
+    seed by seed and each seed's in ``order``, and call ``on_report(seed, report)``
+    as soon as a seed's tasks are done. A thread per helper hands it tasks and
+    queues its results; this process runs a task whenever no result waits.
+    ER trains its own first stage, naive's bit for bit. A seed with failed tasks
+    raises the error a serial run meets first. Every helper is reaped here.
+    """
+    tasks = [(seed, strategy) for seed in seeds for strategy in order]
+    unclaimed, lock, results = iter(range(len(tasks))), threading.Lock(), queue.SimpleQueue()
+
+    def claim() -> int:  # the next task's index, or -1
+        with lock:
+            return next(unclaimed, -1)
+
+    def serve(inbox: int, outbox: int, i: int) -> None:  # one helper's tasks; then None
+        try:
+            with (os.fdopen(inbox, "wb", buffering=0) as indices,
+                  os.fdopen(outbox, "rb") as records):
+                while indices.write(b"%d\n" % i) and i >= 0:  # -1 ends the helper
+                    results.put(pickle.load(records))
+                    i = claim()
+        except (OSError, EOFError, pickle.UnpicklingError):
+            pass  # the helper has exited, and its last task's result is lost
+        finally:
+            results.put(None)
+
+    pids, ends, threads, outcomes, left, ended = [], [], [], {}, len(tasks), 0
+    try:
+        for _ in range(helpers):
+            (task_out, task_in), (result_out, result_in) = os.pipe(), os.pipe()
+            pids.append(os.fork())
+            if not pids[-1]:
+                try:
+                    os.close(task_in)
+                    os.close(result_out)
+                    _helper(plans, plan_of, tasks, task_out, result_in)
+                finally:
+                    os._exit(0)
+            os.close(task_out)
+            os.close(result_in)
+            ends.append((task_in, result_out))
+        # the helpers take the first, longest tasks; threads start only after every fork
+        threads = [threading.Thread(target=serve, args=(*pair, claim())) for pair in ends]
+        for thread in threads:
+            thread.start()
+        while left:
+            if results.empty() and (i := claim()) >= 0:
+                outcomes[i] = _outcome(plans, plan_of, *tasks[i])
+            elif ended == helpers:
+                raise RuntimeError("a worker process exited before sending its task's result")
+            elif (record := results.get()) is None:
+                ended += 1
+                continue
+            else:
+                i, outcomes[i] = record
+            left, first = left - 1, i - i % len(order)
+            if all(j in outcomes for j in range(first, first + len(order))):
+                runs = {strategy: outcomes.pop(first + k) for k, strategy in enumerate(order)}
+                failed = [runs[s] for s in order[::-1] if isinstance(runs[s], Exception)]
+                if failed:
+                    raise failed[0]
+                seed = tasks[i][0]
+                on_report(seed, assemble(plans.pop(seed, None) or plan_of(seed), runs))
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+        for thread in threads:
+            thread.join()
+
+
+def run_seeds(seeds: list, plan_of, on_report, *, workers: int | None = None) -> None:
+    """Run every (seed, strategy) task of ``seeds``, ``plan_of(seed)`` making a
+    seed's SeedPlan, and call ``on_report(seed, report)`` as soon as a seed's
+    tasks are done. ``workers`` processes share the tasks, this one included
+    (default: the usable CPUs), at most one per task. With one worker the tasks
+    run here in ``tasks_of`` order, ER taking naive's first stage. Helpers are
+    forked, so only on Linux (Windows cannot fork, and macOS system libraries
+    may break in a forked child) and only while this process has one thread (a
+    forked child has no copy of the others, so a lock one of them holds stays
+    held); otherwise one worker runs everything. Reports are the same bytes
+    whatever the worker count.
+    """
+    if workers is not None:
+        require_count("workers", workers)
+    plans = {seeds[0]: plan_of(seeds[0])}  # forked helpers inherit the first plan
+    order = tasks_of(plans[seeds[0]].strategies)
+    forks = sys.platform == "linux" and threading.active_count() == 1
+    helpers = min(workers or _usable_cpus(), len(seeds) * len(order)) - 1 if forks else 0
+    if helpers:
+        _run_tasks(helpers, seeds, order[::-1], plans, plan_of, on_report)  # longest first
+        return
+    for seed in seeds:
+        plan, runs = plans.pop(seed, None) or plan_of(seed), {}
+        for strategy in order:
+            runs[strategy] = run_strategy(plan, strategy, runs.get("naive") if strategy == "er"
+                                          else None)
+        on_report(seed, assemble(plan, runs))
+
+
 def run_protocol(stream: ExperienceStream, eval_slice: EvaluationSlice,
-                 model_spec: ModelSpec, strategies: list, **settings) -> DriftReport:
+                 model_spec: ModelSpec, strategies: list, *, workers: int | None = None,
+                 **settings) -> DriftReport:
     """Train every strategy plus the joint reference, attribute after each
     experience, and assemble the full drift grid; ``settings`` are the rest of
-    ``SeedPlan``'s fields. Identical arguments reproduce the report bit for bit.
-    It runs the tasks serially, ER taking naive's first stage when both run;
-    each strategy's rows are the ones it gives alone."""
+    ``SeedPlan``'s fields, and ``workers`` is ``run_seeds``'s, so on Linux the
+    tasks spread over forked helpers and ``workers=1`` keeps them in this
+    process. Identical arguments reproduce the report bit for bit, at any worker
+    count; each strategy's rows are the ones it gives alone."""
     plan = SeedPlan(stream, eval_slice, model_spec, strategies, **settings)
-    runs: dict = {}
-    for strategy in tasks_of(strategies):
-        runs[strategy] = run_strategy(plan, strategy, runs.get("naive") if strategy == "er"
-                                      else None)
-    return assemble(plan, runs)
+    reports: dict = {}
+    run_seeds([plan.seed], lambda seed: plan, reports.__setitem__, workers=workers)
+    return reports[plan.seed]
 
 
 # -- aggregation ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapdrift import cli
+from shapdrift import cli, protocol
 from shapdrift.cli import (
     ConfigError,
     _prepare,
@@ -595,7 +595,7 @@ def test_parallel_workers_match_serial(tmp_path):
 
 @pytest.mark.parametrize("failure", ["raises", "exits"])
 def test_a_task_that_fails_in_a_helper_fails_the_run(tmp_path, monkeypatch, capsys, failure):
-    run_strategy, parent = cli.run_strategy, os.getpid()
+    run_strategy, parent = protocol.run_strategy, os.getpid()
 
     def helpers_fail(plan, strategy):
         # the two helpers take the first two of the three tasks, and this process the last
@@ -605,7 +605,7 @@ def test_a_task_that_fails_in_a_helper_fails_the_run(tmp_path, monkeypatch, caps
             os._exit(3)
         raise RuntimeError(f"{strategy} failed in a helper")
 
-    monkeypatch.setattr(cli, "run_strategy", helpers_fail)
+    monkeypatch.setattr(protocol, "run_strategy", helpers_fail)
     out = tmp_path / "out"
     path = write_config(tmp_path, tiny_config(output_dir=str(out)))
     assert main(["run", str(path), "--workers", "3"]) == 1
@@ -631,13 +631,13 @@ def test_workers_are_capped_at_the_task_count(tmp_path, monkeypatch, seeds, flag
                                               helpers):
     # three tasks per seed (naive, er, joint); the default is the usable CPUs,
     # and a one-worker run is the in-process serial one
-    started, run_tasks = [], cli._run_tasks
+    started, run_tasks = [], protocol._run_tasks
 
-    def in_process(cfg, count, plans, on_report):
+    def in_process(count, *rest):
         started.append(count)
-        run_tasks(cfg, 0, plans, on_report)
+        run_tasks(0, *rest)
 
-    monkeypatch.setattr(cli, "_run_tasks", in_process)
+    monkeypatch.setattr(protocol, "_run_tasks", in_process)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     out = tmp_path / "out"
     path = write_config(tmp_path, tiny_config(output_dir=str(out), seeds=seeds))
@@ -649,7 +649,7 @@ def test_workers_are_capped_at_the_task_count(tmp_path, monkeypatch, seeds, flag
 def test_runs_off_linux_use_one_process(tmp_path, monkeypatch):
     # helpers are forked, which is left to Linux
     monkeypatch.setattr(sys, "platform", "darwin")
-    monkeypatch.setattr(cli, "_run_tasks", lambda *args: pytest.fail("forked helpers"))
+    monkeypatch.setattr(protocol, "_run_tasks", lambda *args: pytest.fail("forked helpers"))
     path = write_config(tmp_path, tiny_config(output_dir=str(tmp_path / "out")))
     assert main(["run", str(path), "--workers", "4"]) == 0
 
@@ -658,7 +658,7 @@ def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     for count, usable in ((3, 3), (None, 1)):
         monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert cli._usable_cpus() == usable
+        assert protocol._usable_cpus() == usable
 
 
 def _no_libc():

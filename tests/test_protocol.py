@@ -2,7 +2,9 @@
 invariances, full-grid report structure, joint self-consistency, CSV schema
 round-trips, and aggregation."""
 
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -314,9 +316,10 @@ def test_naive_and_er_share_their_first_stage(setup, monkeypatch):
 
     def run(names):
         calls.update(steps=0, maps=0)
+        # in one process, where the counters see every call
         report = run_protocol(stream, slice_, spec, names, opt=opt,
                               shap=ShapConfig("gradient", n_samples=4),
-                              buffer_capacity=8, seed=5)
+                              buffer_capacity=8, seed=5, workers=1)
         return report, dict(calls)
 
     def rows_of(report, strategy):
@@ -361,7 +364,7 @@ def test_er_listed_first_on_one_experience_takes_naive_snapshot(monkeypatch):
         calls.clear()
         report = run_protocol(stream, slice_, spec, names, opt=OptConfig(epochs=2, batch_size=8),
                               shap=ShapConfig("gradient", n_samples=4), buffer_capacity=8,
-                              seed=3, saliency_probes=2)
+                              seed=3, saliency_probes=2, workers=1)
         log = report.train_logs["er"]
         return ([r for r in report.rows if r.strategy == "er"],
                 [r for r in report.accuracy_rows if r.strategy == "er"],
@@ -423,6 +426,86 @@ def test_a_frozen_parameter_that_changes_fails_the_run(monkeypatch):
     with pytest.raises(RuntimeError, match="frozen parameter w changed during joint training"):
         run_protocol(stream, slice_, spec, ["naive", "joint"], opt=OptConfig(epochs=1),
                      shap=ShapConfig(n_samples=2))
+
+
+# -- the task scheduler ---------------------------------------------------------------
+
+
+WORKER_COUNTS = (1, 2, 3, 8)  # 8 is more workers than tasks, and than cores
+
+
+def scheduled_run(setup, workers, names=STRATEGY_LIST):
+    stream, slice_, spec = setup()
+    # a 4-slot GSS buffer fills in the first experience, so GSS scores and evicts
+    return run_protocol(stream, slice_, spec, names, opt=OptConfig(epochs=2, batch_size=8),
+                        shap=ShapConfig("gradient", n_samples=4), buffer_capacity=4,
+                        seed=11, saliency_probes=2, workers=workers)
+
+
+@pytest.mark.parametrize("setup, names", [(image_setup, STRATEGY_LIST),
+                                          (lstm_setup, ["naive", "er", "joint"])],
+                         ids=["image", "lstm"])
+def test_reports_are_the_same_at_every_worker_count(setup, names):
+    # one worker runs the tasks here, ER taking naive's first stage; more fork
+    # helpers, where ER trains its own
+    reports = [scheduled_run(setup, workers, names) for workers in WORKER_COUNTS]
+    for report in reports[1:]:
+        assert report.rows == reports[0].rows
+        assert report.accuracy_rows == reports[0].accuracy_rows
+        assert report.train_logs.keys() == reports[0].train_logs.keys() == set(names)
+        for strategy, log in report.train_logs.items():
+            first = reports[0].train_logs[strategy]
+            assert log.to_json() == first.to_json()
+            for x, y in zip(log.snapshots, first.snapshots, strict=True):
+                assert x.keys() == y.keys()
+                for name in x:
+                    np.testing.assert_array_equal(x[name], y[name])
+        assert report.saliency.keys() == reports[0].saliency.keys()
+        for strategy, pair in report.saliency.items():
+            for x, y in zip(pair, reports[0].saliency[strategy], strict=True):
+                np.testing.assert_array_equal(x, y)
+    assert set(reports[0].saliency) == (set(names) if setup is image_setup else set())
+
+
+def test_a_task_that_fails_in_a_helper_raises_as_a_serial_run(monkeypatch):
+    # ER and GSS fail; at 3 workers both run in helpers (the longest tasks go
+    # first), and every run raises ER's error, the one a serial run meets first
+    def diverging(model, stream, opt, buffer, seed, first=None):
+        raise FloatingPointError(f"{buffer.policy} training diverged")
+
+    monkeypatch.setattr(protocol, "train_replay", diverging)
+    errors = []
+    for workers in WORKER_COUNTS:
+        with pytest.raises(FloatingPointError) as info:
+            scheduled_run(image_setup, workers)
+        errors.append((type(info.value), str(info.value)))
+    assert errors == [(FloatingPointError, "class_balanced training diverged")] * 4
+
+
+def test_a_threaded_host_runs_in_process(monkeypatch):
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    alone = scheduled_run(image_setup, 2)
+    assert forks  # with one thread, a second worker is a forked helper
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside another thread"))
+        threaded = scheduled_run(image_setup, 2)
+    finally:
+        release.set()
+        other.join()
+    assert threaded.rows == alone.rows
+    assert threaded.accuracy_rows == alone.accuracy_rows
+
+
+@pytest.mark.parametrize("workers, error", [(0, ValueError), (2.5, TypeError),
+                                            (True, TypeError)])
+def test_a_bad_worker_count_is_rejected(monkeypatch, workers, error):
+    monkeypatch.setattr(protocol, "run_strategy", lambda *args: pytest.fail("a task ran"))
+    with pytest.raises(error, match=r"workers must be an integer >= 1"):
+        scheduled_run(image_setup, workers)
 
 
 # -- aggregation ----------------------------------------------------------------------
