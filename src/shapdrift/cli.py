@@ -421,8 +421,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--output-dir", help="override the config's output directory")
     p_run.add_argument("--seed", type=int, help="run only this seed")
     p_run.add_argument("--workers", type=_worker_count,
-                       help="worker processes over the run's (seed, strategy) tasks, "
-                            "this one included (default: the usable CPUs; one off Linux)")
+                       help="(seed, strategy) tasks run at once, each in a forked helper "
+                            "if more than one (default: the usable CPUs; one off Linux)")
     p_run.set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", help="check a config without running")

@@ -15,7 +15,7 @@ import csv
 import io
 import os
 import pickle
-import queue
+import select
 import signal
 import sys
 import threading
@@ -135,21 +135,6 @@ def _drift(summary: dict, joint: dict, k: int) -> dict:
     if "m_pool" in summary:
         scores["m_pool"] = _pooled_drift(summary["m_pool"], joint["m_pool"]).mean(axis=-1)
     return scores
-
-
-def score_snapshot(maps, joint_maps, pool_order: str = "normalize_then_clamp") -> dict:
-    """Each class's probe-mean drift of one snapshot's raw (classes, probes,
-    *input shape) maps from the joint ones, as ``{metric: (classes,) array}``:
-    "m" is ``metric_m`` on positive-clamped maps, and single-channel images add
-    "m_pool", ``metric_m_pool`` under ``pool_order``. Each class's probes lie
-    along one contiguous axis, so each mean sums as one over per-probe values.
-    """
-    _check_pool_order(pool_order)
-    s = np.asarray(maps, dtype=np.float64)
-    j = np.asarray(joint_maps, dtype=np.float64)
-    if s.shape != j.shape:
-        raise ValueError(f"map stack shapes differ: {s.shape} != {j.shape}")
-    return _drift(_summary(s, pool_order), _summary(j, pool_order), s[0, 0].size)
 
 
 # -- report rows and CSV schema -----------------------------------------------------
@@ -433,122 +418,99 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _outcome(plans: dict, plan_of, seed: int, strategy: str):
-    """One task's StrategyRun, or its exception; ``plans`` caches this process's plans."""
+def _fork(plan: SeedPlan, strategy: str):
+    """Fork a helper that runs one task and pickles its StrategyRun, or its
+    exception, into a pipe; return the pipe's read end and the helper's pid.
+    The helper exits 0 only once the whole result is sent."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return os.fdopen(read, "rb"), pid
+    code = 1
     try:
-        if seed not in plans:
-            plans[seed] = plan_of(seed)
-        return run_strategy(plans[seed], strategy)
-    except Exception as exc:
-        return exc
+        os.close(read)
+        try:
+            outcome = run_strategy(plan, strategy)
+        except Exception as exc:
+            outcome = exc
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(outcome, pipe)
+        code = 0
+    finally:
+        os._exit(code)
 
 
-def _helper(plans: dict, plan_of, tasks: list, inbox: int, outbox: int) -> None:
-    """A forked helper: run each task whose index arrives, until -1, and send
-    back (index, outcome). Tasks come seed by seed, so it keeps one seed's plan."""
-    with os.fdopen(inbox, "rb") as indices, os.fdopen(outbox, "wb") as records:
-        for i in map(int, indices):
-            if i < 0:
-                return
-            if tasks[i][0] not in plans:
-                plans.clear()
-            pickle.dump((i, _outcome(plans, plan_of, *tasks[i])), records)
-            records.flush()
-
-
-def _run_tasks(helpers: int, seeds: list, order: tuple, plans: dict, plan_of,
+def _run_tasks(workers: int, seeds: list, order: tuple, plans: dict, plan_of,
                on_report) -> None:
-    """Run every (seed, strategy) task here and in ``helpers`` forked processes,
-    seed by seed and each seed's in ``order``, and call ``on_report(seed, report)``
-    as soon as a seed's tasks are done. A thread per helper hands it tasks and
-    queues its results; this process runs a task whenever no result waits.
-    ER trains its own first stage, naive's bit for bit. A seed with failed tasks
-    raises the error a serial run meets first. Every helper is reaped here.
+    """Run every (seed, strategy) task in a forked helper of its own, at most
+    ``workers`` at once, seed by seed and each seed's in ``order``, and call
+    ``on_report(seed, report)`` as soon as a seed's tasks are done. This process
+    only makes each seed's plan, which the helpers inherit, and waits on their
+    results. ER trains its own first stage, naive's bit for bit. A helper that
+    exits without sending its result fails its task, and a seed with failed
+    tasks raises the error a serial run meets first. Every helper is reaped here.
     """
     tasks = [(seed, strategy) for seed in seeds for strategy in order]
-    unclaimed, lock, results = iter(range(len(tasks))), threading.Lock(), queue.SimpleQueue()
+    running, outcomes = {}, {}  # a helper's result pipe: (its pid, its task's index)
 
-    def claim() -> int:  # the next task's index, or -1
-        with lock:
-            return next(unclaimed, -1)
+    def wait() -> None:  # collect the first helper to finish, and report its seed if done
+        pipe = select.select(list(running), [], [])[0][0]
+        with pipe:
+            result = pipe.read()
+            pid, i = running.pop(pipe)
+        if os.waitpid(pid, 0)[1]:
+            outcomes[i] = RuntimeError("a worker process exited before sending its "
+                                       "task's result")
+        else:
+            outcomes[i] = pickle.loads(result)
+        first = i - i % len(order)
+        if all(j in outcomes for j in range(first, first + len(order))):
+            runs = {strategy: outcomes.pop(first + k) for k, strategy in enumerate(order)}
+            failed = [runs[s] for s in order[::-1] if isinstance(runs[s], Exception)]
+            if failed:
+                raise failed[0]
+            seed = tasks[i][0]
+            on_report(seed, assemble(plans.pop(seed), runs))
 
-    def serve(inbox: int, outbox: int, i: int) -> None:  # one helper's tasks; then None
-        try:
-            with (os.fdopen(inbox, "wb", buffering=0) as indices,
-                  os.fdopen(outbox, "rb") as records):
-                while indices.write(b"%d\n" % i) and i >= 0:  # -1 ends the helper
-                    results.put(pickle.load(records))
-                    i = claim()
-        except (OSError, EOFError, pickle.UnpicklingError):
-            pass  # the helper has exited, and its last task's result is lost
-        finally:
-            results.put(None)
-
-    pids, ends, threads, outcomes, left, ended = [], [], [], {}, len(tasks), 0
     try:
-        for _ in range(helpers):
-            (task_out, task_in), (result_out, result_in) = os.pipe(), os.pipe()
-            pids.append(os.fork())
-            if not pids[-1]:
-                try:
-                    os.close(task_in)
-                    os.close(result_out)
-                    _helper(plans, plan_of, tasks, task_out, result_in)
-                finally:
-                    os._exit(0)
-            os.close(task_out)
-            os.close(result_in)
-            ends.append((task_in, result_out))
-        # the helpers take the first, longest tasks; threads start only after every fork
-        threads = [threading.Thread(target=serve, args=(*pair, claim())) for pair in ends]
-        for thread in threads:
-            thread.start()
-        while left:
-            if results.empty() and (i := claim()) >= 0:
-                outcomes[i] = _outcome(plans, plan_of, *tasks[i])
-            elif ended == helpers:
-                raise RuntimeError("a worker process exited before sending its task's result")
-            elif (record := results.get()) is None:
-                ended += 1
-                continue
-            else:
-                i, outcomes[i] = record
-            left, first = left - 1, i - i % len(order)
-            if all(j in outcomes for j in range(first, first + len(order))):
-                runs = {strategy: outcomes.pop(first + k) for k, strategy in enumerate(order)}
-                failed = [runs[s] for s in order[::-1] if isinstance(runs[s], Exception)]
-                if failed:
-                    raise failed[0]
-                seed = tasks[i][0]
-                on_report(seed, assemble(plans.pop(seed, None) or plan_of(seed), runs))
+        for i, (seed, strategy) in enumerate(tasks):
+            if len(running) == workers:
+                wait()
+            if seed not in plans:
+                plans[seed] = plan_of(seed)
+            pipe, pid = _fork(plans[seed], strategy)
+            running[pipe] = pid, i
+        while running:
+            wait()
     finally:
-        for pid in pids:
+        for pipe, (pid, _) in running.items():
             os.kill(pid, signal.SIGTERM)
             os.waitpid(pid, 0)
-        for thread in threads:
-            thread.join()
+            pipe.close()
 
 
 def run_seeds(seeds: list, plan_of, on_report, *, workers: int | None = None) -> None:
     """Run every (seed, strategy) task of ``seeds``, ``plan_of(seed)`` making a
     seed's SeedPlan, and call ``on_report(seed, report)`` as soon as a seed's
-    tasks are done. ``workers`` processes share the tasks, this one included
-    (default: the usable CPUs), at most one per task. With one worker the tasks
-    run here in ``tasks_of`` order, ER taking naive's first stage. Helpers are
-    forked, so only on Linux (Windows cannot fork, and macOS system libraries
-    may break in a forked child) and only while this process has one thread (a
-    forked child has no copy of the others, so a lock one of them holds stays
-    held); otherwise one worker runs everything. Reports are the same bytes
-    whatever the worker count.
+    tasks are done. At most ``workers`` tasks run at once (default: the usable
+    CPUs), at most one per task. With one worker the tasks run here in
+    ``tasks_of`` order, ER taking naive's first stage; with more, this process
+    forks a helper per task and runs none itself. Helpers are forked, so only
+    on Linux (Windows cannot fork, and macOS system libraries may break in a
+    forked child) and only while this process has one thread (a forked child
+    has no copy of the others, so a lock one of them holds stays held);
+    otherwise one worker runs everything. Reports are the same bytes whatever
+    the worker count.
     """
     if workers is not None:
         require_count("workers", workers)
-    plans = {seeds[0]: plan_of(seeds[0])}  # forked helpers inherit the first plan
+    plans = {seeds[0]: plan_of(seeds[0])}
     order = tasks_of(plans[seeds[0]].strategies)
     forks = sys.platform == "linux" and threading.active_count() == 1
-    helpers = min(workers or _usable_cpus(), len(seeds) * len(order)) - 1 if forks else 0
-    if helpers:
-        _run_tasks(helpers, seeds, order[::-1], plans, plan_of, on_report)  # longest first
+    workers = min(workers or _usable_cpus(), len(seeds) * len(order)) if forks else 1
+    if workers > 1:
+        _run_tasks(workers, seeds, order[::-1], plans, plan_of, on_report)  # longest first
         return
     for seed in seeds:
         plan, runs = plans.pop(seed, None) or plan_of(seed), {}
@@ -563,8 +525,8 @@ def run_protocol(stream: ExperienceStream, eval_slice: EvaluationSlice,
                  **settings) -> DriftReport:
     """Train every strategy plus the joint reference, attribute after each
     experience, and assemble the full drift grid; ``settings`` are the rest of
-    ``SeedPlan``'s fields, and ``workers`` is ``run_seeds``'s, so on Linux the
-    tasks spread over forked helpers and ``workers=1`` keeps them in this
+    ``SeedPlan``'s fields, and ``workers`` is ``run_seeds``'s, so on Linux
+    each task runs in a forked helper and ``workers=1`` keeps them all in this
     process. Identical arguments reproduce the report bit for bit, at any worker
     count; each strategy's rows are the ones it gives alone."""
     plan = SeedPlan(stream, eval_slice, model_spec, strategies, **settings)

@@ -27,11 +27,12 @@ from shapdrift.explainers import (
 )
 from shapdrift.models import ModelSpec, build_model
 from shapdrift.protocol import (
+    _drift,
+    _summary,
     aggregate,
     metric_m,
     metric_m_pool,
     run_protocol,
-    score_snapshot,
 )
 from shapdrift.strategies import OptConfig, ReplayBuffer, gss_admit, train_joint, train_replay
 from shapdrift.tensor import Tensor, no_grad, softmax_cross_entropy
@@ -186,6 +187,7 @@ def test_01_drift_metrics_match_straightline_oracles():
         assert _close(metric_m_pool(s, j), _straightline_m_pool(s, j))
 
     # the protocol's scorer: each class's probe mean over (classes, probes) stacks
+    order = "normalize_then_clamp"
     for _ in range(100):
         classes, probes = (int(v) for v in rng.integers(1, 5, size=2))
         h = int(rng.integers(4, 13))
@@ -193,7 +195,7 @@ def test_01_drift_metrics_match_straightline_oracles():
         scale = rng.uniform(0.1, 10.0)
         s = rng.normal(size=(classes, probes, 1, h, w)) * scale
         j = rng.normal(size=(classes, probes, 1, h, w)) * scale
-        scores = score_snapshot(s, j)
+        scores = _drift(_summary(s, order), _summary(j, order), s[0, 0].size)
         assert sorted(scores) == ["m", "m_pool"]
         for c in range(classes):
             m = [_straightline_m(np.maximum(s[c, p], 0.0), np.maximum(j[c, p], 0.0))
@@ -201,7 +203,7 @@ def test_01_drift_metrics_match_straightline_oracles():
             m_pool = [_straightline_m_pool(s[c, p, 0], j[c, p, 0]) for p in range(probes)]
             assert _close(scores["m"][c], sum(m) / probes)
             assert _close(scores["m_pool"][c], sum(m_pool) / probes)
-    print("PASS: metric_m, metric_m_pool and score_snapshot match straight-line oracles")
+    print("PASS: metric_m, metric_m_pool and the snapshot scorer match straight-line oracles")
 
 
 # -- 2. Shapley engine oracle suite ---------------------------------------------------

@@ -6,7 +6,9 @@ import inspect
 import io
 import json
 import os
+import pickle
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -593,19 +595,29 @@ def test_parallel_workers_match_serial(tmp_path):
     assert trees[0] == trees[1] == trees[2] == trees[3]
 
 
-@pytest.mark.parametrize("failure", ["raises", "exits"])
+@pytest.mark.parametrize("failure", ["raises", "exits", "killed"])
 def test_a_task_that_fails_in_a_helper_fails_the_run(tmp_path, monkeypatch, capsys, failure):
-    run_strategy, parent = protocol.run_strategy, os.getpid()
+    # every task runs in a helper of its own; a "killed" one sends half its result
+    run_strategy, dump, parent = protocol.run_strategy, pickle.dump, os.getpid()
 
     def helpers_fail(plan, strategy):
-        # the two helpers take the first two of the three tasks, and this process the last
-        if os.getpid() == parent:
-            return run_strategy(plan, strategy)
+        if failure == "raises":
+            raise RuntimeError(f"{strategy} failed in a helper")
         if failure == "exits":
             os._exit(3)
-        raise RuntimeError(f"{strategy} failed in a helper")
+        return run_strategy(plan, strategy)
+
+    def killed_mid_result(outcome, pipe):
+        if os.getpid() == parent:
+            return dump(outcome, pipe)
+        data = pickle.dumps(outcome)
+        pipe.write(data[:len(data) // 2])
+        pipe.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
 
     monkeypatch.setattr(protocol, "run_strategy", helpers_fail)
+    if failure == "killed":
+        monkeypatch.setattr(pickle, "dump", killed_mid_result)
     out = tmp_path / "out"
     path = write_config(tmp_path, tiny_config(output_dir=str(out)))
     assert main(["run", str(path), "--workers", "3"]) == 1
@@ -617,32 +629,32 @@ def test_a_task_that_fails_in_a_helper_fails_the_run(tmp_path, monkeypatch, caps
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("seeds, flags, cpus, helpers", [
-    ([0, 1], ["--workers", "8"], 1, [5]),
-    ([0, 1], ["--workers", "8", "--seed", "1"], 1, [2]),
-    ([0], ["--workers", "3"], 1, [2]),
+@pytest.mark.parametrize("seeds, flags, cpus, workers", [
+    ([0, 1], ["--workers", "8"], 1, [6]),
+    ([0, 1], ["--workers", "8", "--seed", "1"], 1, [3]),
+    ([0], ["--workers", "3"], 1, [3]),
     ([0], ["--workers", "1"], 4, []),
-    ([0], [], 4, [2]),
-    ([0, 1], [], 2, [1]),
+    ([0], [], 4, [3]),
+    ([0, 1], [], 2, [2]),
     ([0], [], 1, []),
 ], ids=["two-seeds", "seed-flag", "one-seed", "one-worker", "default-4-cpus",
         "default-2-cpus", "default-1-cpu"])
 def test_workers_are_capped_at_the_task_count(tmp_path, monkeypatch, seeds, flags, cpus,
-                                              helpers):
+                                              workers):
     # three tasks per seed (naive, er, joint); the default is the usable CPUs,
     # and a one-worker run is the in-process serial one
     started, run_tasks = [], protocol._run_tasks
 
-    def in_process(count, *rest):
+    def recording(count, *rest):
         started.append(count)
-        run_tasks(0, *rest)
+        run_tasks(count, *rest)
 
-    monkeypatch.setattr(protocol, "_run_tasks", in_process)
+    monkeypatch.setattr(protocol, "_run_tasks", recording)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     out = tmp_path / "out"
     path = write_config(tmp_path, tiny_config(output_dir=str(out), seeds=seeds))
     assert main(["run", str(path), *flags]) == 0
-    assert started == helpers
+    assert started == workers
     assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
 
 

@@ -17,13 +17,14 @@ from shapdrift.protocol import (
     AccuracyRow,
     DriftReport,
     MetricRow,
+    _drift,
     _snapshot_maps,
+    _summary,
     aggregate,
     load_accuracy_csv,
     metric_m,
     metric_m_pool,
     run_protocol,
-    score_snapshot,
 )
 from shapdrift.strategies import OptConfig
 
@@ -100,17 +101,15 @@ def test_m_pool_nonnegative_on_random_maps():
 
 
 def test_score_snapshot_off_images_scores_m_only():
+    # a snapshot's scores are the drift of its summary from joint's
     rng = np.random.default_rng(6)
     s, j = rng.normal(size=(3, 2, 5, 4)), rng.normal(size=(3, 2, 5, 4))
-    scores = score_snapshot(s, j)
+    order = "normalize_then_clamp"
+    scores = _drift(_summary(s, order), _summary(j, order), s[0, 0].size)
     assert list(scores) == ["m"]
     for c in range(3):
         assert scores["m"][c] == np.mean([metric_m(np.maximum(s[c, p], 0.0),
                                                    np.maximum(j[c, p], 0.0)) for p in range(2)])
-    with pytest.raises(ValueError, match="shapes differ"):
-        score_snapshot(s, j[:, :1])
-    with pytest.raises(ValueError, match="pool_order: unknown pool order 'bogus'"):
-        score_snapshot(s, j, "bogus")
 
 
 # -- end-to-end protocol -------------------------------------------------------------
@@ -446,8 +445,8 @@ def scheduled_run(setup, workers, names=STRATEGY_LIST):
                                           (lstm_setup, ["naive", "er", "joint"])],
                          ids=["image", "lstm"])
 def test_reports_are_the_same_at_every_worker_count(setup, names):
-    # one worker runs the tasks here, ER taking naive's first stage; more fork
-    # helpers, where ER trains its own
+    # one worker runs the tasks here, ER taking naive's first stage; more fork a
+    # helper per task, where ER trains its own, and this process runs none
     reports = [scheduled_run(setup, workers, names) for workers in WORKER_COUNTS]
     for report in reports[1:]:
         assert report.rows == reports[0].rows
@@ -467,9 +466,41 @@ def test_reports_are_the_same_at_every_worker_count(setup, names):
     assert set(reports[0].saliency) == (set(names) if setup is image_setup else set())
 
 
+def test_at_most_workers_helpers_run_and_this_process_runs_no_task(tmp_path, monkeypatch):
+    # four tasks at 2 workers: a helper per task, never more than 2 alive at once
+    fork, waitpid, run_strategy, caller = os.fork, os.waitpid, protocol.run_strategy, os.getpid()
+    forked, live, sizes = [], set(), []
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+            live.add(pid)
+            sizes.append(len(live))
+        return pid
+
+    def counting_waitpid(pid, options):
+        live.discard(pid)
+        return waitpid(pid, options)
+
+    def logging_run(plan, strategy, first=None):
+        with open(tmp_path / "pids", "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return run_strategy(plan, strategy, first)
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "waitpid", counting_waitpid)
+    monkeypatch.setattr(protocol, "run_strategy", logging_run)
+    scheduled_run(image_setup, 2)
+    runners = [int(pid) for pid in (tmp_path / "pids").read_text().split()]
+    assert max(sizes) == 2 and not live
+    assert sorted(runners) == sorted(forked) and len(set(forked)) == 4
+    assert caller not in runners
+
+
 def test_a_task_that_fails_in_a_helper_raises_as_a_serial_run(monkeypatch):
-    # ER and GSS fail; at 3 workers both run in helpers (the longest tasks go
-    # first), and every run raises ER's error, the one a serial run meets first
+    # ER and GSS fail; above one worker every task runs in a helper, and every
+    # run raises ER's error, the one a serial run meets first
     def diverging(model, stream, opt, buffer, seed, first=None):
         raise FloatingPointError(f"{buffer.policy} training diverged")
 
